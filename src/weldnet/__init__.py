@@ -18,9 +18,7 @@ from .block import (
     backprop_step,
     compute_nu,
     cost,
-    forward,
     init_block,
-    select_tau,
     sigmoid,
     train,
     weighted_estimate,
@@ -32,7 +30,7 @@ from .dataset import (
     bead_surfaces,
     combine,
     load_csv,
-    polynomial_expand,
+    prepare_features,
     save_csv,
     split,
     standardize,
@@ -58,4 +56,16 @@ from .model import (
 )
 from .search import SearchSpace, evaluate_point, grid_search
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AggregateModel", "BlockMetaParams", "Dataset", "McrParams",
+    "MetricsReport", "OptimizerState", "RegressionBlock", "ScalerParams",
+    "SearchSpace", "StepResult", "TrainingTrace", "append_bias",
+    "backprop_step", "bead_surfaces", "combine", "compute_nu",
+    "confidence_interval", "cost", "evaluate_point", "grid_search",
+    "init_block", "kendall", "linear_predict", "load", "load_csv", "mcr_fit",
+    "normal_equation_fit", "optimizer_step", "optimizer_train", "pe",
+    "pearson", "plain_ann_train", "predict", "prepare_features",
+    "resize_hidden", "rmse", "save", "save_csv", "sigmoid", "spearman",
+    "split", "standardize", "synthesize_weld", "train", "train_all",
+    "weighted_estimate", "zscore",
+]

@@ -2,6 +2,10 @@
 shift), adagrad/rmsprop/Nesterov-momentum update rules on the same block
 architecture, closed-form normal-equation regression, and polynomial
 least-squares fitted by gradient descent.
+
+The plain ANN and the optimizer baselines train in block.run_steps with
+gamma = 1 and the shift off; each optimizer plugs in an OptimizerRule.
+mcr_fit fits a linear multi-target model and keeps its own loop.
 """
 
 from __future__ import annotations
@@ -11,21 +15,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .block import (
-    MAX_DEGREE,
     MAX_ITERATIONS,
-    MIN_DEGREE,
     MIN_ITERATIONS,
     BlockMetaParams,
-    TraceRecord,
     TrainingTrace,
-    _forward_all,
-    _reg_sum,
-    _tau_cost,
-    block_gradients,
     init_block,
+    run_steps,
     train,
 )
-from .dataset import Dataset, append_bias, expand_features
+from .dataset import MAX_DEGREE, MIN_DEGREE, Dataset, append_bias, expand_features
 from .errors import Diverged, ShapeMismatch
 
 OPTIMIZER_KINDS = ("plain", "adagrad", "rmsprop", "nesterov")
@@ -110,52 +108,45 @@ def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
     return train(block, X, y, use_tau=False)
 
 
+class OptimizerRule:
+    """Update rule with one OptimizerState per weight matrix: gradients at
+    the look-ahead weights, then optimizer_step on the cost gradient."""
+
+    def __init__(self, states: list):
+        self.states = states
+
+    def gradient_point(self, block):
+        shifted = [lookahead(st, th)
+                   for st, th in zip(self.states, block.matrices())]
+        return replace(block, theta1=shifted[0], hidden=shifted[1:-1],
+                       theta2=shifted[-1])
+
+    def update(self, block, at, deltas, m):
+        lam = block.meta.lam
+        new_states, new_mats = [], []
+        for st, th, sh, delta in zip(self.states, block.matrices(),
+                                     at.matrices(), deltas):
+            nobias = sh.copy()
+            nobias[0] = 0.0
+            st, new_th = optimizer_step(st, th, (-delta + lam * nobias) / m)
+            new_states.append(st)
+            new_mats.append(new_th)
+        self.states = new_states
+        return new_mats
+
+
 def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
                     y: np.ndarray, seed: int, eta: float, rho: float = 0.9,
                     momentum: float = 0.9, eps: float = 1e-8):
     """Train a block with the named update rule instead of the reinforced
     update; gamma is fixed to 1 and the output shift stays off, so the
     comparison isolates the rule itself.  Returns (block, trace)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    m = y.size
-    block = init_block(replace(meta, gamma=1.0), X.shape[1], seed)
-    states = [OptimizerState(kind, eta, rho, momentum, eps)
-              for _ in block.matrices()]
-
-    trace = TrainingTrace()
-    for t in range(1, meta.iterations + 1):
-        mats = block.matrices()
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = [lookahead(st, th) for st, th in zip(states, mats)]
-            probe = replace(block, theta1=shifted[0], hidden=shifted[1:-1],
-                            theta2=shifted[-1])
-            activations, raw = _forward_all(probe, X)
-            deltas = block_gradients(probe, X, y, tau=0.0, gamma=1.0,
-                                     activations=activations, raw=raw)
-            step_cost = _tau_cost(raw, y, 0.0, meta.lam, _reg_sum(probe), m)
-
-            new_states, new_mats = [], []
-            for st, th, sh, delta in zip(states, mats, shifted, deltas):
-                nobias = sh.copy()
-                nobias[0] = 0.0
-                grad = (-delta + meta.lam * nobias) / m
-                st, new_th = optimizer_step(st, th, grad)
-                new_states.append(st)
-                new_mats.append(new_th)
-
-        if (not np.isfinite(step_cost)
-                or any(not np.all(np.isfinite(th)) for th in new_mats)):
-            raise Diverged(iteration=t, trace=trace)
-        states = new_states
-        block = replace(block, theta1=new_mats[0], hidden=new_mats[1:-1],
-                        theta2=new_mats[-1])
-        trace.records.append(TraceRecord(
-            iteration=t, cost=step_cost,
-            grad1_norm=float(np.linalg.norm(deltas[0])),
-            grad2_norm=float(np.linalg.norm(deltas[-1])),
-            tau=0.0, nu=0.0, cost_tau_zero=step_cost))
-    return block, trace
+    block = init_block(replace(meta, gamma=1.0), np.asarray(X).shape[1], seed)
+    rule = OptimizerRule([OptimizerState(kind, eta, rho, momentum, eps)
+                          for _ in block.matrices()])
+    block, records = run_steps(block, X, y, meta.iterations, use_tau=False,
+                               rule=rule)
+    return block, TrainingTrace(records)
 
 
 def normal_equation_fit(train_data: Dataset, degree: int) -> np.ndarray:

@@ -6,6 +6,13 @@ Shape conventions: samples are rows.  With m samples, d inputs, and width k,
 theta1 is (d+1) x k, each extra hidden matrix is (k+1) x k, and theta2 is
 (k+1) x 1; row 0 of every matrix holds the bias weights fed by an appended
 all-ones column.
+
+run_steps is the one training loop; each backprop_step picks the shift tau
+from {-nu, 0, +nu} (nu: the previous iteration's mean error, a scalar on
+the block) and hands the gamma-scaled gradients to an update rule, which
+chooses where they are taken (gradient_point) and the new weights
+(update).  ReinforcedRule is the default; the plain ANN uses it with
+gamma = 1 and tau off, the optimizer baselines plug in their own rules.
 """
 
 from __future__ import annotations
@@ -14,12 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import append_bias
+from .dataset import MAX_DEGREE, MIN_DEGREE, append_bias
 from .errors import DimensionMismatch, Diverged, LengthMismatch
 
 MIN_NEURONS, MAX_NEURONS = 2, 100
 MIN_DEPTH, MAX_DEPTH = 1, 4
-MIN_DEGREE, MAX_DEGREE = 0, 6
 MIN_ITERATIONS, MAX_ITERATIONS = 1000, 12000
 
 
@@ -72,14 +78,15 @@ class BlockMetaParams:
 
 @dataclass
 class RegressionBlock:
-    """Weights and per-iteration state of one regression block."""
+    """Weights and per-iteration state of one regression block; nu is None
+    until the first iteration, which takes the error of all-zero estimates."""
 
     theta1: np.ndarray
     theta2: np.ndarray
     hidden: list
     tau: float
     meta: BlockMetaParams
-    prev_estimates: np.ndarray | None = None
+    nu: float | None = None
 
     @property
     def input_dim(self) -> int:
@@ -145,14 +152,6 @@ class StepResult:
     grad1_norm: float
     grad2_norm: float
 
-    @property
-    def delta1(self) -> np.ndarray:
-        return self.deltas[0]
-
-    @property
-    def delta2(self) -> np.ndarray:
-        return self.deltas[-1]
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
@@ -182,7 +181,7 @@ def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBl
     hidden = [fresh(k, k) for _ in range(meta.depth - 1)]
     theta2 = fresh(k, 1)
     return RegressionBlock(theta1=theta1, theta2=theta2, hidden=hidden,
-                           tau=0.0, meta=meta, prev_estimates=None)
+                           tau=0.0, meta=meta)
 
 
 def _forward_all(block: RegressionBlock, X: np.ndarray):
@@ -198,25 +197,18 @@ def _forward_all(block: RegressionBlock, X: np.ndarray):
     return activations, raw
 
 
-def forward(block: RegressionBlock, X: np.ndarray):
-    """Last hidden activation matrix and the raw output (no shift applied)."""
-    activations, raw = _forward_all(block, X)
-    return activations[-1], raw
-
-
 def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
     """Raw block output shifted by the scalar tau."""
     return np.asarray(raw, dtype=np.float64) + tau
 
 
-def compute_nu(prev_estimates: np.ndarray, y: np.ndarray) -> float:
-    """Mean estimation error of the previous iteration."""
-    prev_estimates = np.asarray(prev_estimates, dtype=np.float64)
+def compute_nu(estimates: np.ndarray, y: np.ndarray) -> float:
+    """Mean estimation error of one iteration's shifted output."""
+    estimates = np.asarray(estimates, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if prev_estimates.shape != y.shape or y.ndim != 1 or y.size == 0:
-        raise LengthMismatch(
-            f"prev_estimates {prev_estimates.shape} vs targets {y.shape}")
-    return float(np.mean(prev_estimates - y))
+    if estimates.shape != y.shape or y.ndim != 1 or y.size == 0:
+        raise LengthMismatch(f"estimates {estimates.shape} vs targets {y.shape}")
+    return float(np.mean(estimates - y))
 
 
 def _reg_sum(block: RegressionBlock) -> float:
@@ -243,16 +235,6 @@ def _pick_tau(raw, y, nu, lam, reg, m):
         if c < best_cost:
             best_tau, best_cost = cand, c
     return best_tau, best_cost, cost_zero
-
-
-def select_tau(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-               nu: float) -> float:
-    """Shift from {-nu, 0, +nu} minimizing the regularized cost at the
-    block's current weights."""
-    _, raw = _forward_all(block, X)
-    y = np.asarray(y, dtype=np.float64)
-    tau, _, _ = _pick_tau(raw, y, nu, block.meta.lam, _reg_sum(block), y.size)
-    return tau
 
 
 def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
@@ -295,13 +277,36 @@ def block_gradients(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
     return deltas
 
 
+class ReinforcedRule:
+    """Default update rule: gradients at the current weights, then
+    theta <- theta + (alpha * delta - lam * theta_nobias) / m."""
+
+    def gradient_point(self, block: RegressionBlock) -> RegressionBlock:
+        return block
+
+    def update(self, block, at, deltas: list, m: int) -> list:
+        meta = block.meta
+        new_mats = []
+        for th, delta in zip(block.matrices(), deltas):
+            nobias = th.copy()
+            nobias[0] = 0.0
+            new_mats.append(th + (meta.alpha * delta - meta.lam * nobias) / m)
+        return new_mats
+
+
+REINFORCED = ReinforcedRule()
+
+
 def backprop_step(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-                  use_tau: bool = True, gamma: float | None = None):
+                  use_tau: bool = True, gamma: float | None = None,
+                  rule=REINFORCED):
     """One full-batch iteration; returns (updated block, StepResult).
 
-    Order: forward pass, shift selection against the pre-update cost,
-    gradients of every matrix at the pre-update weights, then all weight
-    updates theta <- theta + (alpha * delta - lam * theta_nobias) / m.
+    Order: forward pass at rule.gradient_point(block), shift selection
+    against that pre-update cost, gradients of every matrix at the same
+    weights, then the new weights from rule.update.  The updated block
+    carries nu for the next iteration: the mean error of the shifted
+    output emitted here.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -312,16 +317,16 @@ def backprop_step(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
 
     # Overflow here just means divergence; the finite check below raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        activations, raw = _forward_all(block, X)
+        at = rule.gradient_point(block)
+        activations, raw = _forward_all(at, X)
         if y.ndim != 1 or y.size != raw.size:
             raise DimensionMismatch(f"targets {y.shape} vs {raw.size} samples")
 
-        prev = block.prev_estimates
-        if prev is None or prev.shape != y.shape:
-            prev = np.zeros_like(y)
-        nu = compute_nu(prev, y)
+        nu = block.nu
+        if nu is None:
+            nu = compute_nu(np.zeros_like(y), y)
 
-        reg = _reg_sum(block)
+        reg = _reg_sum(at)
         if use_tau:
             tau, cost_sel, cost_zero = _pick_tau(raw, y, nu, meta.lam, reg, m)
         else:
@@ -329,35 +334,32 @@ def backprop_step(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
             cost_zero = _tau_cost(raw, y, 0.0, meta.lam, reg, m)
             cost_sel = cost_zero
 
-        deltas = block_gradients(block, X, y, tau, gamma,
+        deltas = block_gradients(at, X, y, tau, gamma,
                                  activations=activations, raw=raw)
-
-        new_mats = []
-        for th, delta in zip(block.matrices(), deltas):
-            nobias = th.copy()
-            nobias[0] = 0.0
-            new_mats.append(th + (meta.alpha * delta - meta.lam * nobias) / m)
+        new_mats = rule.update(block, at, deltas, m)
+        grad1_norm = float(np.linalg.norm(deltas[0]))
+        grad2_norm = float(np.linalg.norm(deltas[-1]))
 
     if not np.isfinite(cost_sel) or any(not np.all(np.isfinite(t)) for t in new_mats):
         raise Diverged(iteration=None)
 
     updated = replace(block, theta1=new_mats[0], hidden=new_mats[1:-1],
                       theta2=new_mats[-1], tau=tau,
-                      prev_estimates=weighted_estimate(raw, tau))
+                      nu=compute_nu(weighted_estimate(raw, tau), y))
     step = StepResult(cost=cost_sel, cost_tau_zero=cost_zero, tau=tau, nu=nu,
-                      deltas=deltas,
-                      grad1_norm=float(np.linalg.norm(deltas[0])),
-                      grad2_norm=float(np.linalg.norm(deltas[-1])))
+                      deltas=deltas, grad1_norm=grad1_norm,
+                      grad2_norm=grad2_norm)
     return updated, step
 
 
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
               n_steps: int, start_iteration: int = 1, use_tau: bool = True,
-              jitter_rng=None):
+              jitter_rng=None, rule=REINFORCED):
     """Run n_steps backprop iterations; returns (block, list of TraceRecord).
 
-    Iteration numbers in the records start at start_iteration.  On
-    divergence raises Diverged carrying the records accumulated so far.
+    This is the only loop that trains block weights.  Iteration numbers in
+    the records start at start_iteration.  On divergence raises Diverged
+    carrying the records accumulated so far.
     """
     records = []
     for i in range(n_steps):
@@ -365,7 +367,8 @@ def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
         if jitter_rng is not None:
             gamma = block.meta.gamma + jitter_rng.standard_normal()
         try:
-            block, step = backprop_step(block, X, y, use_tau=use_tau, gamma=gamma)
+            block, step = backprop_step(block, X, y, use_tau=use_tau,
+                                        gamma=gamma, rule=rule)
         except Diverged as exc:
             raise Diverged(iteration=start_iteration + i,
                            trace=TrainingTrace(records)) from exc
@@ -385,9 +388,6 @@ def train(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
     gamma (experimental; off by default).  Raises Diverged with the partial
     trace attached if any weight or cost turns non-finite.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if block.prev_estimates is None or block.prev_estimates.shape != y.shape:
-        block = replace(block, prev_estimates=np.zeros_like(y))
     jitter_rng = np.random.default_rng(jitter_seed) if gamma_jitter else None
     block, records = run_steps(block, X, y, block.meta.iterations,
                                use_tau=use_tau, jitter_rng=jitter_rng)

@@ -165,11 +165,17 @@ def _load_data(args, cfg) -> ds.Dataset:
     return ds.combine([ds.load_csv(p) for p in paths])
 
 
+def _json_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
 def _metas_for(data: ds.Dataset, args, cfg) -> list:
     """One BlockMetaParams per target, keyed by target name."""
     by_name = {}
-    if isinstance(cfg.get("metas"), dict):
-        by_name.update(cfg["metas"])
+    if cfg.get("metas") is not None:
+        by_name.update(_json_object(cfg["metas"], "config 'metas'"))
     params_path = getattr(args, "params", None) or cfg.get("params")
     if params_path:
         try:
@@ -177,7 +183,9 @@ def _metas_for(data: ds.Dataset, args, cfg) -> list:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read params {params_path}: {exc}") from exc
-        by_name.update(doc.get("targets", doc))
+        doc = _json_object(doc, f"params {params_path}")
+        by_name.update(_json_object(doc.get("targets", doc),
+                                    f"'targets' in params {params_path}"))
     metas = []
     for name in data.target_names:
         raw = by_name.get(name, DEFAULT_META)
@@ -393,14 +401,10 @@ def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
                                  gamma_jitter=gamma_jitter)
         return mdl.predict(model, te.features)
     if method in ("adagrad", "rmsprop", "nesterov"):
-        scaler = None
-        feats = tr.features
-        if standardize:
-            scaled, scaler = ds.standardize(tr)
-            feats = scaled.features
+        scaler, inputs = ds.prepare_features(
+            tr.features, [meta.degree for meta in metas], fit=standardize)
         blocks = []
-        for k, (meta, tname) in enumerate(zip(metas, tr.target_names)):
-            X = ds.expand_features(feats, meta.degree)
+        for k, (meta, tname, X) in enumerate(zip(metas, tr.target_names, inputs)):
             block, _ = baselines.optimizer_train(
                 method, meta, X, tr.targets[:, k],
                 derive_seed(seed, tname), **opt_hyper)
@@ -412,10 +416,8 @@ def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
         theta = baselines.normal_equation_fit(tr, ner_degree)
         return baselines.linear_predict(theta, te.features, ner_degree)
     if method == "mcr":
-        feats, te_feats = tr.features, te.features
-        if standardize:
-            scaled, scaler = ds.standardize(tr)
-            feats, te_feats = scaled.features, scaler.apply(te.features)
+        scaler, (feats,) = ds.prepare_features(tr.features, [0], fit=standardize)
+        _, (te_feats,) = ds.prepare_features(te.features, [0], scaler)
         fit_data = ds.Dataset(feats, tr.targets, tr.feature_names, tr.target_names)
         theta = baselines.mcr_fit(mcr_params, fit_data, derive_seed(seed, "mcr"))
         return baselines.linear_predict(theta, te_feats, mcr_params.degree)
@@ -459,8 +461,6 @@ def cmd_compare(args) -> int:
             cells += ["" if s[k] is None else repr(s[k])
                       for k in ("ci_low", "ci_high", "zscore")]
             fh.write(",".join(cells) + "\n")
-        for tname in data.target_names:
-            fh.write(f"svr,{tname},n/a,n/a,n/a,,,\n")
 
     lines = []
     for tname in data.target_names:
@@ -471,7 +471,6 @@ def cmd_compare(args) -> int:
                          f"{s['median_rmse']:.6g}", f"{s['mean_pe']:.6g}",
                          _opt(s["ci_low"]), _opt(s["ci_high"]),
                          _opt(s["zscore"])])
-        rows.append(["svr", "n/a", "n/a", "n/a", "n/a", "n/a", "n/a"])
         lines.append(f"target: {tname}")
         lines.append(metrics.align_table(
             ["method", "mean_rmse", "median_rmse", "mean_pe",

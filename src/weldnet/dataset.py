@@ -27,7 +27,7 @@ from .errors import (
 IWP_PREFIX = "iwp:"
 DWP_PREFIX = "dwp:"
 
-MAX_DEGREE = 6
+MIN_DEGREE, MAX_DEGREE = 0, 6
 
 
 @dataclass
@@ -96,16 +96,14 @@ class ScalerParams:
     def apply(self, mat: np.ndarray) -> np.ndarray:
         return (np.asarray(mat, dtype=np.float64) - self.means) / self.stds
 
-    def invert(self, mat: np.ndarray) -> np.ndarray:
-        return np.asarray(mat, dtype=np.float64) * self.stds + self.means
-
 
 def load_csv(path) -> Dataset:
     """Read a prefixed-header CSV into a Dataset.
 
     Header columns must start with ``iwp:`` or ``dwp:``; features take all
     iwp columns in header order, targets all dwp columns.  Body cells must
-    all parse as decimal numbers.  LF and CRLF line endings are accepted.
+    all parse as finite decimal numbers.  LF and CRLF line endings are
+    accepted.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,6 +147,10 @@ def load_csv(path) -> Dataset:
                 rows[i, j] = float(cell)
             except ValueError:
                 raise ParseError(i + 1, j + 1, cell.strip()) from None
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(i + 1, j + 1, body[i].split(",")[j].strip())
 
     return Dataset(rows[:, feat_idx], rows[:, targ_idx], feat_names, targ_names)
 
@@ -185,17 +187,9 @@ def standardize(data: Dataset) -> tuple[Dataset, ScalerParams]:
     Targets are left untouched so error metrics stay in original units.
     Raises ConstantColumn if any feature column has zero sample std.
     """
-    if data.m < 2:
-        raise TooFewRows("standardize needs at least 2 rows")
-    means = data.features.mean(axis=0)
-    stds = data.features.std(axis=0, ddof=1)
-    for j, s in enumerate(stds):
-        if s == 0.0:
-            raise ConstantColumn(j)
-    scaler = ScalerParams(means, stds)
-    scaled = Dataset(scaler.apply(data.features), data.targets,
-                     data.feature_names, data.target_names)
-    return scaled, scaler
+    scaler, (scaled,) = prepare_features(data.features, [0], fit=True)
+    return Dataset(scaled, data.targets, data.feature_names,
+                   data.target_names), scaler
 
 
 def expand_features(mat: np.ndarray, degree: int) -> np.ndarray:
@@ -204,25 +198,35 @@ def expand_features(mat: np.ndarray, degree: int) -> np.ndarray:
     Degree 0 returns the input unchanged.  No cross terms; column blocks
     are ordered by exponent: [x | x^2 block | ... | x^(degree+1) block].
     """
-    if not (0 <= degree <= MAX_DEGREE):
-        raise DegreeOutOfRange(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+    if not (MIN_DEGREE <= degree <= MAX_DEGREE):
+        raise DegreeOutOfRange(
+            f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
     if degree == 0:
         return mat
     blocks = [mat] + [mat ** e for e in range(2, degree + 2)]
     return np.hstack(blocks)
 
 
-def polynomial_expand(data: Dataset, degree: int) -> Dataset:
-    """Dataset with per-feature power columns appended; targets untouched."""
-    if not (0 <= degree <= MAX_DEGREE):
-        raise DegreeOutOfRange(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-    if degree == 0:
-        return data
-    names = list(data.feature_names)
-    for e in range(2, degree + 2):
-        names += [f"{n}^{e}" for n in data.feature_names]
-    return Dataset(expand_features(data.features, degree), data.targets,
-                   names, data.target_names)
+def prepare_features(features: np.ndarray, degrees,
+                     scaler: ScalerParams | None = None, fit: bool = False):
+    """(scaler, one block-input matrix per degree) for raw feature rows.
+
+    With fit, the scaler is fitted on these (training) rows; the scaler,
+    if any, is applied before expand_features.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if fit:
+        if features.shape[0] < 2:
+            raise TooFewRows("standardize needs at least 2 rows")
+        means = features.mean(axis=0)
+        stds = features.std(axis=0, ddof=1)
+        for j, s in enumerate(stds):
+            if s == 0.0:
+                raise ConstantColumn(j)
+        scaler = ScalerParams(means, stds)
+    if scaler is not None:
+        features = scaler.apply(features)
+    return scaler, [expand_features(features, d) for d in degrees]
 
 
 def append_bias(mat: np.ndarray) -> np.ndarray:

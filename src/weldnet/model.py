@@ -51,11 +51,6 @@ class AggregateModel:
         return b.input_dim // (b.meta.degree + 1)
 
 
-def _prepare_features(model_scaler, features, degree):
-    scaled = model_scaler.apply(features) if model_scaler is not None else features
-    return ds.expand_features(scaled, degree)
-
-
 def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True,
               use_tau: bool = True, dynamic_width: bool = False,
               gamma_jitter: bool = False):
@@ -70,16 +65,12 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     if len(metas) != train_data.n_targets:
         raise ValueError(f"need {train_data.n_targets} meta sets, got {len(metas)}")
 
-    scaler = None
-    features = train_data.features
-    if standardize:
-        scaled_ds, scaler = ds.standardize(train_data)
-        features = scaled_ds.features
+    scaler, inputs = ds.prepare_features(
+        train_data.features, [meta.degree for meta in metas], fit=standardize)
 
     blocks, traces = [], []
-    for k, (meta, tname) in enumerate(zip(metas, train_data.target_names)):
-        bseed = derive_seed(seed, tname)
-        X = ds.expand_features(features, meta.degree)
+    for k, (meta, tname, X) in enumerate(zip(metas, train_data.target_names,
+                                             inputs)):
         y = train_data.targets[:, k]
         jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
                       if gamma_jitter else None)
@@ -88,8 +79,7 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
                 blk, trace = _train_dynamic(meta, X, y, seed, tname,
                                             use_tau, jitter_rng)
             else:
-                blk = init_block(meta, X.shape[1], bseed)
-                blk = replace(blk, prev_estimates=np.zeros_like(y))
+                blk = init_block(meta, X.shape[1], derive_seed(seed, tname))
                 blk, records = run_steps(blk, X, y, meta.iterations,
                                          use_tau=use_tau, jitter_rng=jitter_rng)
                 trace = TrainingTrace(records)
@@ -116,7 +106,6 @@ def _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng):
     val_ds = ds.Dataset(X[val_idx], y[val_idx, None], names, [tname])
 
     block = init_block(meta, X.shape[1], derive_seed(seed, tname))
-    block = replace(block, prev_estimates=np.zeros(fit_idx.size))
     records = []
     done = 0
     while done < meta.iterations:
@@ -228,9 +217,10 @@ def predict(model: AggregateModel, X_raw: np.ndarray) -> np.ndarray:
     if X_raw.ndim != 2 or X_raw.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"expected {model.input_dim} feature columns, got {X_raw.shape}")
+    _, inputs = ds.prepare_features(
+        X_raw, [blk.meta.degree for blk in model.blocks], model.scaler)
     cols = []
-    for blk in model.blocks:
-        X = _prepare_features(model.scaler, X_raw, blk.meta.degree)
+    for blk, X in zip(model.blocks, inputs):
         _, raw = _forward_all(blk, X)
         cols.append(weighted_estimate(raw, blk.tau))
     return np.column_stack(cols)
@@ -298,7 +288,6 @@ def load(path) -> AggregateModel:
             hidden=[_mat_from_doc(h) for h in bdoc["hidden"]],
             tau=float(bdoc["tau"]),
             meta=BlockMetaParams.from_dict(bdoc["meta"]),
-            prev_estimates=None,
         ))
     return AggregateModel(blocks=blocks, scaler=scaler,
                           target_names=list(doc["targets"]))

@@ -11,11 +11,9 @@ import numpy as np
 
 from . import dataset as ds
 from .block import (
-    MAX_DEGREE,
     MAX_DEPTH,
     MAX_ITERATIONS,
     MAX_NEURONS,
-    MIN_DEGREE,
     MIN_DEPTH,
     MIN_ITERATIONS,
     MIN_NEURONS,
@@ -25,6 +23,7 @@ from .block import (
     train,
     weighted_estimate,
 )
+from .dataset import MAX_DEGREE, MIN_DEGREE
 from .errors import Diverged
 from .metrics import rmse
 from .rng import derive_seed
@@ -107,16 +106,14 @@ def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
         mask[val_idx] = False
         tr = data.take(np.flatnonzero(mask))
         va = data.take(val_idx)
-        feats, va_feats = tr.features, va.features
-        if standardize:
-            scaled, scaler = ds.standardize(tr)
-            feats, va_feats = scaled.features, scaler.apply(va.features)
-        X = ds.expand_features(feats, meta.degree)
+        scaler, (X,) = ds.prepare_features(tr.features, [meta.degree],
+                                           fit=standardize)
+        _, (Xv,) = ds.prepare_features(va.features, [meta.degree], scaler)
         y = tr.targets[:, target_index]
         try:
             block = init_block(meta, X.shape[1], derive_seed(seed, "fold", f))
             block, _ = train(block, X, y)
-            _, raw = _forward_all(block, ds.expand_features(va_feats, meta.degree))
+            _, raw = _forward_all(block, Xv)
             scores.append(rmse(va.targets[:, target_index],
                                weighted_estimate(raw, block.tau)))
         except Diverged:

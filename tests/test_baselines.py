@@ -14,7 +14,7 @@ from weldnet.baselines import (
     optimizer_train,
     plain_ann_train,
 )
-from weldnet.block import BlockMetaParams, init_block, train
+from weldnet.block import BlockMetaParams, block_gradients, init_block, train
 from weldnet.dataset import Dataset, append_bias, standardize, synthesize_weld
 from weldnet.errors import ShapeMismatch
 
@@ -139,6 +139,34 @@ class TestOptimizerTrain:
         block, trace = optimizer_train(kind, quick_meta(), X, y, seed=5, eta=eta)
         assert trace.records[-1].cost < 0.1 * trace.records[0].cost
         assert block.tau == 0.0
+
+    @pytest.mark.parametrize("kind", ["adagrad", "rmsprop", "nesterov"])
+    def test_matches_explicit_update_loop(self, weld_xy, kind):
+        X, y = weld_xy
+        meta = quick_meta(gamma=3.0, lam=0.01)
+        block, trace = optimizer_train(kind, meta, X, y, seed=6, eta=0.003)
+
+        # reference: the update written out step by step
+        ref = init_block(replace(meta, gamma=1.0), X.shape[1], seed=6)
+        mats = ref.matrices()
+        states = [OptimizerState(kind, eta=0.003) for _ in mats]
+        for _ in range(meta.iterations):
+            shifted = [lookahead(st, th) for st, th in zip(states, mats)]
+            probe = replace(ref, theta1=shifted[0], hidden=shifted[1:-1],
+                            theta2=shifted[-1])
+            deltas = block_gradients(probe, X, y, tau=0.0, gamma=1.0)
+            new_states, new_mats = [], []
+            for st, th, sh, delta in zip(states, mats, shifted, deltas):
+                nobias = sh.copy()
+                nobias[0] = 0.0
+                st, th = optimizer_step(st, th, (-delta + 0.01 * nobias) / y.size)
+                new_states.append(st)
+                new_mats.append(th)
+            states, mats = new_states, new_mats
+
+        for got, want in zip(block.matrices(), mats):
+            np.testing.assert_array_equal(got, want)
+        assert len(trace) == meta.iterations
 
 
 class TestNormalEquation:

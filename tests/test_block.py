@@ -6,12 +6,14 @@ import pytest
 from oracles import fd_data_gradients, max_rel_error
 from weldnet.block import (
     BlockMetaParams,
+    _forward_all,
+    _pick_tau,
+    _reg_sum,
     backprop_step,
     compute_nu,
     cost,
-    forward,
     init_block,
-    select_tau,
+    run_steps,
     sigmoid,
     train,
     weighted_estimate,
@@ -55,20 +57,21 @@ class TestForward:
         for th in block.matrices():
             th[:] = 0.0
         X, _ = make_data(m=5)
-        H, raw = forward(block, X)
+        activations, raw = _forward_all(block, X)
+        H = activations[-1]
         np.testing.assert_array_equal(H, np.full((5, 4), 0.5))
         np.testing.assert_array_equal(raw, np.zeros(5))
 
     def test_zero_input_hits_bias_row_only(self):
         block = make_block(seed=3)
         block.theta1[0, :] = 0.0
-        H, _ = forward(block, np.zeros((1, 3)))
+        (H,), _ = _forward_all(block, np.zeros((1, 3)))
         np.testing.assert_array_equal(H, np.full((1, 4), 0.5))
 
     def test_matches_stepwise_matrix_chain(self):
         block = make_block(seed=5, depth=2)
         X, _ = make_data(seed=6, m=4)
-        _, raw = forward(block, X)
+        _, raw = _forward_all(block, X)
         # explicit per-sample recomputation
         for i in range(4):
             h = 1.0 / (1.0 + np.exp(-(block.theta1[0]
@@ -81,7 +84,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         block = make_block()
         with pytest.raises(DimensionMismatch):
-            forward(block, np.zeros((2, 5)))
+            _forward_all(block, np.zeros((2, 5)))
 
     def test_sigmoid_open_interval(self):
         # float64 saturates to exactly 0/1 only beyond |z| ~ 37
@@ -125,6 +128,13 @@ class TestComputeNu:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             compute_nu(np.zeros(3), np.zeros(4))
+
+
+def select_tau(block, X, y, nu):
+    """Shift _pick_tau selects at the block's current weights."""
+    _, raw = _forward_all(block, X)
+    tau, _, _ = _pick_tau(raw, y, nu, block.meta.lam, _reg_sum(block), y.size)
+    return tau
 
 
 class TestSelectTau:
@@ -174,7 +184,7 @@ class TestCost:
     def test_regularizer_against_explicit_sum(self):
         block = make_block(seed=9, lam=0.7, depth=2)
         X, y = make_data(seed=9, m=6)
-        _, raw = forward(block, X)
+        _, raw = _forward_all(block, X)
         sse = sum((yi - ri) ** 2 for yi, ri in zip(y, raw + block.tau))
         reg = 0.0
         for th in block.matrices():
@@ -191,7 +201,7 @@ class TestBackpropStep:
         block.theta2[:] = 0.0
         X, y = make_data(seed=4)
         updated, step = backprop_step(block, X, y, use_tau=False)
-        np.testing.assert_array_equal(step.delta1, np.zeros_like(block.theta1))
+        np.testing.assert_array_equal(step.deltas[0], np.zeros_like(block.theta1))
         np.testing.assert_array_equal(updated.theta1, block.theta1)
 
     def test_gamma_doubling_is_bitwise(self):
@@ -211,12 +221,18 @@ class TestBackpropStep:
         for delta, g in zip(step.deltas, fd):
             assert max_rel_error(delta / 1.6, -y.size * g) < 1e-5
 
-    def test_prev_estimates_updated_to_emitted_output(self):
+    def test_nu_is_mean_error_of_emitted_output(self):
         block = make_block(seed=6)
         X, y = make_data(seed=6)
-        _, raw = forward(block, X)
+        _, raw = _forward_all(block, X)
+        assert block.nu is None
         updated, step = backprop_step(block, X, y)
-        np.testing.assert_array_equal(updated.prev_estimates, raw + step.tau)
+        assert step.nu == np.mean(np.zeros_like(y) - y)
+        assert updated.nu == np.mean((raw + step.tau) - y)
+        _, raw2 = _forward_all(updated, X)
+        again, step2 = backprop_step(updated, X, y)
+        assert step2.nu == updated.nu
+        assert again.nu == np.mean((raw2 + step2.tau) - y)
 
     def test_divergence_raises(self):
         block = make_block(seed=7, alpha=1e6, gamma=1e6)
@@ -274,6 +290,18 @@ class TestTrain:
             train(block, X, y)
         assert err.value.trace is not None
         assert len(err.value.trace) == err.value.iteration - 1
+
+    def test_chunked_run_steps_match_one_run(self):
+        X, y = make_data(seed=15, m=9)
+        block = make_block(seed=26)
+        whole, recs = run_steps(block, X, y, 20)
+        half, first = run_steps(block, X, y, 10)
+        half, second = run_steps(half, X, y, 10, start_iteration=11)
+        for a, b in zip(whole.matrices(), half.matrices()):
+            np.testing.assert_array_equal(a, b)
+        assert whole.nu == half.nu
+        assert [r.nu for r in recs] == [r.nu for r in first + second]
+        assert [r.iteration for r in first + second] == list(range(1, 21))
 
     def test_gamma_jitter_seeded(self):
         X, y = make_data(seed=14, m=6)

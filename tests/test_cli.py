@@ -143,6 +143,32 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "diverged" in proc.stderr.lower()
 
+    def test_non_finite_cell_is_runtime_error(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("iwp:v,dwp:p\n1,2\nnan,3\n4,5\n")
+        proc = run_cli("train", "--data", path, "--out-dir", tmp_path)
+        assert proc.returncode == 3
+        assert "row 2, column 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_params_list_is_config_error(self, synth_csv, tmp_path):
+        params = tmp_path / "list.json"
+        params.write_text("[1, 2]")
+        proc = run_cli("train", "--data", synth_csv, "--params", params,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("metas", [[1, 2], "nrn"])
+    def test_config_metas_not_object_is_config_error(self, synth_csv,
+                                                     tmp_path, metas):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metas": metas}))
+        proc = run_cli("train", "--data", synth_csv, "--config", cfg,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_method_is_config_error(self, synth_csv, tmp_path):
         proc = run_cli("compare", "--data", synth_csv, "--methods", "svm",
                        "--out-dir", tmp_path)
@@ -217,11 +243,10 @@ class TestCompare:
                   if r["target"] == t and r["zscore"] not in ("", "n/a")]
             assert len(zs) == 3
             assert abs(sum(zs)) < 1e-9
-        svr_rows = [r for r in summary if r["method"] == "svr"]
-        assert len(svr_rows) == 2
-        assert all(r["mean_rmse"] == "n/a" for r in svr_rows)
+        assert len(summary) == 3 * 2  # methods x targets
+        assert not [r for r in summary if r["method"] == "svr"]
         report = (out / "compare_report.txt").read_text()
-        assert "svr" in report and "n/a" in report
+        assert "svr" not in report
 
 
 class TestStats:

@@ -6,8 +6,9 @@ from weldnet.dataset import (
     append_bias,
     bead_surfaces,
     combine,
+    expand_features,
     load_csv,
-    polynomial_expand,
+    prepare_features,
     save_csv,
     split,
     standardize,
@@ -73,6 +74,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(p)
         assert err.value.row == 2 and err.value.col == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_parse_error(self, tmp_path, cell):
+        p = tmp_path / "nan.csv"
+        p.write_text(f"iwp:v,dwp:p\n1,2\n3,4\n{cell},5\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert err.value.row == 3 and err.value.col == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -161,7 +170,7 @@ class TestStandardize:
         rng = np.random.default_rng(seed)
         data = random_dataset(rng, m=30)
         out, scaler = standardize(data)
-        np.testing.assert_allclose(scaler.invert(out.features),
+        np.testing.assert_allclose(out.features * scaler.stds + scaler.means,
                                    data.features, atol=1e-10)
 
 
@@ -169,36 +178,65 @@ class TestPolynomialExpand:
     def test_degree_zero_is_identity(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng)
-        assert polynomial_expand(data, 0) is data
+        assert expand_features(data.features, 0) is data.features
 
     def test_degree_one_squares(self):
-        data = Dataset([[2.0, 3.0]], [[0.0]], ["a", "b"], ["t"])
-        out = polynomial_expand(data, 1)
-        np.testing.assert_array_equal(out.features, [[2, 3, 4, 9]])
-        assert out.feature_names == ["a", "b", "a^2", "b^2"]
+        out = expand_features(np.array([[2.0, 3.0]]), 1)
+        np.testing.assert_array_equal(out, [[2, 3, 4, 9]])
 
     def test_degree_three_elementwise_power_oracle(self):
         rng = np.random.default_rng(4)
         data = random_dataset(rng, m=10, d=2)
-        out = polynomial_expand(data, 3)
-        assert out.d == 2 * 4
+        out = expand_features(data.features, 3)
+        assert out.shape == (10, 2 * 4)
         for e in range(2, 5):
             for j in range(2):
-                col = out.features[:, 2 * (e - 1) + j]
+                col = out[:, 2 * (e - 1) + j]
                 for i in range(10):
                     assert col[i] == data.features[i, j] ** e
 
     def test_targets_never_mutated(self):
         rng = np.random.default_rng(5)
         data = random_dataset(rng)
-        out = polynomial_expand(data, 4)
-        np.testing.assert_array_equal(out.targets, data.targets)
+        feats, targets = data.features.copy(), data.targets.copy()
+        _, (out,) = prepare_features(data.features, [4], fit=True)
+        np.testing.assert_array_equal(data.features, feats)
+        np.testing.assert_array_equal(data.targets, targets)
+        assert out.shape == (data.m, 5 * data.d)
 
     @pytest.mark.parametrize("degree", [-1, 7])
     def test_degree_out_of_range(self, degree):
         rng = np.random.default_rng(6)
         with pytest.raises(DegreeOutOfRange):
-            polynomial_expand(random_dataset(rng), degree)
+            expand_features(random_dataset(rng).features, degree)
+
+
+class TestPrepareFeatures:
+    def test_fit_matches_standardize_then_expand(self):
+        rng = np.random.default_rng(7)
+        data = random_dataset(rng, m=30)
+        scaled, want_scaler = standardize(data)
+        scaler, inputs = prepare_features(data.features, [0, 2], fit=True)
+        np.testing.assert_array_equal(scaler.means, want_scaler.means)
+        np.testing.assert_array_equal(scaler.stds, want_scaler.stds)
+        np.testing.assert_array_equal(inputs[0], scaled.features)
+        np.testing.assert_array_equal(inputs[1],
+                                      expand_features(scaled.features, 2))
+
+    def test_given_scaler_is_applied_not_refitted(self):
+        rng = np.random.default_rng(8)
+        train, other = random_dataset(rng), random_dataset(rng, m=5)
+        scaler, _ = prepare_features(train.features, [0], fit=True)
+        same, (out,) = prepare_features(other.features, [1], scaler)
+        assert same is scaler
+        np.testing.assert_array_equal(
+            out, expand_features(scaler.apply(other.features), 1))
+
+    def test_no_scaler_passes_raw_rows(self):
+        rng = np.random.default_rng(9)
+        data = random_dataset(rng)
+        scaler, (out,) = prepare_features(data.features, [0])
+        assert scaler is None and out is data.features
 
 
 class TestAppendBias:

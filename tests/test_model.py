@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -40,7 +38,6 @@ class TestTrainAll:
         # replicate by hand with the derived per-target seed
         scaled, _ = standardize(single)
         block = init_block(meta, 3, derive_seed(5, "penetration"))
-        block = replace(block, prev_estimates=np.zeros(single.m))
         block, _ = run_steps(block, scaled.features, scaled.targets[:, 0], 1000)
         for a, b in zip(model.blocks[0].matrices(), block.matrices()):
             np.testing.assert_array_equal(a, b)
@@ -129,7 +126,6 @@ class TestResize:
         fit = Dataset(scaled.features[:45], scaled.targets[:45, :1], names, ["p"])
         val = Dataset(scaled.features[45:], scaled.targets[45:, :1], names, ["p"])
         block = init_block(quick_meta(neurons=2), 3, seed=4)
-        block = replace(block, prev_estimates=np.zeros(fit.m))
         block, _ = run_steps(block, fit.features, fit.targets[:, 0], 200)
         before = cost(block, val.features, val.targets[:, 0])
         resized = resize_hidden(block, fit, val, seed=4)
@@ -150,7 +146,6 @@ class TestResize:
             val = Dataset(scaled.features[vi], scaled.targets[vi, :1],
                           names, ["p"])
             block = init_block(quick_meta(neurons=2), 3, seed)
-            block = replace(block, prev_estimates=np.zeros(fit.m))
             block, _ = run_steps(block, fit.features, fit.targets[:, 0], 300)
             for round_ in range(6):
                 block = resize_hidden(block, fit, val, seed * 100 + round_)
