@@ -109,30 +109,33 @@ def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
 
 
 class OptimizerRule:
-    """Update rule with one OptimizerState per weight matrix: gradients at
-    the look-ahead weights, then optimizer_step on the cost gradient."""
+    """Update rule with one OptimizerState per weight matrix, its
+    accumulator stacked like the matrix: gradients at the look-ahead
+    weights, then optimizer_step on the cost gradient."""
 
     def __init__(self, states: list):
         self.states = states
 
-    def gradient_point(self, block):
-        shifted = [lookahead(st, th)
-                   for st, th in zip(self.states, block.matrices())]
-        return replace(block, theta1=shifted[0], hidden=shifted[1:-1],
-                       theta2=shifted[-1])
+    def gradient_point(self, stack):
+        return replace(stack, mats=[lookahead(st, th)
+                                    for st, th in zip(self.states, stack.mats)])
 
-    def update(self, block, at, deltas, m):
-        lam = block.meta.lam
+    def update(self, stack, at, deltas, m):
+        lam = stack.lam[:, None, None]
         new_states, new_mats = [], []
-        for st, th, sh, delta in zip(self.states, block.matrices(),
-                                     at.matrices(), deltas):
+        for st, th, sh, delta in zip(self.states, stack.mats, at.mats, deltas):
             nobias = sh.copy()
-            nobias[0] = 0.0
+            nobias[:, 0] = 0.0
             st, new_th = optimizer_step(st, th, (-delta + lam * nobias) / m)
             new_states.append(st)
             new_mats.append(new_th)
         self.states = new_states
         return new_mats
+
+    def take(self, keep) -> "OptimizerRule":
+        return OptimizerRule([st if st.accum is None
+                              else replace(st, accum=st.accum[keep])
+                              for st in self.states])
 
 
 def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,

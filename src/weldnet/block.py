@@ -1,18 +1,27 @@
-"""Single regression block: sigmoid hidden layers, a linear output with a
-learned scalar shift, and full-batch backpropagation whose gradient matrices
-are scaled by a reinforcement coefficient before every weight update.
+"""Regression blocks: sigmoid hidden layers, a linear output with a learned
+scalar shift, and full-batch backpropagation whose gradient matrices are
+scaled by a reinforcement coefficient before every weight update.
 
 Shape conventions: samples are rows.  With m samples, d inputs, and width k,
 theta1 is (d+1) x k, each extra hidden matrix is (k+1) x k, and theta2 is
 (k+1) x 1; row 0 of every matrix holds the bias weights fed by an appended
 all-ones column.
 
-run_steps is the one training loop; each backprop_step picks the shift tau
-from {-nu, 0, +nu} (nu: the previous iteration's mean error, a scalar on
-the block) and hands the gamma-scaled gradients to an update rule, which
-chooses where they are taken (gradient_point) and the new weights
-(update).  ReinforcedRule is the default; the plain ANN uses it with
-gamma = 1 and tau off, the optimizer baselines plug in their own rules.
+Training is B-way: a BlockStack holds B same-shape blocks with every weight
+matrix stacked on a leading axis, (B, rows, cols), and trains them on
+inputs (B, m, d) against targets (B, m).  run_stack is the one training
+loop; each backprop_step picks every block's shift tau from {-nu, 0, +nu}
+(nu: that block's previous mean error) and hands the gamma-scaled gradients
+to an update rule, which chooses where they are taken (gradient_point) and
+the new weights (update).  ReinforcedRule is the default; the plain ANN
+uses it with gamma = 1 and tau off, the optimizer baselines plug in their
+own rules.  A single block is a stack of one: run_steps, train and
+backprop_step on a RegressionBlock are B = 1 calls of the same loop.
+
+Every per-block quantity is computed slice by slice in the rounding order of
+a lone block, so a block's weights, shifts and trace do not depend on what
+it is stacked with.  A block whose cost or weights turn non-finite leaves
+the stack with its own Diverged; the others carry on.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import MAX_DEGREE, MIN_DEGREE, append_bias
+from .dataset import MAX_DEGREE, MIN_DEGREE
 from .errors import DimensionMismatch, Diverged, LengthMismatch
 
 MIN_NEURONS, MAX_NEURONS = 2, 100
@@ -137,11 +146,73 @@ class TrainingTrace:
 
 
 @dataclass
+class BlockStack:
+    """B same-shape blocks on a leading axis.
+
+    mats are (B, rows, cols), input side first; tau, alpha, gamma and lam
+    are (B,) vectors; nu is a (B,) vector, or None before the first
+    iteration.
+    """
+
+    mats: list
+    tau: np.ndarray
+    nu: np.ndarray | None
+    metas: list
+    alpha: np.ndarray
+    gamma: np.ndarray
+    lam: np.ndarray
+
+    def __len__(self):
+        return len(self.metas)
+
+    def take(self, keep) -> "BlockStack":
+        """The stack of the blocks selected by a boolean mask."""
+        return BlockStack(
+            mats=[th[keep] for th in self.mats], tau=self.tau[keep],
+            nu=None if self.nu is None else self.nu[keep],
+            metas=[meta for meta, k in zip(self.metas, keep) if k],
+            alpha=self.alpha[keep], gamma=self.gamma[keep], lam=self.lam[keep])
+
+
+def stack_blocks(blocks) -> BlockStack:
+    """Stack blocks of one shape; all must have started training, or none."""
+    blocks = list(blocks)
+    if not blocks:
+        raise ValueError("a stack needs at least one block")
+    shapes = {tuple(th.shape for th in b.matrices()) for b in blocks}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"blocks of different shapes: {sorted(shapes)}")
+    started = {b.nu is not None for b in blocks}
+    if len(started) != 1:
+        raise ValueError("cannot stack started and unstarted blocks")
+    metas = [b.meta for b in blocks]
+    return BlockStack(
+        mats=[np.stack(ths) for ths in zip(*(b.matrices() for b in blocks))],
+        tau=np.array([b.tau for b in blocks], dtype=np.float64),
+        nu=np.array([b.nu for b in blocks]) if started == {True} else None,
+        metas=metas,
+        alpha=np.array([m.alpha for m in metas], dtype=np.float64),
+        gamma=np.array([m.gamma for m in metas], dtype=np.float64),
+        lam=np.array([m.lam for m in metas], dtype=np.float64))
+
+
+def unstack(stack: BlockStack) -> list:
+    """One RegressionBlock per stacked block, owning copies of its weights."""
+    return [RegressionBlock(
+        theta1=stack.mats[0][b].copy(), theta2=stack.mats[-1][b].copy(),
+        hidden=[th[b].copy() for th in stack.mats[1:-1]],
+        tau=float(stack.tau[b]), meta=meta,
+        nu=None if stack.nu is None else float(stack.nu[b]))
+        for b, meta in enumerate(stack.metas)]
+
+
+@dataclass
 class StepResult:
     """One backprop iteration: selected shift, costs, and gradient matrices.
 
     deltas aligns with RegressionBlock.matrices() and already carries the
-    gamma factor.
+    gamma factor.  For a stack every scalar field is a (B,) vector and every
+    delta is (B, rows, cols).
     """
 
     cost: float
@@ -153,15 +224,16 @@ class StepResult:
     grad2_norm: float
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, branch-free.
+
+    e = exp(-|z|) never overflows (taken as exp(min(z, -z)), which keeps a
+    NaN's sign); as 0 <= e <= 1, max(e, z >= 0) is 1 where z >= 0 and e
+    elsewhere, so this is 1 / (1 + e) or e / (1 + e), bit for bit.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.divide(np.maximum(e, z >= 0), 1.0 + e, out=out)
 
 
 def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBlock:
@@ -184,17 +256,47 @@ def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBl
                            tau=0.0, meta=meta)
 
 
-def _forward_all(block: RegressionBlock, X: np.ndarray):
-    """All hidden activations plus the raw (unshifted) output vector."""
+def layer_inputs(stack: BlockStack, X) -> list:
+    """Bias-augmented input buffer of every weight matrix for rows X (B, m, d).
+
+    The first holds X, filled here once; the others receive the hidden
+    activations in _forward_all.  Column 0 of each is the all-ones bias.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != block.input_dim:
+    d = stack.mats[0].shape[1] - 1
+    if X.ndim != 3 or X.shape[0] != len(stack) or X.shape[2] != d:
         raise DimensionMismatch(
-            f"expected {block.input_dim} input columns, got {X.shape}")
-    activations = [sigmoid(append_bias(X) @ block.theta1)]
-    for th in block.hidden:
-        activations.append(sigmoid(append_bias(activations[-1]) @ th))
-    raw = (append_bias(activations[-1]) @ block.theta2).ravel()
-    return activations, raw
+            f"expected {len(stack)} blocks x rows x {d} input columns, got {X.shape}")
+    B, m, _ = X.shape
+    inputs = [np.empty((B, m, th.shape[1])) for th in stack.mats]
+    for buf in inputs:
+        buf[:, :, 0] = 1.0
+    inputs[0][:, :, 1:] = X
+    return inputs
+
+
+def _targets(inputs: list, y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != inputs[0].shape[:2]:
+        raise DimensionMismatch(
+            f"targets {y.shape} vs {inputs[0].shape[:2]} blocks x samples")
+    return y
+
+
+def _forward_all(stack: BlockStack, inputs: list):
+    """Forward pass: every hidden activation (B, m, k), each also copied
+    into its bias buffer in inputs, and the raw (unshifted) outputs (B, m)."""
+    activations = []
+    for th, a_in, a_out in zip(stack.mats, inputs, inputs[1:]):
+        activations.append(sigmoid(a_in @ th))
+        a_out[:, :, 1:] = activations[-1]
+    return activations, (inputs[-1] @ stack.mats[-1])[:, :, 0]
+
+
+def stack_output(stack: BlockStack, X) -> np.ndarray:
+    """Tau-shifted outputs (B, m) of the stacked blocks for rows X (B, m, d)."""
+    _, raw = _forward_all(stack, layer_inputs(stack, X))
+    return weighted_estimate(raw, stack.tau[:, None])
 
 
 def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
@@ -211,68 +313,69 @@ def compute_nu(estimates: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(estimates - y))
 
 
-def _reg_sum(block: RegressionBlock) -> float:
-    """Sum of squared non-bias weights over all matrices."""
-    return float(sum(np.sum(th[1:] ** 2) for th in block.matrices()))
+def _reg_sum(stack: BlockStack) -> np.ndarray:
+    """Per block, the sum of squared non-bias weights over all matrices."""
+    reg = 0
+    for th in stack.mats:
+        reg = reg + (th[:, 1:] ** 2).reshape(len(th), -1).sum(axis=1)
+    return reg
 
 
-def _tau_cost(raw: np.ndarray, y: np.ndarray, tau: float,
-              lam: float, reg: float, m: int) -> float:
-    resid = y - (raw + tau)
-    return (0.5 / m) * (float(np.dot(resid, resid)) + lam * reg)
+def _sq_norms(mats: np.ndarray) -> np.ndarray:
+    """f @ f.T of every flattened slice: the same dot as np.linalg.norm."""
+    f = mats.reshape(len(mats), 1, -1)
+    return (f @ f.swapaxes(1, 2))[:, 0, 0]
+
+
+def _tau_cost(raw, y, tau, lam, reg, m):
+    resid = y - (raw + tau[:, None])
+    return (0.5 / m) * (_sq_norms(resid) + lam * reg)
 
 
 def _pick_tau(raw, y, nu, lam, reg, m):
-    """Argmin of the regularized cost over shifts {0, -nu, +nu}.
+    """Per block, the argmin of the regularized cost over shifts {0, -nu, +nu}.
 
-    Ties prefer 0, then -nu (the least perturbation first).  Returns
-    (tau, cost_at_tau, cost_at_zero).
+    Ties prefer 0, then -nu (the least perturbation first); a NaN cost is
+    never picked.  Returns (tau, cost_at_tau, cost_at_zero).
     """
-    cost_zero = _tau_cost(raw, y, 0.0, lam, reg, m)
-    best_tau, best_cost = 0.0, cost_zero
+    tau = np.zeros_like(nu)
+    cost_zero = _tau_cost(raw, y, tau, lam, reg, m)
+    best = cost_zero
     for cand in (-nu, nu):
         c = _tau_cost(raw, y, cand, lam, reg, m)
-        if c < best_cost:
-            best_tau, best_cost = cand, c
-    return best_tau, best_cost, cost_zero
+        better = c < best
+        tau = np.where(better, cand, tau)
+        best = np.where(better, c, best)
+    return tau, best, cost_zero
 
 
 def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
     """Regularized cost: (1/2m) [sum squared residuals + lam * sum of
     squared non-bias weights], residuals against the tau-shifted output."""
-    _, raw = _forward_all(block, X)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size != raw.size:
-        raise DimensionMismatch(f"targets {y.shape} vs {raw.size} samples")
-    return _tau_cost(raw, y, block.tau, block.meta.lam, _reg_sum(block), y.size)
+    stack = stack_blocks([block])
+    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
+    y = _targets(inputs, np.asarray(y, dtype=np.float64)[None])
+    _, raw = _forward_all(stack, inputs)
+    return float(_tau_cost(raw, y, stack.tau, stack.lam, _reg_sum(stack),
+                           y.shape[1])[0])
 
 
-def block_gradients(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-                    tau: float, gamma: float, activations=None, raw=None):
-    """Gamma-scaled gradient matrices for every weight matrix.
+def block_gradients(stack: BlockStack, inputs: list, activations: list, y,
+                    raw, tau, gamma):
+    """Gamma-scaled gradient matrices, (B, rows, cols) each, aligned with
+    stack.mats.
 
-    Each delta equals -m * dJ_data/dtheta * gamma at the given weights, with
-    J_data the squared-error half-mean against the tau-shifted output.
-    Returned list aligns with block.matrices().
+    Each delta equals -m * dJ_data/dtheta * gamma at the stack's weights,
+    with J_data the squared-error half-mean against the tau-shifted output;
+    inputs and activations are what _forward_all produced at those weights.
     """
-    if activations is None or raw is None:
-        activations, raw = _forward_all(block, X)
-    y = np.asarray(y, dtype=np.float64)
-    dY = (y - (raw + tau))[:, None]
-
-    last_b = append_bias(activations[-1])
-    delta_out = (last_b.T @ dY) * gamma
-
-    deltas = [delta_out]
-    d = dY
-    w_above = block.theta2
-    layer_weights = [block.theta1] + list(block.hidden)
-    for i in range(len(activations) - 1, -1, -1):
-        h = activations[i]
-        d = (d @ w_above[1:].T) * (h * (1.0 - h))
-        inp = X if i == 0 else activations[i - 1]
-        deltas.append((append_bias(inp).T @ d) * gamma)
-        w_above = layer_weights[i]
+    g = gamma[:, None, None]
+    d = (y - (raw + tau[:, None]))[:, :, None]
+    deltas = [(inputs[-1].swapaxes(1, 2) @ d) * g]
+    for i in range(len(inputs) - 1, 0, -1):
+        h = activations[i - 1]
+        d = (d @ stack.mats[i][:, 1:].swapaxes(1, 2)) * (h * (1.0 - h))
+        deltas.append((inputs[i - 1].swapaxes(1, 2) @ d) * g)
     deltas.reverse()
     return deltas
 
@@ -281,102 +384,167 @@ class ReinforcedRule:
     """Default update rule: gradients at the current weights, then
     theta <- theta + (alpha * delta - lam * theta_nobias) / m."""
 
-    def gradient_point(self, block: RegressionBlock) -> RegressionBlock:
-        return block
+    def gradient_point(self, stack: BlockStack) -> BlockStack:
+        return stack
 
-    def update(self, block, at, deltas: list, m: int) -> list:
-        meta = block.meta
+    def update(self, stack, at, deltas: list, m: int) -> list:
+        alpha = stack.alpha[:, None, None]
+        lam = stack.lam[:, None, None]
         new_mats = []
-        for th, delta in zip(block.matrices(), deltas):
+        for th, delta in zip(stack.mats, deltas):
             nobias = th.copy()
-            nobias[0] = 0.0
-            new_mats.append(th + (meta.alpha * delta - meta.lam * nobias) / m)
+            nobias[:, 0] = 0.0
+            new_mats.append(th + (alpha * delta - lam * nobias) / m)
         return new_mats
+
+    def take(self, keep) -> "ReinforcedRule":
+        return self
 
 
 REINFORCED = ReinforcedRule()
 
 
-def backprop_step(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-                  use_tau: bool = True, gamma: float | None = None,
+def backprop_step(block, X, y, use_tau: bool = True, gamma=None,
                   rule=REINFORCED):
-    """One full-batch iteration; returns (updated block, StepResult).
+    """One full-batch iteration of every block in a stack.
 
-    Order: forward pass at rule.gradient_point(block), shift selection
-    against that pre-update cost, gradients of every matrix at the same
-    weights, then the new weights from rule.update.  The updated block
-    carries nu for the next iteration: the mean error of the shifted
-    output emitted here.
+    block is a BlockStack, X its layer_inputs and y its targets (B, m);
+    gamma, if given, is a (B,) vector.  Returns (updated stack, StepResult,
+    finite): finite flags the blocks whose cost and new weights are all
+    finite.  Order: forward pass at rule.gradient_point(stack), shift
+    selection against that pre-update cost, gradients of every matrix at the
+    same weights, then the new weights from rule.update.  The updated stack
+    carries nu for the next iteration: the mean error of the shifted output
+    emitted here.
+
+    A RegressionBlock with X (m, d) and y (m,) is stepped as a stack of one;
+    that returns (updated block, StepResult) and raises Diverged instead.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    meta = block.meta
-    m = y.size
+    if isinstance(block, RegressionBlock):
+        return _step_one(block, X, y, use_tau, gamma, rule)
+    m = y.shape[1]
     if gamma is None:
-        gamma = meta.gamma
+        gamma = block.gamma
 
-    # Overflow here just means divergence; the finite check below raises.
+    # Overflow here just means divergence; the finite mask reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         at = rule.gradient_point(block)
         activations, raw = _forward_all(at, X)
-        if y.ndim != 1 or y.size != raw.size:
-            raise DimensionMismatch(f"targets {y.shape} vs {raw.size} samples")
-
         nu = block.nu
         if nu is None:
-            nu = compute_nu(np.zeros_like(y), y)
+            nu = np.mean(np.zeros_like(y) - y, axis=1)
 
         reg = _reg_sum(at)
         if use_tau:
-            tau, cost_sel, cost_zero = _pick_tau(raw, y, nu, meta.lam, reg, m)
+            tau, cost_sel, cost_zero = _pick_tau(raw, y, nu, at.lam, reg, m)
         else:
-            tau = 0.0
-            cost_zero = _tau_cost(raw, y, 0.0, meta.lam, reg, m)
+            tau = np.zeros_like(nu)
+            cost_zero = _tau_cost(raw, y, tau, at.lam, reg, m)
             cost_sel = cost_zero
 
-        deltas = block_gradients(at, X, y, tau, gamma,
-                                 activations=activations, raw=raw)
+        deltas = block_gradients(at, X, activations, y, raw, tau, gamma)
         new_mats = rule.update(block, at, deltas, m)
-        grad1_norm = float(np.linalg.norm(deltas[0]))
-        grad2_norm = float(np.linalg.norm(deltas[-1]))
+        grad1_norm = np.sqrt(_sq_norms(deltas[0]))
+        grad2_norm = np.sqrt(_sq_norms(deltas[-1]))
+        finite = np.isfinite(cost_sel)
+        for th in new_mats:
+            finite &= np.isfinite(th).reshape(len(th), -1).all(axis=1)
+        new_nu = np.mean((raw + tau[:, None]) - y, axis=1)
 
-    if not np.isfinite(cost_sel) or any(not np.all(np.isfinite(t)) for t in new_mats):
-        raise Diverged(iteration=None)
-
-    updated = replace(block, theta1=new_mats[0], hidden=new_mats[1:-1],
-                      theta2=new_mats[-1], tau=tau,
-                      nu=compute_nu(weighted_estimate(raw, tau), y))
+    updated = replace(block, mats=new_mats, tau=tau, nu=new_nu)
     step = StepResult(cost=cost_sel, cost_tau_zero=cost_zero, tau=tau, nu=nu,
                       deltas=deltas, grad1_norm=grad1_norm,
                       grad2_norm=grad2_norm)
-    return updated, step
+    return updated, step, finite
+
+
+def _step_one(block, X, y, use_tau, gamma, rule):
+    stack = stack_blocks([block])
+    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
+    y = _targets(inputs, np.asarray(y, dtype=np.float64)[None])
+    if gamma is not None:
+        gamma = np.array([gamma], dtype=np.float64)
+    stack, step, finite = backprop_step(stack, inputs, y, use_tau=use_tau,
+                                        gamma=gamma, rule=rule)
+    if not finite[0]:
+        raise Diverged(iteration=None)
+    (updated,) = unstack(stack)
+    return updated, StepResult(
+        cost=float(step.cost[0]), cost_tau_zero=float(step.cost_tau_zero[0]),
+        tau=float(step.tau[0]), nu=float(step.nu[0]),
+        deltas=[d[0] for d in step.deltas],
+        grad1_norm=float(step.grad1_norm[0]),
+        grad2_norm=float(step.grad2_norm[0]))
+
+
+def _records(cols: np.ndarray, start_iteration: int) -> list:
+    """TraceRecords from one block's trace columns (see run_stack)."""
+    return [TraceRecord(start_iteration + i, *vals)
+            for i, vals in enumerate(zip(*cols.tolist()))]
+
+
+def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
+              use_tau: bool = True, jitter_rngs=None, rule=REINFORCED) -> list:
+    """Run n_steps backprop iterations of every block in the stack.
+
+    This is the only loop that trains block weights.  X is (B, m, d) and y
+    (B, m); jitter_rngs, if given, holds one generator per block whose
+    standard-normal draw is added to that block's gamma every iteration.
+    Returns one outcome per block, in stack order: (block, trace columns),
+    the columns a (6, n_steps) array of the TraceRecord fields after the
+    iteration number, or the Diverged of a block whose cost or weights
+    turned non-finite, carrying its iteration and the records before it
+    (numbered from start_iteration).  A diverged block leaves the stack; the
+    others carry on unchanged.
+    """
+    inputs = layer_inputs(stack, X)
+    y = _targets(inputs, y)
+    outcomes = [None] * len(stack)
+    active = np.arange(len(stack))
+    # per step: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero
+    cols = np.empty((6, n_steps, len(stack)))
+    for i in range(n_steps):
+        gamma = None
+        if jitter_rngs is not None:
+            gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
+        stack, step, finite = backprop_step(stack, inputs, y, use_tau=use_tau,
+                                            gamma=gamma, rule=rule)
+        cols[:, i, active] = (step.cost, step.grad1_norm, step.grad2_norm,
+                              step.tau, step.nu, step.cost_tau_zero)
+        if finite.all():
+            continue
+        for b in active[~finite]:
+            outcomes[b] = Diverged(
+                iteration=start_iteration + i,
+                trace=TrainingTrace(_records(cols[:, :i, b], start_iteration)))
+        active = active[finite]
+        if not active.size:
+            return outcomes
+        stack, rule = stack.take(finite), rule.take(finite)
+        inputs, y = [buf[finite] for buf in inputs], y[finite]
+        if jitter_rngs is not None:
+            jitter_rngs = [r for r, ok in zip(jitter_rngs, finite) if ok]
+    for b, blk in zip(active, unstack(stack)):
+        outcomes[b] = (blk, cols[:, :, b])
+    return outcomes
 
 
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
               n_steps: int, start_iteration: int = 1, use_tau: bool = True,
               jitter_rng=None, rule=REINFORCED):
-    """Run n_steps backprop iterations; returns (block, list of TraceRecord).
+    """run_stack for one block; returns (block, list of TraceRecord).
 
-    This is the only loop that trains block weights.  Iteration numbers in
-    the records start at start_iteration.  On divergence raises Diverged
-    carrying the records accumulated so far.
+    On divergence raises Diverged carrying the records accumulated so far.
     """
-    records = []
-    for i in range(n_steps):
-        gamma = None
-        if jitter_rng is not None:
-            gamma = block.meta.gamma + jitter_rng.standard_normal()
-        try:
-            block, step = backprop_step(block, X, y, use_tau=use_tau,
-                                        gamma=gamma, rule=rule)
-        except Diverged as exc:
-            raise Diverged(iteration=start_iteration + i,
-                           trace=TrainingTrace(records)) from exc
-        records.append(TraceRecord(
-            iteration=start_iteration + i, cost=step.cost,
-            grad1_norm=step.grad1_norm, grad2_norm=step.grad2_norm,
-            tau=step.tau, nu=step.nu, cost_tau_zero=step.cost_tau_zero))
-    return block, records
+    (outcome,) = run_stack(
+        stack_blocks([block]), np.asarray(X, dtype=np.float64)[None],
+        np.asarray(y, dtype=np.float64)[None], n_steps,
+        start_iteration=start_iteration, use_tau=use_tau,
+        jitter_rngs=None if jitter_rng is None else [jitter_rng], rule=rule)
+    if isinstance(outcome, Diverged):
+        raise outcome
+    block, cols = outcome
+    return block, _records(cols, start_iteration)
 
 
 def train(block: RegressionBlock, X: np.ndarray, y: np.ndarray,

@@ -188,7 +188,12 @@ def _metas_for(data: ds.Dataset, args, cfg) -> list:
                                     f"'targets' in params {params_path}"))
     metas = []
     for name in data.target_names:
-        raw = by_name.get(name, DEFAULT_META)
+        raw = _json_object(by_name.get(name, DEFAULT_META),
+                           f"meta-parameters for {name!r}")
+        unknown = sorted(set(raw) - set(DEFAULT_META))
+        if unknown:
+            raise ConfigError(f"unknown meta-parameter {unknown[0]!r} for "
+                              f"{name!r} (known: {', '.join(DEFAULT_META)})")
         try:
             metas.append(BlockMetaParams.from_dict({**DEFAULT_META, **raw}))
         except (KeyError, TypeError, ValueError) as exc:

@@ -106,8 +106,8 @@ class FormatError(WeldnetError):
 
     def __init__(self, version, detail=""):
         self.version = version
-        msg = f"unsupported model file version: {version!r}"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+        super().__init__(f"bad model file: {detail}" if detail
+                         else f"unsupported model file version: {version!r}")
 
 
 class ConfigError(WeldnetError):

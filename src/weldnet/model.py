@@ -14,11 +14,11 @@ from .block import (
     BlockMetaParams,
     RegressionBlock,
     TrainingTrace,
-    _forward_all,
     cost,
     init_block,
     run_steps,
-    weighted_estimate,
+    stack_blocks,
+    stack_output,
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
 from .rng import derive_seed
@@ -219,11 +219,8 @@ def predict(model: AggregateModel, X_raw: np.ndarray) -> np.ndarray:
             f"expected {model.input_dim} feature columns, got {X_raw.shape}")
     _, inputs = ds.prepare_features(
         X_raw, [blk.meta.degree for blk in model.blocks], model.scaler)
-    cols = []
-    for blk, X in zip(model.blocks, inputs):
-        _, raw = _forward_all(blk, X)
-        cols.append(weighted_estimate(raw, blk.tau))
-    return np.column_stack(cols)
+    return np.column_stack([stack_output(stack_blocks([blk]), X[None])[0]
+                            for blk, X in zip(model.blocks, inputs)])
 
 
 def _mat_to_doc(mat: np.ndarray) -> dict:
@@ -231,9 +228,76 @@ def _mat_to_doc(mat: np.ndarray) -> dict:
             "data": [float(v) for v in mat.ravel()]}
 
 
-def _mat_from_doc(doc: dict) -> np.ndarray:
-    mat = np.array(doc["data"], dtype=np.float64)
-    return mat.reshape(int(doc["rows"]), int(doc["cols"]))
+def _get(doc, key: str, where: str):
+    """doc[key], or a FormatError naming what is missing."""
+    if not isinstance(doc, dict):
+        raise FormatError(MODEL_FILE_VERSION, f"{where} is not a JSON object")
+    if key not in doc:
+        raise FormatError(MODEL_FILE_VERSION, f"{where} has no {key!r}")
+    return doc[key]
+
+
+def _list(doc, key: str, where: str) -> list:
+    value = _get(doc, key, where)
+    if not isinstance(value, list):
+        raise FormatError(MODEL_FILE_VERSION, f"{where}.{key} is not a list")
+    return value
+
+
+def _floats(values, where: str) -> np.ndarray:
+    try:
+        out = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(MODEL_FILE_VERSION, f"{where}: {exc}") from exc
+    if out.ndim != 1:
+        raise FormatError(MODEL_FILE_VERSION, f"{where} is not a flat list")
+    return out
+
+
+def _mat_from_doc(doc, where: str, rows=None, cols=None) -> np.ndarray:
+    """Matrix of a model file, checked against its own rows x cols and the
+    shape the block's meta-parameters imply (rows/cols None: unchecked)."""
+    r, c = _get(doc, "rows", where), _get(doc, "cols", where)
+    data = _floats(_get(doc, "data", where), f"{where}.data")
+    if not all(isinstance(v, int) and v >= 0 for v in (r, c)):
+        raise FormatError(MODEL_FILE_VERSION, f"{where} rows/cols are not counts")
+    if data.size != r * c:
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{where} has {data.size} values for {r} x {c}")
+    if (rows is not None and r != rows) or (cols is not None and c != cols):
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{where} is {r} x {c}, expected {rows} x {cols}")
+    return data.reshape(r, c)
+
+
+def _block_from_doc(bdoc, where: str, width):
+    """(block, raw feature count); width is the model's raw feature count,
+    None until a scaler or an earlier block has fixed it."""
+    try:
+        meta = BlockMetaParams.from_dict(_get(bdoc, "meta", where))
+    except KeyError as exc:
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{where}.meta has no {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(MODEL_FILE_VERSION, f"{where}.meta: {exc}") from exc
+    k, powers = meta.neurons, meta.degree + 1
+    theta1 = _mat_from_doc(_get(bdoc, "theta1", where), f"{where}.theta1",
+                           None if width is None else width * powers + 1, k)
+    if width is None:
+        width = (theta1.shape[0] - 1) // powers
+        if width < 1 or theta1.shape[0] != width * powers + 1:
+            raise FormatError(MODEL_FILE_VERSION,
+                              f"{where}.theta1 rows do not fit degree {meta.degree}")
+    hidden = _list(bdoc, "hidden", where)
+    if len(hidden) != meta.depth - 1:
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{where} has {len(hidden)} hidden matrices for depth {meta.depth}")
+    hidden = [_mat_from_doc(h, f"{where}.hidden[{j}]", k + 1, k)
+              for j, h in enumerate(hidden)]
+    theta2 = _mat_from_doc(_get(bdoc, "theta2", where), f"{where}.theta2", k + 1, 1)
+    tau = _floats([_get(bdoc, "tau", where)], f"{where}.tau")[0]
+    return RegressionBlock(theta1=theta1, theta2=theta2, hidden=hidden,
+                           tau=float(tau), meta=meta), width
 
 
 def save(model: AggregateModel, path) -> None:
@@ -276,18 +340,24 @@ def load(path) -> AggregateModel:
     if not isinstance(doc, dict) or doc.get("version") != MODEL_FILE_VERSION:
         raise FormatError(doc.get("version") if isinstance(doc, dict) else None)
 
-    scaler = None
-    if doc.get("scaler") is not None:
-        scaler = ds.ScalerParams(np.array(doc["scaler"]["means"], dtype=np.float64),
-                                 np.array(doc["scaler"]["stds"], dtype=np.float64))
+    scaler, width = None, None
+    sdoc = _get(doc, "scaler", "model")
+    if sdoc is not None:
+        means = _floats(_get(sdoc, "means", "scaler"), "scaler.means")
+        stds = _floats(_get(sdoc, "stds", "scaler"), "scaler.stds")
+        try:
+            scaler = ds.ScalerParams(means, stds)
+        except ValueError as exc:
+            raise FormatError(MODEL_FILE_VERSION, f"scaler: {exc}") from exc
+        width = len(means)
+    targets = _list(doc, "targets", "model")
+    bdocs = _list(doc, "blocks", "model")
+    if not targets or len(bdocs) != len(targets):
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{len(bdocs)} blocks for {len(targets)} targets")
     blocks = []
-    for bdoc in doc["blocks"]:
-        blocks.append(RegressionBlock(
-            theta1=_mat_from_doc(bdoc["theta1"]),
-            theta2=_mat_from_doc(bdoc["theta2"]),
-            hidden=[_mat_from_doc(h) for h in bdoc["hidden"]],
-            tau=float(bdoc["tau"]),
-            meta=BlockMetaParams.from_dict(bdoc["meta"]),
-        ))
+    for i, bdoc in enumerate(bdocs):
+        blk, width = _block_from_doc(bdoc, f"blocks[{i}]", width)
+        blocks.append(blk)
     return AggregateModel(blocks=blocks, scaler=scaler,
-                          target_names=list(doc["targets"]))
+                          target_names=list(targets))

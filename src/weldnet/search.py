@@ -1,5 +1,9 @@
 """Exhaustive grid search over block hyperparameters, scored by k-fold
 cross-validated RMSE on one target column.
+
+Every (grid point, fold) pair is one block.  Blocks of one shape (training
+rows, input width, neurons, depth, iterations) train together as a stack,
+so a grid costs a few B-way loops rather than one loop per block.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from .block import (
     MIN_ITERATIONS,
     MIN_NEURONS,
     BlockMetaParams,
-    _forward_all,
     init_block,
-    train,
-    weighted_estimate,
+    run_stack,
+    stack_blocks,
+    stack_output,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE
 from .errors import Diverged
@@ -92,35 +96,82 @@ def fold_indices(m: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
+# Elements one stack may hold (layer inputs, activations and their
+# temporaries, trace columns); bigger groups of same-shape blocks train in
+# chunks of this size, which changes no result.
+STACK_ELEMENTS = 1 << 22
+
+
+def _fold_features(data: ds.Dataset, target_index: int, folds: int, seed: int,
+                   degrees, standardize: bool):
+    """Per fold: (training inputs by degree, training targets, validation
+    inputs by degree, validation targets)."""
+    out = []
+    for val_idx in fold_indices(data.m, folds, seed):
+        mask = np.ones(data.m, dtype=bool)
+        mask[val_idx] = False
+        tr = data.take(np.flatnonzero(mask))
+        va = data.take(val_idx)
+        scaler, Xs = ds.prepare_features(tr.features, degrees, fit=standardize)
+        _, Xvs = ds.prepare_features(va.features, degrees, scaler)
+        out.append((dict(zip(degrees, Xs)), tr.targets[:, target_index],
+                    dict(zip(degrees, Xvs)), va.targets[:, target_index]))
+    return out
+
+
+def _score_points(points, data, target_index, folds, seed, standardize):
+    """(mean, std) cross-validated RMSE of every point, in points order."""
+    fold_data = _fold_features(data, target_index, folds, seed,
+                               sorted({p.degree for p in points}), standardize)
+    groups = {}
+    for p, meta in enumerate(points):
+        for f, (Xs, y, _, _) in enumerate(fold_data):
+            key = (y.size, Xs[meta.degree].shape[1], meta.neurons, meta.depth,
+                   meta.iterations)
+            groups.setdefault(key, []).append((p, f))
+
+    scores = np.empty((len(points), len(fold_data)))
+    for (m, width, k, depth, iterations), jobs in groups.items():
+        per_block = 4 * m * (width + 1 + depth * (k + 1)) + 6 * iterations
+        size = max(1, STACK_ELEMENTS // per_block)
+        for start in range(0, len(jobs), size):
+            chunk = jobs[start:start + size]
+            stack = stack_blocks(
+                init_block(points[p], width, derive_seed(seed, "fold", f))
+                for p, f in chunk)
+            outcomes = run_stack(
+                stack, [fold_data[f][0][points[p].degree] for p, f in chunk],
+                [fold_data[f][1] for _, f in chunk], iterations)
+            done = []
+            for (p, f), out in zip(chunk, outcomes):
+                if isinstance(out, Diverged):
+                    scores[p, f] = np.inf
+                else:
+                    done.append((p, f, out[0]))
+            if not done:
+                continue
+            est = stack_output(stack_blocks(blk for _, _, blk in done),
+                               [fold_data[f][2][points[p].degree]
+                                for p, f, _ in done])
+            for (p, f, _), e in zip(done, est):
+                scores[p, f] = rmse(fold_data[f][3], e)
+
+    return [(float(np.mean(row)), float(np.std(row, ddof=1)))
+            if np.all(np.isfinite(row)) else (np.inf, np.inf)
+            for row in scores]
+
+
 def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
                    folds: int, seed: int, standardize: bool = True):
     """Mean/std cross-validated RMSE for one grid point.
 
     A fold that diverges scores the whole point as infinite.  Fold
-    assignment and per-fold block seeds depend only on (seed, folds, m), so
+    assignment and per-fold block seeds depend only on (seed, folds, m), and
+    a block's training does not depend on what it is stacked with, so
     rerunning a single point reproduces its search-time score.
     """
-    scores = []
-    for f, val_idx in enumerate(fold_indices(data.m, folds, seed)):
-        mask = np.ones(data.m, dtype=bool)
-        mask[val_idx] = False
-        tr = data.take(np.flatnonzero(mask))
-        va = data.take(val_idx)
-        scaler, (X,) = ds.prepare_features(tr.features, [meta.degree],
-                                           fit=standardize)
-        _, (Xv,) = ds.prepare_features(va.features, [meta.degree], scaler)
-        y = tr.targets[:, target_index]
-        try:
-            block = init_block(meta, X.shape[1], derive_seed(seed, "fold", f))
-            block, _ = train(block, X, y)
-            _, raw = _forward_all(block, Xv)
-            scores.append(rmse(va.targets[:, target_index],
-                               weighted_estimate(raw, block.tau)))
-        except Diverged:
-            return np.inf, np.inf
-        if not np.isfinite(scores[-1]):
-            return np.inf, np.inf
-    return float(np.mean(scores)), float(np.std(scores, ddof=1))
+    return _score_points([meta], data, target_index, folds, seed,
+                         standardize)[0]
 
 
 def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
@@ -146,9 +197,9 @@ def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
         keep = np.sort(rng.choice(len(points), size=max_points, replace=False))
         points = [points[i] for i in keep]
 
-    entries = [LeaderboardEntry(meta, *evaluate_point(
-        meta, data, target_index, folds, seed, standardize=standardize))
-        for meta in points]
+    entries = [LeaderboardEntry(meta, *score) for meta, score in zip(
+        points, _score_points(points, data, target_index, folds, seed,
+                              standardize))]
     entries.sort(key=lambda e: (e.mean_rmse, e.meta.neurons,
                                 e.meta.iterations, e.meta.gamma))
     return entries[0].meta, entries

@@ -9,12 +9,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from weldnet.block import _forward_all
+from weldnet.block import _forward_all, layer_inputs, stack_blocks
+
+
+def forward_one(block, X):
+    """Hidden activations and raw output of one block (a stack of one)."""
+    stack = stack_blocks([block])
+    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
+    activations, raw = _forward_all(stack, inputs)
+    return [a[0] for a in activations], raw[0]
 
 
 def data_cost(block, X, y, tau=0.0):
     """Half-mean squared error of the tau-shifted output (no regularizer)."""
-    _, raw = _forward_all(block, X)
+    _, raw = forward_one(block, X)
     resid = y - (raw + tau)
     return 0.5 / y.size * float(resid @ resid)
 

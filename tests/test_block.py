@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import fd_data_gradients, max_rel_error
+from oracles import fd_data_gradients, forward_one, max_rel_error
 from weldnet.block import (
     BlockMetaParams,
     _forward_all,
@@ -13,8 +13,10 @@ from weldnet.block import (
     compute_nu,
     cost,
     init_block,
+    layer_inputs,
     run_steps,
     sigmoid,
+    stack_blocks,
     train,
     weighted_estimate,
 )
@@ -57,7 +59,7 @@ class TestForward:
         for th in block.matrices():
             th[:] = 0.0
         X, _ = make_data(m=5)
-        activations, raw = _forward_all(block, X)
+        activations, raw = forward_one(block, X)
         H = activations[-1]
         np.testing.assert_array_equal(H, np.full((5, 4), 0.5))
         np.testing.assert_array_equal(raw, np.zeros(5))
@@ -65,13 +67,13 @@ class TestForward:
     def test_zero_input_hits_bias_row_only(self):
         block = make_block(seed=3)
         block.theta1[0, :] = 0.0
-        (H,), _ = _forward_all(block, np.zeros((1, 3)))
+        (H,), _ = forward_one(block, np.zeros((1, 3)))
         np.testing.assert_array_equal(H, np.full((1, 4), 0.5))
 
     def test_matches_stepwise_matrix_chain(self):
         block = make_block(seed=5, depth=2)
         X, _ = make_data(seed=6, m=4)
-        _, raw = _forward_all(block, X)
+        _, raw = forward_one(block, X)
         # explicit per-sample recomputation
         for i in range(4):
             h = 1.0 / (1.0 + np.exp(-(block.theta1[0]
@@ -84,7 +86,28 @@ class TestForward:
     def test_dimension_mismatch(self):
         block = make_block()
         with pytest.raises(DimensionMismatch):
-            _forward_all(block, np.zeros((2, 5)))
+            forward_one(block, np.zeros((2, 5)))
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        def two_branch(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        z = np.concatenate([np.linspace(-800, 800, 20001),
+                            [np.inf, -np.inf, np.nan, 0.0, -0.0,
+                             1e-300, -1e-300]])
+        with np.errstate(over="ignore"):
+            want = two_branch(z)
+        got = sigmoid(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()  # NaN and zero signs too
+        out = np.empty((2, z.size))
+        sigmoid(z, out=out[1])
+        assert np.array_equal(out[1], want, equal_nan=True)
 
     def test_sigmoid_open_interval(self):
         # float64 saturates to exactly 0/1 only beyond |z| ~ 37
@@ -132,9 +155,11 @@ class TestComputeNu:
 
 def select_tau(block, X, y, nu):
     """Shift _pick_tau selects at the block's current weights."""
-    _, raw = _forward_all(block, X)
-    tau, _, _ = _pick_tau(raw, y, nu, block.meta.lam, _reg_sum(block), y.size)
-    return tau
+    stack = stack_blocks([block])
+    _, raw = _forward_all(stack, layer_inputs(stack, X[None]))
+    tau, _, _ = _pick_tau(raw, y[None], np.array([nu]), stack.lam,
+                          _reg_sum(stack), y.size)
+    return tau[0]
 
 
 class TestSelectTau:
@@ -184,7 +209,7 @@ class TestCost:
     def test_regularizer_against_explicit_sum(self):
         block = make_block(seed=9, lam=0.7, depth=2)
         X, y = make_data(seed=9, m=6)
-        _, raw = _forward_all(block, X)
+        _, raw = forward_one(block, X)
         sse = sum((yi - ri) ** 2 for yi, ri in zip(y, raw + block.tau))
         reg = 0.0
         for th in block.matrices():
@@ -224,12 +249,12 @@ class TestBackpropStep:
     def test_nu_is_mean_error_of_emitted_output(self):
         block = make_block(seed=6)
         X, y = make_data(seed=6)
-        _, raw = _forward_all(block, X)
+        _, raw = forward_one(block, X)
         assert block.nu is None
         updated, step = backprop_step(block, X, y)
         assert step.nu == np.mean(np.zeros_like(y) - y)
         assert updated.nu == np.mean((raw + step.tau) - y)
-        _, raw2 = _forward_all(updated, X)
+        _, raw2 = forward_one(updated, X)
         again, step2 = backprop_step(updated, X, y)
         assert step2.nu == updated.nu
         assert again.nu == np.mean((raw2 + step2.tau) - y)

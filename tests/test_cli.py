@@ -306,3 +306,23 @@ class TestRunComparison:
             run_comparison(data, ["nrn"], [meta, meta], [], 0.2)
         with pytest.raises(ConfigError):
             run_comparison(data, ["nrn"], [meta, meta], [1], 1.5)
+
+
+class TestUnknownMetaKey:
+    def test_params_file(self, synth_csv, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"targets": {"penetration": {"neuron": 50}}}))
+        proc = run_cli("train", "--data", synth_csv, "--params", params,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "'neuron'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "model.json").exists()
+
+    def test_config_metas(self, synth_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"metas": {"width": {"alpha": 0.5, "gama": 2.0}}}))
+        proc = run_cli("compare", "--data", synth_csv, "--config", cfg,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "'gama'" in proc.stderr

@@ -1,8 +1,13 @@
+import copy
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from weldnet.block import BlockMetaParams, init_block, run_steps, train
-from weldnet.dataset import Dataset, standardize, synthesize_weld
+from weldnet.dataset import Dataset, save_csv, standardize, synthesize_weld
 from weldnet.errors import DimensionMismatch, FormatError, IoError
 from weldnet.model import (
     AggregateModel,
@@ -224,3 +229,92 @@ class TestPersistence:
         p.write_text("{not json")
         with pytest.raises(FormatError):
             load(p)
+
+
+class TestLoadValidation:
+    """Every malformed model file raises FormatError naming the problem."""
+
+    @pytest.fixture(scope="class")
+    def saved_doc(self, weld_train, tmp_path_factory):
+        model, _ = train_all([quick_meta(depth=2), quick_meta(degree=1)],
+                             weld_train, seed=6)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save(model, path)
+        return json.loads(path.read_text())
+
+    def load_edited(self, doc, tmp_path, edit):
+        doc = copy.deepcopy(doc)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        return str(err.value)
+
+    def test_unedited_file_loads(self, saved_doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(saved_doc))
+        assert len(load(path).blocks) == 2
+
+    @pytest.mark.parametrize("key", ["theta1", "theta2", "hidden", "tau", "meta"])
+    def test_missing_block_key(self, saved_doc, tmp_path, key):
+        msg = self.load_edited(saved_doc, tmp_path,
+                               lambda d: d["blocks"][0].pop(key))
+        assert repr(key) in msg and "blocks[0]" in msg
+
+    @pytest.mark.parametrize("key", ["targets", "blocks", "scaler"])
+    def test_missing_top_level_key(self, saved_doc, tmp_path, key):
+        assert repr(key) in self.load_edited(saved_doc, tmp_path,
+                                             lambda d: d.pop(key))
+
+    def test_missing_meta_key(self, saved_doc, tmp_path):
+        msg = self.load_edited(saved_doc, tmp_path,
+                               lambda d: d["blocks"][1]["meta"].pop("neurons"))
+        assert "'neurons'" in msg and "blocks[1]" in msg
+
+    def test_data_length_not_rows_times_cols(self, saved_doc, tmp_path):
+        msg = self.load_edited(saved_doc, tmp_path,
+                               lambda d: d["blocks"][0]["theta1"]["data"].pop())
+        assert "blocks[0].theta1" in msg
+
+    def test_shape_disagrees_with_neurons(self, saved_doc, tmp_path):
+        def edit(d):
+            d["blocks"][0]["meta"]["neurons"] = 5
+        assert "blocks[0].theta1" in self.load_edited(saved_doc, tmp_path, edit)
+
+    def test_hidden_count_disagrees_with_depth(self, saved_doc, tmp_path):
+        def edit(d):
+            d["blocks"][0]["meta"]["depth"] = 3
+        assert "depth 3" in self.load_edited(saved_doc, tmp_path, edit)
+
+    def test_theta1_disagrees_with_scaler_width_and_degree(self, saved_doc,
+                                                           tmp_path):
+        def edit(d):
+            d["blocks"][1]["meta"]["degree"] = 0
+        assert "blocks[1].theta1" in self.load_edited(saved_doc, tmp_path, edit)
+
+        def edit_scaler(d):
+            d["scaler"]["means"].append(0.0)
+            d["scaler"]["stds"].append(1.0)
+        assert "blocks[0].theta1" in self.load_edited(saved_doc, tmp_path,
+                                                      edit_scaler)
+
+    def test_block_count_disagrees_with_targets(self, saved_doc, tmp_path):
+        msg = self.load_edited(saved_doc, tmp_path,
+                               lambda d: d["targets"].append("extra"))
+        assert "2 blocks for 3 targets" in msg
+
+    def test_cli_eval_exit_code(self, saved_doc, weld_train, tmp_path):
+        doc = copy.deepcopy(saved_doc)
+        del doc["blocks"][0]["theta2"]
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(doc))
+        csv_path = tmp_path / "data.csv"
+        save_csv(weld_train, csv_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "weldnet", "eval", "--model", str(model_path),
+             "--data", str(csv_path), "--out-dir", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "'theta2'" in proc.stderr
+        assert "Traceback" not in proc.stderr

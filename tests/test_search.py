@@ -115,3 +115,38 @@ class TestGridSearch:
         lines = p.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split(",")[:3] == ["neurons", "depth", "degree"]
+
+
+class TestStackedScoring:
+    """grid_search trains every (point, fold) block in same-shape stacks;
+    each score must equal the point scored on its own."""
+
+    def test_unequal_folds_mixed_shapes(self):
+        data = synthesize_weld(203, 0.05, seed=5)  # folds of 41 and 40 rows
+        assert {len(f) for f in fold_indices(203, 5, 2)} == {40, 41}
+        space = tiny_space(neurons=(3, 5), degree=(0, 1),
+                           iterations=(1000, 1100), alpha=(0.5,))
+        _, board = grid_search(space, data, 0, folds=5, seed=2)
+        assert len(board) == 8
+        for e in board:
+            assert np.isfinite(e.mean_rmse)
+            assert evaluate_point(e.meta, data, 0, folds=5, seed=2) == \
+                (e.mean_rmse, e.std_rmse)
+
+    def test_diverging_point_among_finite_ones(self, weld_small):
+        space = tiny_space(alpha=(0.5, 5000.0, 1.0), gamma=(1.0, 2.0))
+        _, board = grid_search(space, weld_small, 0, folds=3, seed=1)
+        assert [e.meta.alpha for e in board[-2:]] == [5000.0, 5000.0]
+        assert all(e.mean_rmse == np.inf for e in board[-2:])
+        assert all(np.isfinite(e.mean_rmse) for e in board[:-2])
+        for e in board:
+            assert evaluate_point(e.meta, weld_small, 0, folds=3, seed=1) == \
+                (e.mean_rmse, e.std_rmse)
+
+    def test_chunked_groups_score_the_same(self, weld_small, monkeypatch):
+        space = tiny_space(alpha=(0.5, 1.0), gamma=(1.0, 2.0))
+        _, whole = grid_search(space, weld_small, 1, folds=3, seed=0)
+        monkeypatch.setattr("weldnet.search.STACK_ELEMENTS", 1)  # B = 1
+        _, single = grid_search(space, weld_small, 1, folds=3, seed=0)
+        assert [(e.meta, e.mean_rmse, e.std_rmse) for e in whole] == \
+            [(e.meta, e.mean_rmse, e.std_rmse) for e in single]
