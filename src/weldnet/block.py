@@ -15,8 +15,8 @@ loop; each backprop_step picks every block's shift tau from {-nu, 0, +nu}
 to an update rule, which chooses where they are taken (gradient_point) and
 the new weights (update).  ReinforcedRule is the default; the plain ANN
 uses it with gamma = 1 and tau off, the optimizer baselines plug in their
-own rules.  A single block is a stack of one: run_steps, train and
-backprop_step on a RegressionBlock are B = 1 calls of the same loop.
+own rules.  A single block is a stack of one: run_steps and train are
+B = 1 calls of the same loop.
 
 Every per-block quantity is computed slice by slice in the rounding order of
 a lone block, so a block's weights, shifts and trace do not depend on what
@@ -284,12 +284,12 @@ def _targets(inputs: list, y) -> np.ndarray:
 
 
 def _forward_all(stack: BlockStack, inputs: list):
-    """Forward pass: every hidden activation (B, m, k), each also copied
-    into its bias buffer in inputs, and the raw (unshifted) outputs (B, m)."""
+    """Forward pass: every hidden activation (B, m, k), written straight into
+    the non-bias columns of the next buffer in inputs (the activations are
+    views of those columns), and the raw (unshifted) outputs (B, m)."""
     activations = []
     for th, a_in, a_out in zip(stack.mats, inputs, inputs[1:]):
-        activations.append(sigmoid(a_in @ th))
-        a_out[:, :, 1:] = activations[-1]
+        activations.append(sigmoid(a_in @ th, out=a_out[:, :, 1:]))
     return activations, (inputs[-1] @ stack.mats[-1])[:, :, 0]
 
 
@@ -404,7 +404,7 @@ class ReinforcedRule:
 REINFORCED = ReinforcedRule()
 
 
-def backprop_step(block, X, y, use_tau: bool = True, gamma=None,
+def backprop_step(block: BlockStack, X, y, use_tau: bool = True, gamma=None,
                   rule=REINFORCED):
     """One full-batch iteration of every block in a stack.
 
@@ -416,12 +416,7 @@ def backprop_step(block, X, y, use_tau: bool = True, gamma=None,
     same weights, then the new weights from rule.update.  The updated stack
     carries nu for the next iteration: the mean error of the shifted output
     emitted here.
-
-    A RegressionBlock with X (m, d) and y (m,) is stepped as a stack of one;
-    that returns (updated block, StepResult) and raises Diverged instead.
     """
-    if isinstance(block, RegressionBlock):
-        return _step_one(block, X, y, use_tau, gamma, rule)
     m = y.shape[1]
     if gamma is None:
         gamma = block.gamma
@@ -456,25 +451,6 @@ def backprop_step(block, X, y, use_tau: bool = True, gamma=None,
                       deltas=deltas, grad1_norm=grad1_norm,
                       grad2_norm=grad2_norm)
     return updated, step, finite
-
-
-def _step_one(block, X, y, use_tau, gamma, rule):
-    stack = stack_blocks([block])
-    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
-    y = _targets(inputs, np.asarray(y, dtype=np.float64)[None])
-    if gamma is not None:
-        gamma = np.array([gamma], dtype=np.float64)
-    stack, step, finite = backprop_step(stack, inputs, y, use_tau=use_tau,
-                                        gamma=gamma, rule=rule)
-    if not finite[0]:
-        raise Diverged(iteration=None)
-    (updated,) = unstack(stack)
-    return updated, StepResult(
-        cost=float(step.cost[0]), cost_tau_zero=float(step.cost_tau_zero[0]),
-        tau=float(step.tau[0]), nu=float(step.nu[0]),
-        deltas=[d[0] for d in step.deltas],
-        grad1_norm=float(step.grad1_norm[0]),
-        grad2_norm=float(step.grad2_norm[0]))
 
 
 def _records(cols: np.ndarray, start_iteration: int) -> list:

@@ -9,7 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from weldnet.block import _forward_all, layer_inputs, stack_blocks
+from weldnet.block import (
+    REINFORCED,
+    StepResult,
+    _forward_all,
+    backprop_step,
+    layer_inputs,
+    stack_blocks,
+    unstack,
+)
+from weldnet.errors import Diverged
 
 
 def forward_one(block, X):
@@ -18,6 +27,30 @@ def forward_one(block, X):
     inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
     activations, raw = _forward_all(stack, inputs)
     return [a[0] for a in activations], raw[0]
+
+
+def step_one(block, X, y, use_tau=True, gamma=None, rule=REINFORCED):
+    """One backprop_step of one block (a stack of one) on X (m, d), y (m,).
+
+    Returns (updated block, StepResult with scalar fields and 2-D deltas);
+    raises Diverged if the cost or the new weights are not finite.
+    """
+    stack = stack_blocks([block])
+    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
+    y = np.asarray(y, dtype=np.float64)[None]
+    if gamma is not None:
+        gamma = np.array([gamma], dtype=np.float64)
+    stack, step, finite = backprop_step(stack, inputs, y, use_tau=use_tau,
+                                        gamma=gamma, rule=rule)
+    if not finite[0]:
+        raise Diverged(iteration=None)
+    (updated,) = unstack(stack)
+    return updated, StepResult(
+        cost=float(step.cost[0]), cost_tau_zero=float(step.cost_tau_zero[0]),
+        tau=float(step.tau[0]), nu=float(step.nu[0]),
+        deltas=[d[0] for d in step.deltas],
+        grad1_norm=float(step.grad1_norm[0]),
+        grad2_norm=float(step.grad2_norm[0]))
 
 
 def data_cost(block, X, y, tau=0.0):

