@@ -37,7 +37,6 @@ from .dataset import (
     synthesize_weld,
 )
 from .metrics import (
-    MetricsReport,
     confidence_interval,
     kendall,
     pe,
@@ -58,7 +57,7 @@ from .search import SearchSpace, evaluate_point, grid_search
 
 __all__ = [
     "AggregateModel", "BlockMetaParams", "Dataset", "McrParams",
-    "MetricsReport", "OptimizerState", "RegressionBlock", "ScalerParams",
+    "OptimizerState", "RegressionBlock", "ScalerParams",
     "SearchSpace", "StepResult", "TrainingTrace", "append_bias",
     "backprop_step", "bead_surfaces", "combine", "compute_nu",
     "confidence_interval", "cost", "evaluate_point", "grid_search",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import MAX_DEGREE, MIN_DEGREE
+from .dataset import MAX_DEGREE, MIN_DEGREE, write_csv
 from .errors import DimensionMismatch, Diverged, LengthMismatch
 
 MIN_NEURONS, MAX_NEURONS = 2, 100
@@ -138,11 +138,9 @@ class TrainingTrace:
         return len(self.records)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("iter,cost,grad1_norm,grad2_norm,tau,nu\n")
-            for r in self.records:
-                fh.write(f"{r.iteration},{r.cost!r},{r.grad1_norm!r},"
-                         f"{r.grad2_norm!r},{r.tau!r},{r.nu!r}\n")
+        write_csv(path, ["iter", "cost", "grad1_norm", "grad2_norm", "tau", "nu"],
+                  ((r.iteration, r.cost, r.grad1_norm, r.grad2_norm, r.tau, r.nu)
+                   for r in self.records))
 
 
 @dataclass

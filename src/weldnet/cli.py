@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,13 @@ from .errors import ConfigError, WeldnetError
 from .rng import derive_seed
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
+
+# Columns of compare_raw.csv (also the keys of each comparison record) and
+# the per-(method, target) columns of compare_summary.csv, in the order of
+# the summary's values.
+RAW_COLUMNS = ("seed", "method", "target", "rmse", "pe_percent", "pe_excluded")
+SUMMARY_COLUMNS = ("mean_rmse", "median_rmse", "mean_pe", "ci95_low",
+                   "ci95_high", "zscore")
 
 DEFAULT_META = {"neurons": 8, "depth": 1, "degree": 0, "alpha": 0.5,
                 "gamma": 1.0, "lambda": 0.0, "iterations": 1000}
@@ -132,17 +140,34 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- shared plumbing ---
 
 
+def _read_json(path, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _config(what: str):
+    """Report a library ValueError (or a bad key or type) while building
+    parameters as a config error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _check_degree(degree: int, flag: str) -> None:
+    if not (ds.MIN_DEGREE <= degree <= ds.MAX_DEGREE):
+        raise ConfigError(f"{flag} must be in [{ds.MIN_DEGREE}, "
+                          f"{ds.MAX_DEGREE}], got {degree}")
+
+
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
+    return _json_object(_read_json(args.config, "config"), "config root")
 
 
 def _out_dir(args, cfg) -> Path:
@@ -178,12 +203,8 @@ def _metas_for(data: ds.Dataset, args, cfg) -> list:
         by_name.update(_json_object(cfg["metas"], "config 'metas'"))
     params_path = getattr(args, "params", None) or cfg.get("params")
     if params_path:
-        try:
-            with open(params_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read params {params_path}: {exc}") from exc
-        doc = _json_object(doc, f"params {params_path}")
+        doc = _json_object(_read_json(params_path, "params"),
+                           f"params {params_path}")
         by_name.update(_json_object(doc.get("targets", doc),
                                     f"'targets' in params {params_path}"))
     metas = []
@@ -194,10 +215,8 @@ def _metas_for(data: ds.Dataset, args, cfg) -> list:
         if unknown:
             raise ConfigError(f"unknown meta-parameter {unknown[0]!r} for "
                               f"{name!r} (known: {', '.join(DEFAULT_META)})")
-        try:
+        with _config(f"meta-parameters for {name!r}"):
             metas.append(BlockMetaParams.from_dict({**DEFAULT_META, **raw}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad meta-parameters for {name!r}: {exc}") from exc
     return metas
 
 
@@ -216,12 +235,25 @@ def _parse_seeds(args, cfg) -> list:
     return [args.seed]
 
 
+def _scores(y, yhat) -> tuple:
+    """(rmse, pe_percent, pe_excluded) of one target's estimates."""
+    return (metrics.rmse(y, yhat), *metrics.pe(y, yhat))
+
+
+def _report(path, text: str) -> None:
+    """Write a text report and echo it to stdout."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    print(text, end="")
+
+
 # --- commands ---
 
 
 def cmd_synth(args) -> int:
     _load_config(args)  # validates --config if one was given
-    data = ds.synthesize_weld(args.rows, args.noise, args.seed)
+    with _config("synth arguments"):
+        data = ds.synthesize_weld(args.rows, args.noise, args.seed)
     ds.save_csv(data, args.out)
     print(f"wrote {args.out}: {data.m} rows, {data.d} features, "
           f"{data.n_targets} targets")
@@ -252,10 +284,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    test = _load_data(args, cfg)
     if bool(args.model) == bool(args.ner_train):
         raise ConfigError("give exactly one of --model or --ner-train")
+    if args.ner_train:
+        _check_degree(args.degree, "--degree")
+    out = _out_dir(args, cfg)
+    test = _load_data(args, cfg)
     if args.model:
         model = mdl.load(args.model)
         if model.target_names != test.target_names:
@@ -268,43 +302,37 @@ def cmd_eval(args) -> int:
         theta = baselines.normal_equation_fit(fit_data, args.degree)
         preds = baselines.linear_predict(theta, test.features, args.degree)
 
-    report = metrics.MetricsReport(rows=[
-        metrics.TargetMetrics(
-            target=tname,
-            rmse=metrics.rmse(test.targets[:, k], preds[:, k]),
-            pe_percent=metrics.pe(test.targets[:, k], preds[:, k])[0],
-            pe_excluded=metrics.pe(test.targets[:, k], preds[:, k])[1])
-        for k, tname in enumerate(test.target_names)])
-    report.write_csv(out / "eval_report.csv")
-    report.write_text(out / "eval_report.txt")
-    print(report.to_text(), end="")
+    # The eval CI columns stay empty: one test set gives no spread.
+    rows = [(tname, *_scores(test.targets[:, k], preds[:, k]), None, None)
+            for k, tname in enumerate(test.target_names)]
+    ds.write_csv(out / "eval_report.csv", ["target", "rmse", "pe_percent",
+                                           "pe_excluded", "ci95_low",
+                                           "ci95_high"], rows)
+    _report(out / "eval_report.txt", metrics.align_table(
+        ["target", "rmse", "pe_percent", "excluded", "ci95_low", "ci95_high"],
+        rows) + "\n")
     return 0
 
 
 def _space_from_doc(doc: dict) -> srch.SearchSpace:
-    merged = {**DEFAULT_SPACE, **doc}
-    try:
+    with _config("search space"):
+        merged = {**DEFAULT_SPACE, **doc}
         return srch.SearchSpace(
             neurons=tuple(merged["neurons"]), alpha=tuple(merged["alpha"]),
             gamma=tuple(merged["gamma"]), lam=tuple(merged["lambda"]),
             iterations=tuple(merged["iterations"]),
             depth=tuple(merged["depth"]), degree=tuple(merged["degree"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad search space: {exc}") from exc
 
 
 def cmd_search(args) -> int:
     cfg = _load_config(args)
+    doc = (_read_json(args.space, "space") if args.space
+           else cfg.get("search_space", {}))
+    space = _space_from_doc(doc)
+    with _config("search arguments"):
+        srch.check_grid_args(args.folds, args.max_points)
     out = _out_dir(args, cfg)
     data = _load_data(args, cfg)
-    doc = cfg.get("search_space", {})
-    if args.space:
-        try:
-            with open(args.space, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read space {args.space}: {exc}") from exc
-    space = _space_from_doc(doc)
 
     if args.target == "all":
         targets = list(enumerate(data.target_names))
@@ -336,9 +364,11 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                    mcr_params=None):
     """Train every method over every seed; returns (records, summary).
 
-    records: one dict per (seed, method, target) with test rmse/pe.
+    records: one dict per (seed, method, target) with test rmse/pe, keyed
+    by RAW_COLUMNS.
     summary: per (method, target) mean/median rmse, mean pe, optional 95%
-    CI over seeds, and a per-target z-score across methods.
+    CI over seeds, and a per-target z-score across methods, with its values
+    in SUMMARY_COLUMNS order.
     """
     methods = list(methods)
     if not methods:
@@ -351,6 +381,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
         raise ConfigError("at least one seed is required")
     if not (0.0 < split_fraction < 1.0):
         raise ConfigError("split fraction must be in (0, 1)")
+    _check_degree(ner_degree, "--ner-degree")
     opt_hyper = opt_hyper or {}
     mcr_params = mcr_params or baselines.McrParams(
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
@@ -363,11 +394,9 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                                  use_tau, dynamic_width, gamma_jitter,
                                  opt_hyper, ner_degree, mcr_params)
             for k, tname in enumerate(data.target_names):
-                pe_val, excl = metrics.pe(te.targets[:, k], preds[:, k])
-                records.append({
-                    "seed": seed, "method": method, "target": tname,
-                    "rmse": metrics.rmse(te.targets[:, k], preds[:, k]),
-                    "pe_percent": pe_val, "pe_excluded": excl})
+                records.append(dict(zip(RAW_COLUMNS, (
+                    seed, method, tname,
+                    *_scores(te.targets[:, k], preds[:, k])))))
 
     summary = {}
     for method in methods:
@@ -431,6 +460,13 @@ def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
+    opt_hyper = {"eta": args.eta, "rho": args.rho,
+                 "momentum": args.momentum, "eps": args.eps}
+    with _config("compare arguments"):
+        mcr_params = baselines.McrParams(
+            alpha=args.mcr_alpha, lam=args.mcr_lambda, degree=args.mcr_degree,
+            iterations=args.mcr_iterations)
+        baselines.OptimizerState("adagrad", **opt_hyper)  # checks the values
     out = _out_dir(args, cfg)
     data = _load_data(args, cfg)
     metas = _metas_for(data, args, cfg)
@@ -440,56 +476,24 @@ def cmd_compare(args) -> int:
     split_fraction = (args.split if args.split is not None
                       else float(cfg.get("split_fraction", 0.2)))
     use_tau = not args.no_tau and bool(cfg.get("use_tau", True))
-    mcr_params = baselines.McrParams(alpha=args.mcr_alpha, lam=args.mcr_lambda,
-                                     degree=args.mcr_degree,
-                                     iterations=args.mcr_iterations)
     records, summary = run_comparison(
         data, methods, metas, seeds, split_fraction,
         standardize=_standardize_on(args, cfg), use_tau=use_tau,
         dynamic_width=args.dynamic_width, gamma_jitter=args.gamma_jitter,
-        opt_hyper={"eta": args.eta, "rho": args.rho,
-                   "momentum": args.momentum, "eps": args.eps},
-        ner_degree=args.ner_degree, mcr_params=mcr_params)
+        opt_hyper=opt_hyper, ner_degree=args.ner_degree, mcr_params=mcr_params)
 
-    with open(out / "compare_raw.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("seed,method,target,rmse,pe_percent,pe_excluded\n")
-        for r in records:
-            fh.write(f"{r['seed']},{r['method']},{r['target']},{r['rmse']!r},"
-                     f"{r['pe_percent']!r},{r['pe_excluded']}\n")
-
-    with open(out / "compare_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,target,mean_rmse,median_rmse,mean_pe,"
-                 "ci95_low,ci95_high,zscore\n")
-        for (method, tname), s in summary.items():
-            cells = [method, tname, repr(s["mean_rmse"]), repr(s["median_rmse"]),
-                     repr(s["mean_pe"])]
-            cells += ["" if s[k] is None else repr(s[k])
-                      for k in ("ci_low", "ci_high", "zscore")]
-            fh.write(",".join(cells) + "\n")
-
-    lines = []
-    for tname in data.target_names:
-        rows = []
-        for method in methods:
-            s = summary[(method, tname)]
-            rows.append([method, f"{s['mean_rmse']:.6g}",
-                         f"{s['median_rmse']:.6g}", f"{s['mean_pe']:.6g}",
-                         _opt(s["ci_low"]), _opt(s["ci_high"]),
-                         _opt(s["zscore"])])
-        lines.append(f"target: {tname}")
-        lines.append(metrics.align_table(
-            ["method", "mean_rmse", "median_rmse", "mean_pe",
-             "ci95_low", "ci95_high", "zscore"], rows))
-        lines.append("")
-    text = "\n".join(lines)
-    with open(out / "compare_report.txt", "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    print(text, end="")
+    ds.write_csv(out / "compare_raw.csv", RAW_COLUMNS,
+                 ([r[c] for c in RAW_COLUMNS] for r in records))
+    ds.write_csv(out / "compare_summary.csv",
+                 ["method", "target", *SUMMARY_COLUMNS],
+                 ([method, tname, *s.values()]
+                  for (method, tname), s in summary.items()))
+    _report(out / "compare_report.txt", "\n".join(
+        f"target: {tname}\n" + metrics.align_table(
+            ["method", *SUMMARY_COLUMNS],
+            [[m, *summary[(m, tname)].values()] for m in methods]) + "\n"
+        for tname in data.target_names))
     return 0
-
-
-def _opt(v) -> str:
-    return "n/a" if v is None else f"{v:.6g}"
 
 
 def cmd_stats(args) -> int:
@@ -497,40 +501,29 @@ def cmd_stats(args) -> int:
     out = _out_dir(args, cfg)
     data = _load_data(args, cfg)
     names = data.target_names
-    corr_rows, fit_rows = [], []
+    rows = []  # a, b, pearson r and p, spearman, kendall, slope, intercept
     for a in range(data.n_targets):
         for b in range(a + 1, data.n_targets):
             x, y = data.targets[:, a], data.targets[:, b]
-            r, p = metrics.pearson(x, y)
-            corr_rows.append(metrics.CorrelationRow(
-                a=names[a], b=names[b], pearson_r=r, pearson_p=p,
-                spearman_r=metrics.spearman(x, y),
-                kendall_r=metrics.kendall(x, y)))
             slope, intercept = np.polyfit(x, y, 1)
-            fit_rows.append((names[a], names[b], float(slope), float(intercept)))
+            rows.append((names[a], names[b], *metrics.pearson(x, y),
+                         metrics.spearman(x, y), metrics.kendall(x, y),
+                         slope, intercept))
             order = np.argsort(x)
-            fname = f"fit_{_safe_name(names[a])}_vs_{_safe_name(names[b])}.csv"
-            with open(out / fname, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"{names[a]},{names[b]},fitted\n")
-                for i in order:
-                    fh.write(f"{float(x[i])!r},{float(y[i])!r},"
-                             f"{float(slope * x[i] + intercept)!r}\n")
+            xs, ys = x[order], y[order]
+            ds.write_csv(
+                out / f"fit_{_safe_name(names[a])}_vs_{_safe_name(names[b])}.csv",
+                [names[a], names[b], "fitted"],
+                zip(xs.tolist(), ys.tolist(), (slope * xs + intercept).tolist()))
 
-    report = metrics.MetricsReport(rows=[], correlations=corr_rows)
-    lines = [report.to_text().strip(), "",
-             metrics.align_table(
-                 ["pair", "slope", "intercept"],
-                 [[f"{a}~{b}", f"{s:.6g}", f"{i:.6g}"]
-                  for a, b, s, i in fit_rows])]
-    text = "\n".join(lines) + "\n"
-    with open(out / "stats_report.txt", "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    with open(out / "stats.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("a,b,pearson_r,pearson_p,spearman,kendall,slope,intercept\n")
-        for c, (a, b, s, i) in zip(corr_rows, fit_rows):
-            fh.write(f"{c.a},{c.b},{c.pearson_r!r},{c.pearson_p!r},"
-                     f"{c.spearman_r!r},{c.kendall_r!r},{s!r},{i!r}\n")
-    print(text, end="")
+    corr = ["pair", "pearson_r", "pearson_p", "spearman", "kendall"]
+    text = (metrics.align_table(corr, [[f"{r[0]}~{r[1]}", *r[2:6]] for r in rows])
+            if rows else "")
+    _report(out / "stats_report.txt", text + "\n\n" + metrics.align_table(
+        ["pair", "slope", "intercept"],
+        [[f"{r[0]}~{r[1]}", *r[6:]] for r in rows]) + "\n")
+    ds.write_csv(out / "stats.csv", ["a", "b", *corr[1:], "slope", "intercept"],
+                 rows)
     return 0
 
 

@@ -8,6 +8,7 @@ an ``iwp:`` (feature) or ``dwp:`` (target) header prefix.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +156,28 @@ def load_csv(path) -> Dataset:
     return Dataset(rows[:, feat_idx], rows[:, targ_idx], feat_names, targ_names)
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Write a Dataset as a prefixed-header CSV (lossless float round trip)."""
-    header = ([IWP_PREFIX + n for n in data.feature_names]
-              + [DWP_PREFIX + n for n in data.target_names])
+def write_csv(path, header, rows) -> None:
+    """Write a header line and then each row as it is produced.
+
+    This is the one CSV writer: a float cell is its shortest round-trip
+    repr, an int is written with str, None is an empty cell and a str is
+    written as is (quoted only if it holds a comma, a quote or a line feed;
+    a lone carriage return is written bare).
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(data.m):
-                cells = [repr(float(v)) for v in data.features[i]]
-                cells += [repr(float(v)) for v in data.targets[i]]
-                fh.write(",".join(cells) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_csv(data: Dataset, path) -> None:
+    """Write a Dataset as a prefixed-header CSV (lossless float round trip)."""
+    write_csv(path, [IWP_PREFIX + n for n in data.feature_names]
+              + [DWP_PREFIX + n for n in data.target_names],
+              (row.tolist() for row in np.hstack([data.features, data.targets])))
 
 
 def _all_numeric(cells) -> bool:

@@ -1,12 +1,11 @@
 """Evaluation statistics: RMSE, percentage prediction error, normal-theory
-confidence intervals, rank correlations, and z-scores, plus the report
-container the CLI serializes.
+confidence intervals, rank correlations, and z-scores, plus the text
+table the CLI reports them in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -152,89 +151,15 @@ def zscore(values) -> np.ndarray:
     return (values - values.mean()) / s
 
 
-# --- report container ---
-
-
-@dataclass
-class TargetMetrics:
-    target: str
-    rmse: float
-    pe_percent: float
-    pe_excluded: int
-    ci_low: float | None = None
-    ci_high: float | None = None
-
-
-@dataclass
-class CorrelationRow:
-    a: str
-    b: str
-    pearson_r: float
-    pearson_p: float
-    spearman_r: float
-    kendall_r: float
-
-
-@dataclass
-class MetricsReport:
-    """Per-target accuracy rows plus optional correlation/z-score tables."""
-
-    rows: list = field(default_factory=list)
-    correlations: list | None = None
-    method_zscores: dict | None = None  # target -> {method: z}
-
-    def to_text(self) -> str:
-        out = []
-        if self.rows:
-            out.append(align_table(
-                ["target", "rmse", "pe_percent", "excluded", "ci95_low",
-                 "ci95_high"],
-                [[r.target, _fmt(r.rmse), _fmt(r.pe_percent),
-                  str(r.pe_excluded), _fmt(r.ci_low), _fmt(r.ci_high)]
-                 for r in self.rows]))
-        if self.correlations:
-            if out:
-                out.append("")
-            out.append(align_table(
-                ["pair", "pearson_r", "pearson_p", "spearman", "kendall"],
-                [[f"{c.a}~{c.b}", _fmt(c.pearson_r), _fmt(c.pearson_p),
-                  _fmt(c.spearman_r), _fmt(c.kendall_r)]
-                 for c in self.correlations]))
-        if self.method_zscores:
-            if out:
-                out.append("")
-            rows = [[t, m, _fmt(z)] for t, per in self.method_zscores.items()
-                    for m, z in per.items()]
-            out.append(align_table(["target", "method", "zscore"], rows))
-        return "\n".join(out) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("target,rmse,pe_percent,pe_excluded,ci95_low,ci95_high\n")
-            for r in self.rows:
-                fh.write(f"{r.target},{r.rmse!r},{r.pe_percent!r},{r.pe_excluded},"
-                         f"{_csv(r.ci_low)},{_csv(r.ci_high)}\n")
-
-    def write_text(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_text())
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return "n/a"
-    if isinstance(v, str):
-        return v
-    return f"{v:.6g}"
-
-
-def _csv(v) -> str:
-    return "" if v is None else repr(v)
-
-
 def align_table(headers, rows) -> str:
-    """Left-aligned fixed-width text table from string cells."""
-    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
+    """Left-aligned fixed-width text table.
+
+    This is the one text cell rule: None reads n/a, a str or an int is
+    written as is, any other number with 6 significant digits.
+    """
+    cells = [list(headers)] + [
+        ["n/a" if c is None else str(c) if isinstance(c, (str, int))
+         else f"{c:.6g}" for c in row] for row in rows]
     widths = [max(len(row[j]) for row in cells) for j in range(len(headers))]
     lines = ["  ".join(row[j].ljust(widths[j]) for j in range(len(row))).rstrip()
              for row in cells]

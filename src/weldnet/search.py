@@ -174,6 +174,14 @@ def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
                          standardize)[0]
 
 
+def check_grid_args(folds: int, max_points: int | None) -> None:
+    """ValueError for a fold count or a point budget grid_search cannot use."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if max_points is not None and max_points < 1:
+        raise ValueError("max_points must be >= 1")
+
+
 def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
                 folds: int = 5, seed: int = 0, standardize: bool = True,
                 max_points: int | None = None):
@@ -185,8 +193,7 @@ def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
     the row count; max_points triggers seeded uniform subsampling of the
     grid.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check_grid_args(folds, max_points)
     folds = min(folds, data.m)
     if not (0 <= target_index < data.n_targets):
         raise ValueError(f"target_index {target_index} out of range")
@@ -206,10 +213,7 @@ def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
 
 
 def write_leaderboard_csv(entries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("neurons,depth,degree,alpha,gamma,lambda,iterations,"
-                 "mean_cv_rmse,std_cv_rmse\n")
-        for e in entries:
-            m = e.meta
-            fh.write(f"{m.neurons},{m.depth},{m.degree},{m.alpha!r},{m.gamma!r},"
-                     f"{m.lam!r},{m.iterations},{e.mean_rmse!r},{e.std_rmse!r}\n")
+    ds.write_csv(path, ["neurons", "depth", "degree", "alpha", "gamma", "lambda",
+                        "iterations", "mean_cv_rmse", "std_cv_rmse"],
+                 ([*e.meta.to_dict().values(), e.mean_rmse, e.std_rmse]
+                  for e in entries))

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,20 @@ class TestTrain:
         lines = p.read_text().splitlines()
         assert lines[0] == "iter,cost,grad1_norm,grad2_norm,tau,nu"
         assert len(lines) == 1001
+
+    def test_trace_csv_round_trips(self, tmp_path):
+        X, y = make_data(seed=12, m=5)
+        _, trace = train(make_block(seed=23), X, y)
+        p = tmp_path / "trace.csv"
+        trace.write_csv(p)
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(trace.records)
+        for row, r in zip(rows, trace.records):
+            assert int(row[0]) == r.iteration
+            assert [float(c).hex() for c in row[1:]] == [
+                v.hex() for v in (r.cost, r.grad1_norm, r.grad2_norm, r.tau,
+                                  r.nu)]
 
     def test_diverged_carries_partial_trace(self):
         X, y = make_data(seed=13, m=5)

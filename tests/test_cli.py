@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import weldnet as wn
+from weldnet import cli
 from weldnet.cli import run_comparison
 from weldnet.errors import ConfigError
 
@@ -174,6 +175,42 @@ class TestExitCodes:
                        "--out-dir", tmp_path)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--data", "{data}", "--folds", "1"],
+        ["search", "--data", "{data}", "--max-points", "0"],
+        ["synth", "--out", "{out}/s.csv", "--rows", "0"],
+        ["synth", "--out", "{out}/s.csv", "--noise", "-1"],
+        ["compare", "--data", "{data}", "--mcr-degree", "9"],
+        ["compare", "--data", "{data}", "--eta", "-1"],
+        ["compare", "--data", "{data}", "--rho", "1.5"],
+        ["compare", "--data", "{data}", "--momentum", "1"],
+        ["compare", "--data", "{data}", "--eps", "0"],
+        ["compare", "--data", "{data}", "--ner-degree", "9"],
+        ["eval", "--data", "{data}", "--ner-train", "{data}", "--degree", "9"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_range_error_is_config_error(self, synth_csv, tmp_path, argv):
+        argv = [a.format(data=synth_csv, out=tmp_path) for a in argv]
+        proc = run_cli(*argv, "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, flag, content", [
+        ("search", "--space", b"[1, 2]"),
+        ("train", "--params", b"\xff{"),
+        ("stats", "--config", b"\xff{"),
+    ])
+    def test_bad_json_file_is_config_error(self, synth_csv, tmp_path, command,
+                                           flag, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        proc = run_cli(command, "--data", synth_csv, flag, path,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSearch:
     def test_artifacts(self, synth_csv, tmp_path):
@@ -210,6 +247,27 @@ class TestCompare:
             for t in ("penetration", "width"):
                 assert by_key[(seed, "nrn", t)]["rmse"] == \
                     by_key[(seed, "ann", t)]["rmse"]
+
+    def test_raw_csv_round_trips(self, synth_csv, tmp_path, monkeypatch):
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(run_comparison(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "run_comparison", recorded)
+        assert cli.main(["compare", "--data", str(synth_csv), "--methods",
+                         "nrn,ner,mcr", "--seeds", "0,1",
+                         "--out-dir", str(tmp_path)]) == 0
+        records, _ = seen[0]
+        rows = read_csv(tmp_path / "compare_raw.csv")
+        assert len(rows) == len(records) == 3 * 2 * 2
+        for row, rec in zip(rows, records):
+            assert (int(row["seed"]), row["method"], row["target"],
+                    int(row["pe_excluded"])) == (
+                rec["seed"], rec["method"], rec["target"], rec["pe_excluded"])
+            assert float(row["rmse"]).hex() == rec["rmse"].hex()
+            assert float(row["pe_percent"]).hex() == rec["pe_percent"].hex()
 
     def test_config_file_supplies_values_flags_win(self, synth_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from weldnet import cli
+from weldnet.dataset import save_csv, synthesize_weld
 from weldnet.errors import (
     AllTargetsZero,
     ConstantInput,
@@ -11,8 +13,7 @@ from weldnet.errors import (
 )
 from weldnet.metrics import (
     Z_975,
-    MetricsReport,
-    TargetMetrics,
+    align_table,
     confidence_interval,
     kendall,
     pe,
@@ -195,14 +196,23 @@ class TestZscore:
 
 
 class TestReport:
-    def test_text_and_csv(self, tmp_path):
-        report = MetricsReport(rows=[
-            TargetMetrics("penetration", 0.08, 3.1, 0, 0.05, 0.11),
-            TargetMetrics("width", 0.05, 1.2, 2)])
-        text = report.to_text()
+    def test_text_and_csv(self, tmp_path, capsys):
+        data_path = tmp_path / "weld.csv"
+        save_csv(synthesize_weld(30, 0.05, seed=4), data_path)
+        assert cli.main(["eval", "--data", str(data_path), "--ner-train",
+                         str(data_path), "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "eval_report.txt").read_text()
         assert "penetration" in text and "n/a" in text
-        p = tmp_path / "r.csv"
-        report.write_csv(p)
-        lines = p.read_text().splitlines()
+        assert capsys.readouterr().out == text
+        lines = (tmp_path / "eval_report.csv").read_text().splitlines()
         assert lines[0].startswith("target,rmse")
         assert len(lines) == 3
+
+    def test_align_table_cell_rule(self):
+        text = align_table(["a", "b", "c", "d"],
+                           [["x", 3, 0.1234567891, None], ["yy", 10, 2.0, 1e-9]])
+        assert text.splitlines() == [
+            "a   b   c         d",
+            "--  --  --------  -----",
+            "x   3   0.123457  n/a",
+            "yy  10  2         1e-09"]

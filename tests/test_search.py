@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,30 @@ class TestGridSearch:
         lines = p.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split(",")[:3] == ["neurons", "depth", "degree"]
+
+    def test_leaderboard_csv_round_trips(self, weld_small, tmp_path):
+        space = tiny_space(neurons=(3, 4), alpha=(0.5, 1.0), gamma=(0.5, 1.0))
+        _, board = grid_search(space, weld_small, 1, folds=3, seed=4)
+        p = tmp_path / "board.csv"
+        write_leaderboard_csv(board, p)
+        with open(p, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(board)
+        for row, e in zip(rows, board):
+            m = e.meta
+            assert [int(row[k]) for k in ("neurons", "depth", "degree",
+                                          "iterations")] == [
+                m.neurons, m.depth, m.degree, m.iterations]
+            assert [float(row[k]).hex() for k in (
+                "alpha", "gamma", "lambda", "mean_cv_rmse", "std_cv_rmse")] == [
+                float(v).hex() for v in (m.alpha, m.gamma, m.lam, e.mean_rmse,
+                                         e.std_rmse)]
+
+    def test_bad_counts_rejected(self, weld_small):
+        with pytest.raises(ValueError, match="folds"):
+            grid_search(tiny_space(), weld_small, 0, folds=1)
+        with pytest.raises(ValueError, match="max_points must be >= 1"):
+            grid_search(tiny_space(), weld_small, 0, folds=2, max_points=0)
 
 
 class TestStackedScoring:
