@@ -3,8 +3,9 @@ shift), adagrad/rmsprop/Nesterov-momentum update rules on the same block
 architecture, closed-form normal-equation regression, and polynomial
 least-squares fitted by gradient descent.
 
-The plain ANN and the optimizer baselines train in block.run_steps with
-gamma = 1 and the shift off; each optimizer plugs in an OptimizerRule.
+The plain ANN and the optimizer baselines train in block's one training
+loop with gamma = 1 and the shift off; each optimizer plugs in an
+OptimizerRule (optimizer_rules makes one per stack).
 mcr_fit fits a linear multi-target model and keeps its own loop.
 """
 
@@ -18,10 +19,10 @@ from .block import (
     MAX_ITERATIONS,
     MIN_ITERATIONS,
     BlockMetaParams,
-    TrainingTrace,
     init_block,
-    run_steps,
+    run_blocks,
     train,
+    trained_block,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE, Dataset, append_bias, expand_features
 from .errors import Diverged, ShapeMismatch
@@ -138,6 +139,16 @@ class OptimizerRule:
                               for st in self.states])
 
 
+def optimizer_rules(kind: str, eta: float, rho: float = 0.9,
+                    momentum: float = 0.9, eps: float = 1e-8):
+    """Update-rule factory for block.run_blocks: a fresh OptimizerRule, one
+    OptimizerState per weight matrix, for every stack."""
+    def rule_for(stack):
+        return OptimizerRule([OptimizerState(kind, eta, rho, momentum, eps)
+                              for _ in stack.mats])
+    return rule_for
+
+
 def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
                     y: np.ndarray, seed: int, eta: float, rho: float = 0.9,
                     momentum: float = 0.9, eps: float = 1e-8):
@@ -145,11 +156,9 @@ def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
     update; gamma is fixed to 1 and the output shift stays off, so the
     comparison isolates the rule itself.  Returns (block, trace)."""
     block = init_block(replace(meta, gamma=1.0), np.asarray(X).shape[1], seed)
-    rule = OptimizerRule([OptimizerState(kind, eta, rho, momentum, eps)
-                          for _ in block.matrices()])
-    block, records = run_steps(block, X, y, meta.iterations, use_tau=False,
-                               rule=rule)
-    return block, TrainingTrace(records)
+    (outcome,) = run_blocks([block], [X], [y], use_tau=False,
+                            rule_for=optimizer_rules(kind, eta, rho, momentum, eps))
+    return trained_block(outcome)
 
 
 def normal_equation_fit(train_data: Dataset, degree: int) -> np.ndarray:

@@ -16,7 +16,8 @@ to an update rule, which chooses where they are taken (gradient_point) and
 the new weights (update).  ReinforcedRule is the default; the plain ANN
 uses it with gamma = 1 and tau off, the optimizer baselines plug in their
 own rules.  A single block is a stack of one: run_steps and train are
-B = 1 calls of the same loop.
+B = 1 calls of the same loop.  run_blocks trains any list of blocks, each
+on its own data, grouping those of one shape into stacks.
 
 Every per-block quantity is computed slice by slice in the rounding order of
 a lone block, so a block's weights, shifts and trace do not depend on what
@@ -501,6 +502,75 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     for b, blk in zip(active, unstack(stack)):
         outcomes[b] = (blk, cols[:, :, b])
     return outcomes
+
+
+# Elements one stack may hold (layer inputs, activations and their
+# temporaries, trace columns); bigger groups of same-shape blocks train in
+# chunks of this size, which changes no result.
+STACK_ELEMENTS = 1 << 22
+
+
+def _stack_groups(blocks, inputs):
+    """Index lists of the blocks that can share a stack: same matrix shapes,
+    input rows and iteration count, in first-seen order, each list cut into
+    chunks under STACK_ELEMENTS."""
+    groups = {}
+    for i, (blk, X) in enumerate(zip(blocks, inputs)):
+        shapes = tuple(th.shape for th in blk.matrices())
+        groups.setdefault((shapes, len(X), blk.meta.iterations), []).append(i)
+    for (shapes, m, iterations), idx in groups.items():
+        per_block = 4 * m * sum(rows for rows, _ in shapes) + 6 * iterations
+        size = max(1, STACK_ELEMENTS // per_block)
+        for start in range(0, len(idx), size):
+            yield idx[start:start + size]
+
+
+def run_blocks(blocks, inputs, targets, use_tau: bool = True,
+               jitter_rngs=None, rule_for=None) -> list:
+    """Train every block for its meta.iterations, each on its own inputs
+    (m, d) and targets (m,), as few stacks as the shapes allow.
+
+    Blocks with the same matrix shapes, rows and iteration count share a
+    run_stack call; jitter_rngs, if given, holds one generator per block;
+    rule_for(stack) makes the update rule of each stack (default: the
+    reinforced rule), as a rule may hold state for one stack.  Returns one
+    run_stack outcome per block, in input order; as a block's training does
+    not depend on its stack, each equals the block trained alone.
+    """
+    outcomes = [None] * len(blocks)
+    for idx in _stack_groups(blocks, inputs):
+        stack = stack_blocks(blocks[i] for i in idx)
+        outs = run_stack(
+            stack, [inputs[i] for i in idx], [targets[i] for i in idx],
+            stack.metas[0].iterations, use_tau=use_tau,
+            jitter_rngs=(None if jitter_rngs is None
+                         else [jitter_rngs[i] for i in idx]),
+            rule=REINFORCED if rule_for is None else rule_for(stack))
+        for i, out in zip(idx, outs):
+            outcomes[i] = out
+    return outcomes
+
+
+def trained_block(outcome, target=None):
+    """(block, TrainingTrace) of a run_stack outcome; a Diverged outcome is
+    raised, naming target if given."""
+    if isinstance(outcome, Diverged):
+        raise Diverged(iteration=outcome.iteration, trace=outcome.trace,
+                       target=target) from outcome
+    block, cols = outcome
+    return block, TrainingTrace(_records(cols, 1))
+
+
+def blocks_output(blocks, inputs) -> list:
+    """Tau-shifted outputs (m,) of every block for its own rows (m, d), in
+    input order, computed in as few stacked passes as the shapes allow."""
+    out = [None] * len(blocks)
+    for idx in _stack_groups(blocks, inputs):
+        est = stack_output(stack_blocks(blocks[i] for i in idx),
+                           [inputs[i] for i in idx])
+        for i, e in zip(idx, est):
+            out[i] = e
+    return out
 
 
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,

@@ -18,11 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, dataset as ds, metrics, model as mdl, search as srch
-from .block import BlockMetaParams
+from .block import BlockMetaParams, trained_block
 from .errors import ConfigError, WeldnetError
 from .rng import derive_seed
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
+# Methods that train one block per target; compare trains each of them on
+# every (seed, target) as stacks (nrn and ann at dynamic width excepted).
+BLOCK_METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov")
 
 # Columns of compare_raw.csv (also the keys of each comparison record) and
 # the per-(method, target) columns of compare_summary.csv, in the order of
@@ -65,6 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dynamic-width", action="store_true",
                         help="probe hidden-width changes during training")
 
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="CSV path(s), comma separated "
+                                     "(default: the config's data)")
+
     parser = argparse.ArgumentParser(
         prog="weldnet",
         description="Block-wise neural regression for weld bead estimation")
@@ -77,18 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, data],
                        help="train a model and write model + trace files")
-    p.add_argument("--data", required=True, help="CSV path(s), comma separated")
     p.add_argument("--params", help="best-params JSON from the search command")
     p.add_argument("--no-tau", action="store_true",
                    help="disable the learned output shift")
     p.add_argument("--gamma-jitter", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, data],
                        help="evaluate a saved model (or a NER fit) on a CSV")
-    p.add_argument("--data", required=True)
     p.add_argument("--model", help="model JSON written by train")
     p.add_argument("--ner-train",
                    help="fit normal-equation regression on this CSV instead "
@@ -97,18 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="polynomial degree for --ner-train")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[common, data],
                        help="grid-search block hyperparameters per target")
-    p.add_argument("--data", required=True)
     p.add_argument("--space", help="JSON file with candidate value lists")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--max-points", type=int)
     p.add_argument("--target", default="all", help="target name or 'all'")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[common, data],
                        help="train every requested method over every seed")
-    p.add_argument("--data", required=True)
     p.add_argument("--methods",
                    help=f"comma list from {','.join(METHODS)} (default nrn,ann)")
     p.add_argument("--seeds", help="comma list of seeds (default: --seed)")
@@ -129,9 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcr-iterations", type=int, default=1000)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[common, data],
                        help="pairwise correlations and fits across targets")
-    p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -164,6 +166,30 @@ def _check_degree(degree: int, flag: str) -> None:
                           f"{ds.MAX_DEGREE}], got {degree}")
 
 
+# The forms a config value may take; json.load gives bool, int, float, str,
+# list, dict or None, and a bool is not taken for a number.
+_FORMS = {
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or a list of strings": lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(p, str) for p in v)),
+    "a number": lambda v: type(v) in (int, float),
+    "a list of integers": lambda v: isinstance(v, list) and all(
+        type(s) is int for s in v),
+}
+
+
+def _setting(cfg, key: str, default, form: str):
+    """cfg[key], or default if it is absent or null; a value not of the
+    given form (a key of _FORMS) is a config error."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if not _FORMS[form](value):
+        raise ConfigError(f"config {key!r} must be {form}, got {value!r}")
+    return value
+
+
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
@@ -171,7 +197,8 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(args, cfg) -> Path:
-    out = Path(args.out_dir if args.out_dir != "." else cfg.get("out_dir", "."))
+    out = Path(args.out_dir if args.out_dir != "."
+               else _setting(cfg, "out_dir", ".", "a string"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -179,11 +206,12 @@ def _out_dir(args, cfg) -> Path:
 def _standardize_on(args, cfg) -> bool:
     if args.no_standardize:
         return False
-    return bool(cfg.get("standardize", True))
+    return _setting(cfg, "standardize", True, "true or false")
 
 
 def _load_data(args, cfg) -> ds.Dataset:
-    source = getattr(args, "data", None) or cfg.get("data")
+    source = getattr(args, "data", None) or _setting(
+        cfg, "data", None, "a string or a list of strings")
     if not source:
         raise ConfigError("no input data given")
     paths = source.split(",") if isinstance(source, str) else list(source)
@@ -201,7 +229,8 @@ def _metas_for(data: ds.Dataset, args, cfg) -> list:
     by_name = {}
     if cfg.get("metas") is not None:
         by_name.update(_json_object(cfg["metas"], "config 'metas'"))
-    params_path = getattr(args, "params", None) or cfg.get("params")
+    params_path = (getattr(args, "params", None)
+                   or _setting(cfg, "params", None, "a string"))
     if params_path:
         doc = _json_object(_read_json(params_path, "params"),
                            f"params {params_path}")
@@ -227,12 +256,15 @@ def _safe_name(name: str) -> str:
 def _parse_seeds(args, cfg) -> list:
     if getattr(args, "seeds", None):
         try:
-            return [int(s) for s in args.seeds.split(",") if s != ""]
+            seeds = [int(s) for s in args.seeds.split(",") if s != ""]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds: {exc}") from exc
-    if cfg.get("seeds"):
-        return [int(s) for s in cfg["seeds"]]
-    return [args.seed]
+    else:
+        seeds = (_setting(cfg, "seeds", None, "a list of integers")
+                 or [args.seed])
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be >= 0, got {seeds}")
+    return seeds
 
 
 def _scores(y, yhat) -> tuple:
@@ -265,13 +297,15 @@ def cmd_train(args) -> int:
     out = _out_dir(args, cfg)
     data = _load_data(args, cfg)
     metas = _metas_for(data, args, cfg)
-    use_tau = not args.no_tau and bool(cfg.get("use_tau", True))
+    use_tau = not args.no_tau and _setting(cfg, "use_tau", True, "true or false")
     model, traces = mdl.train_all(
         metas, data, args.seed,
         standardize=_standardize_on(args, cfg),
         use_tau=use_tau,
-        dynamic_width=args.dynamic_width or bool(cfg.get("dynamic_width", False)),
-        gamma_jitter=args.gamma_jitter or bool(cfg.get("gamma_jitter", False)))
+        dynamic_width=args.dynamic_width or _setting(
+            cfg, "dynamic_width", False, "true or false"),
+        gamma_jitter=args.gamma_jitter or _setting(
+            cfg, "gamma_jitter", False, "true or false"))
     model_path = out / "model.json"
     mdl.save(model, model_path)
     for tname, trace in zip(data.target_names, traces):
@@ -382,17 +416,33 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     if not (0.0 < split_fraction < 1.0):
         raise ConfigError("split fraction must be in (0, 1)")
     _check_degree(ner_degree, "--ner-degree")
+    metas = list(metas)
+    if set(methods) & set(BLOCK_METHODS) and len(metas) != data.n_targets:
+        raise ValueError(f"need {data.n_targets} meta sets, got {len(metas)}")
     opt_hyper = opt_hyper or {}
     mcr_params = mcr_params or baselines.McrParams(
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 
+    splits = [ds.split(data, split_fraction, seed) for seed in seeds]
+    stacked = [m for m in methods if m in BLOCK_METHODS
+               and not (dynamic_width and m in ("nrn", "ann"))]
+    feats = [_seed_features(tr, metas, standardize) if stacked else None
+             for tr, _ in splits]
+    trained = {method: _train_stacked(method, data.target_names, splits, feats,
+                                      seeds, metas, use_tau, gamma_jitter,
+                                      opt_hyper)
+               for method in dict.fromkeys(stacked)}
+
     records = []
-    for seed in seeds:
-        tr, te = ds.split(data, split_fraction, seed)
+    for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):
         for method in methods:
-            preds = _fit_predict(method, tr, te, seed, metas, standardize,
-                                 use_tau, dynamic_width, gamma_jitter,
-                                 opt_hyper, ner_degree, mcr_params)
+            if method in trained:
+                preds = _predict_stacked(method, trained[method].get(i),
+                                         feats[i], te)
+            else:
+                preds = _fit_predict(method, tr, te, seed, metas, standardize,
+                                     use_tau, dynamic_width, gamma_jitter,
+                                     ner_degree, mcr_params)
             for k, tname in enumerate(data.target_names):
                 records.append(dict(zip(RAW_COLUMNS, (
                     seed, method, tname,
@@ -421,9 +471,59 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     return records, summary
 
 
+def _seed_features(tr: ds.Dataset, metas, standardize: bool):
+    """(scaler, one block input per meta) of a seed's training split, or
+    the WeldnetError that preparing them raised; it is raised where the
+    first stacked method of that seed needs them."""
+    try:
+        return ds.prepare_features(tr.features, [m.degree for m in metas],
+                                   fit=standardize)
+    except WeldnetError as exc:
+        return exc
+
+
+def _train_stacked(method, names, splits, feats, seeds, metas, use_tau,
+                   gamma_jitter, opt_hyper) -> dict:
+    """One block method trained on every (seed, target) at once; returns,
+    per seed index whose features could be prepared, its run_blocks
+    outcomes in target order.
+
+    nrn keeps the metas' gamma and the output shift; ann and the optimizers
+    train with gamma 1 and no shift; gamma jitter applies to nrn and ann.
+    """
+    ok = [i for i, f in enumerate(feats) if not isinstance(f, WeldnetError)]
+    if method != "nrn":
+        metas = [replace(m, gamma=1.0) for m in metas]
+    outcomes = mdl.train_seeded(
+        metas * len(ok), [X for i in ok for X in feats[i][1]],
+        [y for i in ok for y in splits[i][0].targets.T],
+        [seeds[i] for i in ok for _ in names], list(names) * len(ok),
+        use_tau=use_tau and method == "nrn",
+        gamma_jitter=gamma_jitter and method in ("nrn", "ann"),
+        rule_for=(None if method in ("nrn", "ann")
+                  else baselines.optimizer_rules(method, **opt_hyper)))
+    n = len(names)
+    return {i: outcomes[j * n:(j + 1) * n] for j, i in enumerate(ok)}
+
+
+def _predict_stacked(method, outcomes, feats, te):
+    """Test estimates of one seed's stacked blocks; raises the seed's
+    feature error or its first divergence (nrn and ann name the target)."""
+    if isinstance(feats, WeldnetError):
+        raise feats
+    names = te.target_names
+    blocks = [trained_block(out, tname if method in ("nrn", "ann")
+                            else None)[0]
+              for tname, out in zip(names, outcomes)]
+    return mdl.predict(mdl.AggregateModel(blocks=blocks, scaler=feats[0],
+                                          target_names=list(names)),
+                       te.features)
+
+
 def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
-                 dynamic_width, gamma_jitter, opt_hyper, ner_degree,
-                 mcr_params):
+                 dynamic_width, gamma_jitter, ner_degree, mcr_params):
+    """Test estimates of a method that is not stacked: nrn and ann at
+    dynamic width, ner and mcr."""
     if method == "nrn" or method == "ann":
         use_metas = metas
         eff_tau = use_tau
@@ -433,18 +533,6 @@ def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
         model, _ = mdl.train_all(use_metas, tr, seed, standardize=standardize,
                                  use_tau=eff_tau, dynamic_width=dynamic_width,
                                  gamma_jitter=gamma_jitter)
-        return mdl.predict(model, te.features)
-    if method in ("adagrad", "rmsprop", "nesterov"):
-        scaler, inputs = ds.prepare_features(
-            tr.features, [meta.degree for meta in metas], fit=standardize)
-        blocks = []
-        for k, (meta, tname, X) in enumerate(zip(metas, tr.target_names, inputs)):
-            block, _ = baselines.optimizer_train(
-                method, meta, X, tr.targets[:, k],
-                derive_seed(seed, tname), **opt_hyper)
-            blocks.append(block)
-        model = mdl.AggregateModel(blocks=blocks, scaler=scaler,
-                                   target_names=list(tr.target_names))
         return mdl.predict(model, te.features)
     if method == "ner":
         theta = baselines.normal_equation_fit(tr, ner_degree)
@@ -470,12 +558,12 @@ def cmd_compare(args) -> int:
     out = _out_dir(args, cfg)
     data = _load_data(args, cfg)
     metas = _metas_for(data, args, cfg)
-    methods = [m for m in (args.methods or cfg.get("methods", "nrn,ann"))
-               .split(",") if m]
+    methods = [m for m in (args.methods or _setting(
+        cfg, "methods", "nrn,ann", "a string")).split(",") if m]
     seeds = _parse_seeds(args, cfg)
     split_fraction = (args.split if args.split is not None
-                      else float(cfg.get("split_fraction", 0.2)))
-    use_tau = not args.no_tau and bool(cfg.get("use_tau", True))
+                      else float(_setting(cfg, "split_fraction", 0.2, "a number")))
+    use_tau = not args.no_tau and _setting(cfg, "use_tau", True, "true or false")
     records, summary = run_comparison(
         data, methods, metas, seeds, split_fraction,
         standardize=_standardize_on(args, cfg), use_tau=use_tau,

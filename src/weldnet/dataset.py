@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (
+    BadColumnName,
     ConstantColumn,
     DegreeOutOfRange,
     EmptyDataset,
@@ -161,12 +163,16 @@ def write_csv(path, header, rows) -> None:
 
     This is the one CSV writer: a float cell is its shortest round-trip
     repr, an int is written with str, None is an empty cell and a str is
-    written as is (quoted only if it holds a comma, a quote or a line feed;
-    a lone carriage return is written bare).
+    written as is (quoted only if it holds a comma, a quote, a line feed or
+    a carriage return).
     """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
+            # csv.writer quotes a cell holding any character of its line
+            # terminator and writes each row in one call: rows are made
+            # with "\r\n", so a lone "\r" is quoted, and end in "\n".
+            lf = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+            out = csv.writer(lf, lineterminator="\r\n")
             out.writerow(header)
             out.writerows(rows)
     except OSError as exc:
@@ -174,7 +180,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Write a Dataset as a prefixed-header CSV (lossless float round trip)."""
+    """Write a Dataset as a prefixed-header CSV (lossless float round trip).
+
+    Raises BadColumnName, before writing, for a feature or target name that
+    load_csv could not read back.
+    """
+    for name in data.feature_names + data.target_names:
+        if any(c in name for c in ',"\r\n') or name != name.rstrip():
+            raise BadColumnName(name)
     write_csv(path, [IWP_PREFIX + n for n in data.feature_names]
               + [DWP_PREFIX + n for n in data.target_names],
               (row.tolist() for row in np.hstack([data.features, data.targets])))

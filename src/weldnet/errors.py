@@ -19,6 +19,18 @@ class UnprefixedColumn(WeldnetError):
         super().__init__(f"column {name!r} is not prefixed with 'iwp:' or 'dwp:'")
 
 
+class BadColumnName(WeldnetError):
+    """A column name a CSV header cannot carry: load_csv splits cells at
+    commas and lines at line ends, reads quotes as text and strips
+    trailing whitespace."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column name {name!r} cannot be written to a CSV "
+                         "header (it holds a comma, a quote, a line end or "
+                         "trailing whitespace)")
+
+
 class ParseError(WeldnetError):
     """A CSV body cell failed to parse as a decimal number."""
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     AllTargetsZero,
@@ -91,7 +90,11 @@ def pearson(x, y):
 
     The p-value comes from the exact t relation with n-2 degrees of
     freedom, evaluated through the regularized incomplete beta function.
+    scipy is imported here, by the one function that needs it, as the
+    import costs more than most commands' own work.
     """
+    from scipy import special
+
     x, y = _corr_pair(x, y)
     r = _pearson_r(x, y)
     df = x.size - 2

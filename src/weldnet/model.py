@@ -16,9 +16,11 @@ from .block import (
     TrainingTrace,
     cost,
     init_block,
+    run_blocks,
     run_steps,
     stack_blocks,
     stack_output,
+    trained_block,
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
 from .rng import derive_seed
@@ -57,9 +59,11 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     """Train one block per target column; returns (AggregateModel, traces).
 
     Each block gets a seed derived from (seed, target name), so results do
-    not depend on target order.  With dynamic_width, each block holds out a
-    validation slice and probes neighboring hidden widths every
-    RESIZE_PERIOD iterations.
+    not depend on target order.  At fixed width the blocks train as stacks
+    (train_seeded); with dynamic_width, each block trains alone, holds out
+    a validation slice and probes neighboring hidden widths every
+    RESIZE_PERIOD iterations.  A divergence raises Diverged naming the
+    first diverging target in column order.
     """
     metas = list(metas)
     if len(metas) != train_data.n_targets:
@@ -67,29 +71,45 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
 
     scaler, inputs = ds.prepare_features(
         train_data.features, [meta.degree for meta in metas], fit=standardize)
+    names = train_data.target_names
+    targets = list(train_data.targets.T)
 
-    blocks, traces = [], []
-    for k, (meta, tname, X) in enumerate(zip(metas, train_data.target_names,
-                                             inputs)):
-        y = train_data.targets[:, k]
-        jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
-                      if gamma_jitter else None)
-        try:
-            if dynamic_width:
-                blk, trace = _train_dynamic(meta, X, y, seed, tname,
-                                            use_tau, jitter_rng)
-            else:
-                blk = init_block(meta, X.shape[1], derive_seed(seed, tname))
-                blk, records = run_steps(blk, X, y, meta.iterations,
-                                         use_tau=use_tau, jitter_rng=jitter_rng)
-                trace = TrainingTrace(records)
-        except Diverged as exc:
-            raise Diverged(iteration=exc.iteration, trace=exc.trace,
-                           target=tname) from exc
-        blocks.append(blk)
-        traces.append(trace)
-    return AggregateModel(blocks=blocks, scaler=scaler,
-                          target_names=list(train_data.target_names)), traces
+    if dynamic_width:
+        trained = []
+        for meta, tname, X, y in zip(metas, names, inputs, targets):
+            jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
+                          if gamma_jitter else None)
+            try:
+                trained.append(_train_dynamic(meta, X, y, seed, tname,
+                                              use_tau, jitter_rng))
+            except Diverged as exc:
+                raise Diverged(iteration=exc.iteration, trace=exc.trace,
+                               target=tname) from exc
+    else:
+        trained = [trained_block(out, tname) for tname, out in zip(
+            names, train_seeded(metas, inputs, targets, [seed] * len(metas),
+                                names, use_tau, gamma_jitter))]
+    blocks, traces = zip(*trained)
+    return AggregateModel(blocks=list(blocks), scaler=scaler,
+                          target_names=list(names)), list(traces)
+
+
+def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
+                 gamma_jitter: bool = False, rule_for=None) -> list:
+    """Fixed-width blocks, the i-th one from metas[i], initialized from
+    derive_seed(seeds[i], names[i]) and trained on inputs[i] against
+    targets[i], all through block.run_blocks; returns its outcomes.
+
+    With gamma_jitter, block i draws its gamma noise from
+    derive_seed(seeds[i], names[i], "jitter").  rule_for is run_blocks'
+    update-rule factory.
+    """
+    blocks = [init_block(meta, X.shape[1], derive_seed(s, name))
+              for meta, X, s, name in zip(metas, inputs, seeds, names)]
+    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter"))
+             for s, name in zip(seeds, names)] if gamma_jitter else None)
+    return run_blocks(blocks, inputs, targets, use_tau=use_tau,
+                      jitter_rngs=rngs, rule_for=rule_for)
 
 
 def _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng):

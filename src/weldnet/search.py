@@ -1,9 +1,10 @@
 """Exhaustive grid search over block hyperparameters, scored by k-fold
 cross-validated RMSE on one target column.
 
-Every (grid point, fold) pair is one block.  Blocks of one shape (training
-rows, input width, neurons, depth, iterations) train together as a stack,
-so a grid costs a few B-way loops rather than one loop per block.
+Every (grid point, fold) pair is one block.  block.run_blocks trains
+blocks of one shape (training rows, input width, neurons, depth,
+iterations) together as a stack, so a grid costs a few B-way loops rather
+than one loop per block.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .block import (
     MIN_ITERATIONS,
     MIN_NEURONS,
     BlockMetaParams,
+    blocks_output,
     init_block,
-    run_stack,
-    stack_blocks,
-    stack_output,
+    run_blocks,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE
 from .errors import Diverged
@@ -96,12 +96,6 @@ def fold_indices(m: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-# Elements one stack may hold (layer inputs, activations and their
-# temporaries, trace columns); bigger groups of same-shape blocks train in
-# chunks of this size, which changes no result.
-STACK_ELEMENTS = 1 << 22
-
-
 def _fold_features(data: ds.Dataset, target_index: int, folds: int, seed: int,
                    degrees, standardize: bool):
     """Per fold: (training inputs by degree, training targets, validation
@@ -123,42 +117,21 @@ def _score_points(points, data, target_index, folds, seed, standardize):
     """(mean, std) cross-validated RMSE of every point, in points order."""
     fold_data = _fold_features(data, target_index, folds, seed,
                                sorted({p.degree for p in points}), standardize)
-    groups = {}
-    for p, meta in enumerate(points):
-        for f, (Xs, y, _, _) in enumerate(fold_data):
-            key = (y.size, Xs[meta.degree].shape[1], meta.neurons, meta.depth,
-                   meta.iterations)
-            groups.setdefault(key, []).append((p, f))
-
-    scores = np.empty((len(points), len(fold_data)))
-    for (m, width, k, depth, iterations), jobs in groups.items():
-        per_block = 4 * m * (width + 1 + depth * (k + 1)) + 6 * iterations
-        size = max(1, STACK_ELEMENTS // per_block)
-        for start in range(0, len(jobs), size):
-            chunk = jobs[start:start + size]
-            stack = stack_blocks(
-                init_block(points[p], width, derive_seed(seed, "fold", f))
-                for p, f in chunk)
-            outcomes = run_stack(
-                stack, [fold_data[f][0][points[p].degree] for p, f in chunk],
-                [fold_data[f][1] for _, f in chunk], iterations)
-            done = []
-            for (p, f), out in zip(chunk, outcomes):
-                if isinstance(out, Diverged):
-                    scores[p, f] = np.inf
-                else:
-                    done.append((p, f, out[0]))
-            if not done:
-                continue
-            est = stack_output(stack_blocks(blk for _, _, blk in done),
-                               [fold_data[f][2][points[p].degree]
-                                for p, f, _ in done])
-            for (p, f, _), e in zip(done, est):
-                scores[p, f] = rmse(fold_data[f][3], e)
-
+    jobs = [(meta, f) for meta in points for f in range(len(fold_data))]
+    train_X = [fold_data[f][0][meta.degree] for meta, f in jobs]
+    val_X = [fold_data[f][2][meta.degree] for meta, f in jobs]
+    outcomes = run_blocks(
+        [init_block(meta, X.shape[1], derive_seed(seed, "fold", f))
+         for (meta, f), X in zip(jobs, train_X)],
+        train_X, [fold_data[f][1] for _, f in jobs])
+    done = [j for j, out in enumerate(outcomes) if not isinstance(out, Diverged)]
+    est = blocks_output([outcomes[j][0] for j in done], [val_X[j] for j in done])
+    scores = np.full(len(jobs), np.inf)
+    for j, e in zip(done, est):
+        scores[j] = rmse(fold_data[jobs[j][1]][3], e)
     return [(float(np.mean(row)), float(np.std(row, ddof=1)))
             if np.all(np.isfinite(row)) else (np.inf, np.inf)
-            for row in scores]
+            for row in scores.reshape(len(points), len(fold_data))]
 
 
 def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,16 @@ from weldnet.cli import run_comparison
 from weldnet.errors import ConfigError
 
 
+# Child processes import the weldnet under test from whatever working
+# directory they start in.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(wn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "weldnet", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=CHILD_ENV)
 
 
 def read_csv(path):
@@ -210,6 +219,60 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, doc", [
+        ("compare", {"seeds": ["a"]}),
+        ("compare", {"seeds": 3}),
+        ("compare", {"split_fraction": "x"}),
+        ("compare", {"methods": 5}),
+        ("compare", {"use_tau": "false"}),
+        ("train", {"out_dir": 5}),
+        ("train", {"params": 5}),
+        ("train", {"data": 5}),
+        ("train", {"data": [5]}),
+        ("compare", {"standardize": 0}),
+        ("stats", {"data": 5}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_bad_config_value_is_config_error(self, synth_csv, tmp_path,
+                                              command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        data = [] if "data" in doc else ["--data", synth_csv]
+        proc = run_cli(command, *data, "--config", cfg, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        key = next(iter(doc))
+        assert f"config error: config {key!r} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_data_without_flag(self, synth_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": [str(synth_csv)]}))
+        proc = run_cli("stats", "--config", cfg, "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "stats.csv").exists()
+        proc = run_cli("stats", "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "config error: no input data given" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--seeds=2,-1", "--seed=-1", "--config"])
+    def test_negative_seed_is_config_error(self, synth_csv, tmp_path, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [-1]}))
+        argv = [flag, cfg] if flag == "--config" else [flag]
+        proc = run_cli("compare", "--data", synth_csv, *argv,
+                       "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "config error: seeds must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weldnet.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSearch:

@@ -20,6 +20,7 @@ from weldnet.dataset import (
     write_csv,
 )
 from weldnet.errors import (
+    BadColumnName,
     ConstantColumn,
     DegreeOutOfRange,
     EmptyDataset,
@@ -112,12 +113,8 @@ class TestLoadCsv:
         assert back.target_names == data.target_names
 
 
-# A lone "\r" is left out of the text cells: with "\n" as line terminator
-# csv.writer does not quote it, so a CSV reader would split the row there
-# (the CSV writers before write_csv wrote it bare as well).
 CELLS = st.one_of(
-    st.floats(allow_nan=False), st.integers(), st.none(),
-    st.text(st.characters(blacklist_characters="\r")))
+    st.floats(allow_nan=False), st.integers(), st.none(), st.text())
 
 
 class TestWriteCsv:
@@ -152,6 +149,40 @@ class TestWriteCsv:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoError):
             write_csv(tmp_path / "no_dir" / "t.csv", ["a"], [[1]])
+
+    def test_carriage_return_quoted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["a\rb", "c"], [("x\r", 1.5)])
+        assert p.read_bytes() == b'"a\rb",c\n"x\r",1.5\n'
+
+
+class TestSaveCsvNames:
+    @pytest.mark.parametrize("name", ["p\rq", "p\nq", "p,q", 'p"q', "p ",
+                                      "p\t"])
+    def test_unreadable_name_rejected(self, tmp_path, name):
+        rng = np.random.default_rng(0)
+        for feats, targs in ((["f", name], ["t"]), (["f"], [name])):
+            data = Dataset(rng.normal(size=(3, len(feats))),
+                           rng.normal(size=(3, len(targs))), feats, targs)
+            with pytest.raises(BadColumnName) as exc:
+                save_csv(data, tmp_path / "d.csv")
+            assert exc.value.name == name
+            assert not (tmp_path / "d.csv").exists()
+
+    @given(names=st.lists(st.text(min_size=1), min_size=2, max_size=3,
+                          unique=True))
+    def test_names_round_trip_or_are_rejected(self, tmp_path_factory, names):
+        data = Dataset(np.arange(4.0).reshape(2, 2) + [[0, 5], [1, 7]],
+                       np.ones((2, len(names) - 1)), ["f0", names[0]],
+                       names[1:])
+        p = tmp_path_factory.mktemp("names") / "d.csv"
+        try:
+            save_csv(data, p)
+        except BadColumnName:
+            return
+        back = load_csv(p)
+        assert back.feature_names == data.feature_names
+        assert back.target_names == data.target_names
 
 
 class TestDatasetInvariants:

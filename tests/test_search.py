@@ -172,7 +172,7 @@ class TestStackedScoring:
     def test_chunked_groups_score_the_same(self, weld_small, monkeypatch):
         space = tiny_space(alpha=(0.5, 1.0), gamma=(1.0, 2.0))
         _, whole = grid_search(space, weld_small, 1, folds=3, seed=0)
-        monkeypatch.setattr("weldnet.search.STACK_ELEMENTS", 1)  # B = 1
+        monkeypatch.setattr("weldnet.block.STACK_ELEMENTS", 1)  # B = 1
         _, single = grid_search(space, weld_small, 1, folds=3, seed=0)
         assert [(e.meta, e.mean_rmse, e.std_rmse) for e in whole] == \
             [(e.meta, e.mean_rmse, e.std_rmse) for e in single]

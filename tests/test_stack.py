@@ -1,14 +1,18 @@
 """Property tests of the B-way training loop: a block trained in a stack is
 bit-identical to the same block trained alone (B = 1), whatever it is
 stacked with, however the stack is chunked, and whether or not a neighbour
-diverges."""
+diverges.  The commands that stack their blocks (train_all, compare) are
+checked against their blocks trained one at a time, results and the error
+raised on divergence alike."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from weldnet import baselines, dataset as ds, metrics, model as mdl
 from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
     BlockMetaParams,
@@ -18,7 +22,9 @@ from weldnet.block import (
     run_steps,
     stack_blocks,
 )
+from weldnet.cli import run_comparison
 from weldnet.errors import Diverged
+from weldnet.rng import derive_seed
 
 PROPERTY = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -163,3 +169,152 @@ def test_chunking_changes_nothing(case, cut, use_tau):
             assert_same_outcome(g, w)
         else:
             assert_same_outcome(g, (w[0], _records(w[1], 1)))
+
+
+# --- commands that stack their blocks: train_all and compare ---
+
+BLOCK_METHODS = ["nrn", "ann", "adagrad", "rmsprop", "nesterov"]
+OPT_HYPER = dict(eta=0.01, rho=0.9, momentum=0.9, eps=1e-8)
+
+
+def weld_meta(**kw):
+    return BlockMetaParams(**{"neurons": 4, "alpha": 0.5, "gamma": 1.5,
+                              "lam": 0.001, "iterations": 1000, **kw})
+
+
+@pytest.fixture(scope="module")
+def weld60():
+    return ds.synthesize_weld(60, 0.02, seed=5)
+
+
+def train_alone(method, meta, X, y, seed, tname, use_tau, gamma_jitter,
+                opt_hyper):
+    """One block of a block method, trained by itself (B = 1) the way
+    train_all and optimizer_train trained it before blocks were stacked."""
+    if method not in ("nrn", "ann"):
+        return baselines.optimizer_train(method, meta, X, y,
+                                         derive_seed(seed, tname), **opt_hyper)
+    if method == "ann":
+        meta, use_tau = replace(meta, gamma=1.0), False
+    rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
+           if gamma_jitter else None)
+    block, records = run_steps(init_block(meta, X.shape[1],
+                                          derive_seed(seed, tname)),
+                               X, y, meta.iterations, use_tau=use_tau,
+                               jitter_rng=rng)
+    return block, records
+
+
+@pytest.mark.parametrize("variant", [
+    dict(use_tau=False),
+    dict(gamma_jitter=True),
+    dict(metas=[weld_meta(neurons=4, degree=1), weld_meta(neurons=5, depth=2)]),
+], ids=["no-tau", "gamma-jitter", "two-groups"])
+def test_compare_equals_blocks_alone(weld60, variant):
+    metas = variant.get("metas", [weld_meta(), weld_meta(gamma=2.0)])
+    use_tau = variant.get("use_tau", True)
+    jitter = variant.get("gamma_jitter", False)
+    seeds = [0, 1]
+    records, _ = run_comparison(weld60, BLOCK_METHODS, metas, seeds, 0.2,
+                                use_tau=use_tau, gamma_jitter=jitter,
+                                opt_hyper=OPT_HYPER)
+    got = {(r["seed"], r["method"], r["target"]): r for r in records}
+    assert [(r["seed"], r["method"], r["target"]) for r in records] == [
+        (s, m, t) for s in seeds for m in BLOCK_METHODS
+        for t in weld60.target_names]
+    for seed in seeds:
+        tr, te = ds.split(weld60, 0.2, seed)
+        scaler, inputs = ds.prepare_features(
+            tr.features, [m.degree for m in metas], fit=True)
+        for method in BLOCK_METHODS:
+            blocks = [train_alone(method, meta, X, tr.targets[:, k], seed,
+                                  tname, use_tau, jitter, OPT_HYPER)[0]
+                      for k, (meta, tname, X) in enumerate(
+                          zip(metas, tr.target_names, inputs))]
+            preds = mdl.predict(mdl.AggregateModel(blocks, scaler,
+                                                   tr.target_names),
+                                te.features)
+            for k, tname in enumerate(tr.target_names):
+                rec = got[(seed, method, tname)]
+                y, yhat = te.targets[:, k], preds[:, k]
+                want_pe, want_excluded = metrics.pe(y, yhat)
+                assert rec["rmse"].hex() == metrics.rmse(y, yhat).hex()
+                assert rec["pe_percent"].hex() == want_pe.hex()
+                assert rec["pe_excluded"] == want_excluded
+
+
+@pytest.mark.parametrize("use_tau, jitter", [(True, False), (False, True)])
+def test_train_all_equals_targets_alone(weld60, use_tau, jitter):
+    metas = [weld_meta(neurons=4, degree=1), weld_meta(neurons=5, depth=2),
+             weld_meta(neurons=4, degree=1, gamma=0.5)]
+    data = ds.Dataset(weld60.features,
+                      np.column_stack([weld60.targets, weld60.targets[:, 0] * 2]),
+                      weld60.feature_names, ["p", "w", "p2"])
+    model, traces = mdl.train_all(metas, data, seed=3, use_tau=use_tau,
+                                  gamma_jitter=jitter)
+    _, inputs = ds.prepare_features(data.features, [m.degree for m in metas],
+                                    fit=True)
+    for k, (meta, tname, X) in enumerate(zip(metas, data.target_names, inputs)):
+        block, records = train_alone("nrn", meta, X, data.targets[:, k], 3,
+                                     tname, use_tau, jitter, None)
+        assert_same_block(model.blocks[k], block)
+        assert_same_records(traces[k].records, records)
+
+
+def outcomes_alone(data, methods, metas, seeds, opt_hyper):
+    """(seed, method, target, Diverged or None) of every block of a compare
+    run, each block trained by itself, in seed -> method -> target order
+    (ner and mcr train no block)."""
+    out = []
+    for seed in seeds:
+        tr, _ = ds.split(data, 0.2, seed)
+        _, inputs = ds.prepare_features(tr.features, [m.degree for m in metas],
+                                        fit=True)
+        for method in (m for m in methods if m in BLOCK_METHODS):
+            for k, (meta, tname, X) in enumerate(
+                    zip(metas, tr.target_names, inputs)):
+                try:
+                    train_alone(method, meta, X, tr.targets[:, k], seed,
+                                tname, True, False, opt_hyper)
+                    out.append((seed, method, tname, None))
+                except Diverged as exc:
+                    out.append((seed, method, tname, exc))
+    return out
+
+
+@pytest.mark.parametrize("methods", [["ner", "nesterov", "nrn"],
+                                     ["nrn", "nesterov"]])
+def test_compare_raises_first_divergence_in_loop_order(weld60, methods):
+    metas = [weld_meta(alpha=20.0, gamma=4.0, lam=0.0)] * 2
+    seeds, hyper = [1, 0], {**OPT_HYPER, "eta": 3.0}
+    alone = [o for o in outcomes_alone(weld60, methods, metas, seeds, hyper)
+             if o[3] is not None]
+    # several blocks diverge, and the first in loop order is not the
+    # first to diverge, so stacked training must pick it by order
+    assert len(alone) >= 3
+    assert alone[0][3].iteration > min(o[3].iteration for o in alone)
+    seed, method, tname, exc = alone[0]
+    want = Diverged(exc.iteration,
+                    target=tname if method in ("nrn", "ann") else None)
+    with pytest.raises(Diverged) as got:
+        run_comparison(weld60, methods, metas, seeds, 0.2, opt_hyper=hyper)
+    assert str(got.value) == str(want)
+    assert got.value.iteration == exc.iteration
+
+
+def test_train_all_raises_first_divergence_in_target_order(weld60):
+    metas = [weld_meta(alpha=20.0, gamma=4.0, lam=0.0)] * 2
+    tr, _ = ds.split(weld60, 0.2, 1)
+    _, inputs = ds.prepare_features(tr.features, [0, 0], fit=True)
+    alone = []
+    for k, (meta, tname, X) in enumerate(zip(metas, tr.target_names, inputs)):
+        with pytest.raises(Diverged) as exc:
+            train_alone("nrn", meta, X, tr.targets[:, k], 1, tname, True,
+                        False, None)
+        alone.append(exc.value)
+    assert alone[0].iteration > alone[1].iteration
+    with pytest.raises(Diverged) as got:
+        mdl.train_all(metas, tr, seed=1)
+    assert str(got.value) == str(Diverged(alone[0].iteration,
+                                          target=tr.target_names[0]))
+    assert_same_records(got.value.trace.records, alone[0].trace.records)
