@@ -13,7 +13,6 @@ from .baselines import (
 from .block import (
     BlockMetaParams,
     RegressionBlock,
-    StepResult,
     TrainingTrace,
     backprop_step,
     compute_nu,
@@ -58,7 +57,7 @@ from .search import SearchSpace, evaluate_point, grid_search
 __all__ = [
     "AggregateModel", "BlockMetaParams", "Dataset", "McrParams",
     "OptimizerState", "RegressionBlock", "ScalerParams",
-    "SearchSpace", "StepResult", "TrainingTrace", "append_bias",
+    "SearchSpace", "TrainingTrace", "append_bias",
     "backprop_step", "bead_surfaces", "combine", "compute_nu",
     "confidence_interval", "cost", "evaluate_point", "grid_search",
     "init_block", "kendall", "linear_predict", "load", "load_csv", "mcr_fit",

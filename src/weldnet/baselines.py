@@ -121,11 +121,12 @@ class OptimizerRule:
         return replace(stack, mats=[lookahead(st, th)
                                     for st, th in zip(self.states, stack.mats)])
 
-    def update(self, stack, at, deltas, m):
+    def update(self, stack, at, deltas, m, scratch):
         lam = stack.lam[:, None, None]
         new_states, new_mats = [], []
-        for st, th, sh, delta in zip(self.states, stack.mats, at.mats, deltas):
-            nobias = sh.copy()
+        for st, th, sh, delta, (_, nobias) in zip(self.states, stack.mats,
+                                                  at.mats, deltas, scratch):
+            np.copyto(nobias, sh)
             nobias[:, 0] = 0.0
             st, new_th = optimizer_step(st, th, (-delta + lam * nobias) / m)
             new_states.append(st)

@@ -10,7 +10,8 @@ all-ones column.
 Training is B-way: a BlockStack holds B same-shape blocks with every weight
 matrix stacked on a leading axis, (B, rows, cols), and trains them on
 inputs (B, m, d) against targets (B, m).  run_stack is the one training
-loop; each backprop_step picks every block's shift tau from {-nu, 0, +nu}
+loop, every step writing into one Workspace made for the stack's shape;
+each backprop_step picks every block's shift tau from {-nu, 0, +nu}
 (nu: that block's previous mean error) and hands the gamma-scaled gradients
 to an update rule, which chooses where they are taken (gradient_point) and
 the new weights (update).  ReinforcedRule is the default; the plain ANN
@@ -27,7 +28,8 @@ the stack with its own Diverged; the others carry on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,20 @@ from .errors import DimensionMismatch, Diverged, LengthMismatch
 MIN_NEURONS, MAX_NEURONS = 2, 100
 MIN_DEPTH, MAX_DEPTH = 1, 4
 MIN_ITERATIONS, MAX_ITERATIONS = 1000, 12000
+# BlockMetaParams fields that count something: an int, not a float or bool.
+INTEGER_FIELDS = ("neurons", "depth", "degree", "iterations")
+
+# Rows stack_output passes through the hidden layers at a time, reusing one
+# workspace, where one pass over 10^5 rows would allocate tens of MB per
+# layer.  BLAS can pick another kernel, with other last bits, for a matmul
+# of fewer rows; at 32768 rows or more it picked the single pass's kernel
+# for every hidden matrix shape tried.
+OUTPUT_ROWS = 32768
+
+
+def is_count(value) -> bool:
+    """Whether value is an integer (numpy's too) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,9 @@ class BlockMetaParams:
     degree: int = 0
 
     def __post_init__(self):
+        for name in INTEGER_FIELDS:
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (MIN_NEURONS <= self.neurons <= MAX_NEURONS):
             raise ValueError(f"neurons must be in [{MIN_NEURONS}, {MAX_NEURONS}]")
         if not (MIN_DEPTH <= self.depth <= MAX_DEPTH):
@@ -80,10 +99,10 @@ class BlockMetaParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockMetaParams":
-        return cls(neurons=int(d["neurons"]), alpha=float(d["alpha"]),
+        return cls(neurons=d["neurons"], alpha=float(d["alpha"]),
                    gamma=float(d["gamma"]), lam=float(d["lambda"]),
-                   iterations=int(d["iterations"]), depth=int(d.get("depth", 1)),
-                   degree=int(d.get("degree", 0)))
+                   iterations=d["iterations"], depth=d.get("depth", 1),
+                   degree=d.get("degree", 0))
 
 
 @dataclass
@@ -205,24 +224,6 @@ def unstack(stack: BlockStack) -> list:
         for b, meta in enumerate(stack.metas)]
 
 
-@dataclass
-class StepResult:
-    """One backprop iteration: selected shift, costs, and gradient matrices.
-
-    deltas aligns with RegressionBlock.matrices() and already carries the
-    gamma factor.  For a stack every scalar field is a (B,) vector and every
-    delta is (B, rows, cols).
-    """
-
-    cost: float
-    cost_tau_zero: float
-    tau: float
-    nu: float
-    deltas: list
-    grad1_norm: float
-    grad2_norm: float
-
-
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, branch-free.
 
@@ -230,9 +231,20 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     NaN's sign); as 0 <= e <= 1, max(e, z >= 0) is 1 where z >= 0 and e
     elsewhere, so this is 1 / (1 + e) or e / (1 + e), bit for bit.
     """
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(np.minimum(z, -z))
-    return np.divide(np.maximum(e, z >= 0), 1.0 + e, out=out)
+    z = np.array(z, dtype=np.float64)  # a copy: _sigmoid_into overwrites it
+    return _sigmoid_into(z, np.empty(z.shape, dtype=bool),
+                         np.empty_like(z) if out is None else out)
+
+
+def _sigmoid_into(z, mask, out):
+    """sigmoid(z) written into out, with z and mask (bool) as scratch."""
+    np.greater_equal(z, 0.0, out=mask)
+    np.negative(z, out=out)
+    np.minimum(z, out, out=z)
+    np.exp(z, out=z)
+    np.maximum(z, mask, out=out)
+    np.add(z, 1.0, out=z)
+    return np.divide(out, z, out=out)
 
 
 def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBlock:
@@ -255,47 +267,117 @@ def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBl
                            tau=0.0, meta=meta)
 
 
-def layer_inputs(stack: BlockStack, X) -> list:
-    """Bias-augmented input buffer of every weight matrix for rows X (B, m, d).
+class Workspace:
+    """Every array a stack's forward pass and training steps write, made
+    once for the stack's shape and rows X (B, m, d).
 
-    The first holds X, filled here once; the others receive the hidden
-    activations in _forward_all.  Column 0 of each is the all-ones bias.
+    The forward part: inputs, the bias-augmented input of every weight
+    matrix (column 0 all ones, the first filled with X here, the others
+    with the hidden activations); z and mask, the pre-activation and
+    sigmoid scratch of one layer; acts, every hidden activation (B, m, k);
+    raw, the unshifted outputs (B, m).  With targets y (B, m) it also holds
+    what a backprop_step writes: shift candidates and their residuals and
+    costs, the regularizer, the shifted output, the backward deltas, the
+    gradient matrices (deltas, aligned with stack.mats), the update rule's
+    scratch, the finite mask, nu, and row, the step's trace values (6, B):
+    cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero.
     """
+
+    def __init__(self, stack: BlockStack, X, y=None):
+        X = _block_rows(stack, X)
+        B, m, _ = X.shape
+        shapes = [th.shape[1:] for th in stack.mats]
+        k = shapes[0][1]
+        self.m = m
+        self.inputs = [np.empty((B, m, rows)) for rows, _ in shapes]
+        for buf in self.inputs:
+            buf[:, :, 0] = 1.0
+        self.inputs[0][:, :, 1:] = X
+        self.z = np.empty((B, m, k))
+        self.mask = np.empty((B, m, k), dtype=bool)
+        self.acts = [np.empty((B, m, k)) for _ in shapes[1:]]
+        self.raw_col = np.empty((B, m, 1))
+        self.raw = self.raw_col[:, :, 0]
+        if y is None:
+            return
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (B, m):
+            raise DimensionMismatch(f"targets {y.shape} vs {(B, m)} blocks x samples")
+        self.y = y
+        self.taus = np.zeros((B, 3))        # shifts 0, -nu, +nu
+        self.resid = np.empty((B, 3, m))
+        self.sq = np.empty((B, 3, 1, 1))
+        self.costs = np.empty((B, 3))
+        self.better = np.empty(B, dtype=bool)
+        self.squares = [np.empty((B, rows - 1, cols)) for rows, cols in shapes]
+        self.reg = np.empty(B)
+        self.reg_part = np.empty(B)
+        self.lam_reg = np.empty(B)
+        self.shifted = np.empty((B, m))
+        self.d_out = np.empty((B, m, 1))
+        self.back = [np.empty((B, m, k)) for _ in range(min(2, len(shapes) - 1))]
+        self.deltas = [np.empty((B,) + shape) for shape in shapes]
+        self.scratch = [np.zeros((2, B) + shape) for shape in shapes]
+        self.flat = [delta.reshape(B, 1, -1) for delta in self.deltas]
+        self.norm = np.empty((B, 1, 1))
+        self.ok = [np.empty((B,) + shape, dtype=bool) for shape in shapes]
+        self.ok_part = np.empty(B, dtype=bool)
+        self.finite = np.empty(B, dtype=bool)
+        self.nu = np.empty(B)
+        self.row = np.empty((6, B))
+
+    def take(self, stack: BlockStack, keep) -> "Workspace":
+        """A workspace for stack, the blocks of a boolean mask of this one's."""
+        return Workspace(stack, self.inputs[0][keep][:, :, 1:], self.y[keep])
+
+
+def _block_rows(stack: BlockStack, X) -> np.ndarray:
+    """X as a float array, checked to be (B, m, d) rows for the stack."""
     X = np.asarray(X, dtype=np.float64)
     d = stack.mats[0].shape[1] - 1
     if X.ndim != 3 or X.shape[0] != len(stack) or X.shape[2] != d:
         raise DimensionMismatch(
             f"expected {len(stack)} blocks x rows x {d} input columns, got {X.shape}")
-    B, m, _ = X.shape
-    inputs = [np.empty((B, m, th.shape[1])) for th in stack.mats]
-    for buf in inputs:
-        buf[:, :, 0] = 1.0
-    inputs[0][:, :, 1:] = X
-    return inputs
+    return X
 
 
-def _targets(inputs: list, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != inputs[0].shape[:2]:
-        raise DimensionMismatch(
-            f"targets {y.shape} vs {inputs[0].shape[:2]} blocks x samples")
-    return y
+def _hidden_all(stack: BlockStack, ws: Workspace) -> None:
+    """Every hidden activation into ws.acts, copied into the non-bias
+    columns of the next layer input."""
+    for th, a_in, act, a_next in zip(stack.mats, ws.inputs, ws.acts, ws.inputs[1:]):
+        _sigmoid_into(np.matmul(a_in, th, out=ws.z), ws.mask, act)
+        a_next[:, :, 1:] = act
 
 
-def _forward_all(stack: BlockStack, inputs: list):
-    """Forward pass: every hidden activation (B, m, k), written straight into
-    the non-bias columns of the next buffer in inputs (the activations are
-    views of those columns), and the raw (unshifted) outputs (B, m)."""
-    activations = []
-    for th, a_in, a_out in zip(stack.mats, inputs, inputs[1:]):
-        activations.append(sigmoid(a_in @ th, out=a_out[:, :, 1:]))
-    return activations, (inputs[-1] @ stack.mats[-1])[:, :, 0]
+def _forward_all(stack: BlockStack, ws: Workspace) -> None:
+    """Forward pass at the stack's weights: the hidden activations, and the
+    raw (unshifted) outputs into ws.raw."""
+    _hidden_all(stack, ws)
+    np.matmul(ws.inputs[-1], stack.mats[-1], out=ws.raw_col)
 
 
 def stack_output(stack: BlockStack, X) -> np.ndarray:
-    """Tau-shifted outputs (B, m) of the stacked blocks for rows X (B, m, d)."""
-    _, raw = _forward_all(stack, layer_inputs(stack, X))
-    return weighted_estimate(raw, stack.tau[:, None])
+    """Tau-shifted outputs (B, m) of the stacked blocks for rows X (B, m, d).
+
+    The hidden layers take OUTPUT_ROWS rows at a time through one workspace
+    (the last tile takes the remainder, so no tile is shorter unless X is)
+    and write the output matrix's input for all rows, which then goes
+    through the output matrix in one call, as in a single pass."""
+    X = _block_rows(stack, X)
+    B, m, _ = X.shape
+    last = np.empty((B, m, stack.mats[-1].shape[1]))
+    last[:, :, 0] = 1.0
+    starts = range(0, max(m - OUTPUT_ROWS, 0) + 1, OUTPUT_ROWS)
+    ws = None
+    for lo, hi in zip(starts, [*starts[1:], m]):
+        if ws is None or ws.m != hi - lo:
+            ws = Workspace(stack, X[:, lo:hi])
+        else:
+            ws.inputs[0][:, :, 1:] = X[:, lo:hi]
+        ws.inputs[-1] = last[:, lo:hi]
+        _hidden_all(stack, ws)
+    return weighted_estimate(np.matmul(last, stack.mats[-1])[:, :, 0],
+                             stack.tau[:, None])
 
 
 def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
@@ -312,89 +394,120 @@ def compute_nu(estimates: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(estimates - y))
 
 
-def _reg_sum(stack: BlockStack) -> np.ndarray:
-    """Per block, the sum of squared non-bias weights over all matrices."""
-    reg = 0
-    for th in stack.mats:
-        reg = reg + (th[:, 1:] ** 2).reshape(len(th), -1).sum(axis=1)
-    return reg
+def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:
+    """Per block, the sum of squared non-bias weights over all matrices,
+    matrix by matrix, into ws.reg."""
+    for i, (th, sq) in enumerate(zip(stack.mats, ws.squares)):
+        np.square(th[:, 1:], out=sq)
+        np.add.reduce(sq.reshape(len(sq), -1), axis=1,
+                      out=ws.reg_part if i else ws.reg)
+        if i:
+            np.add(ws.reg, ws.reg_part, out=ws.reg)
+    return ws.reg
 
 
-def _sq_norms(mats: np.ndarray) -> np.ndarray:
-    """f @ f.T of every flattened slice: the same dot as np.linalg.norm."""
-    f = mats.reshape(len(mats), 1, -1)
-    return (f @ f.swapaxes(1, 2))[:, 0, 0]
+def _shift_costs(ws: Workspace, taus: np.ndarray, lam_reg) -> np.ndarray:
+    """Regularized cost (B, n) of every shift in taus (B, n): (1/2m) [sum of
+    squared residuals against the shifted output + lam * reg]."""
+    n = taus.shape[1]
+    resid = ws.resid[:, :n]
+    np.add(ws.raw[:, None, :], taus[:, :, None], out=resid)
+    np.subtract(ws.y[:, None, :], resid, out=resid)
+    sq = ws.sq[:, :n]
+    np.matmul(resid[:, :, None, :], resid[:, :, :, None], out=sq)
+    costs = ws.costs[:, :n]
+    np.add(sq[:, :, 0, 0], lam_reg[:, None], out=costs)
+    return np.multiply(0.5 / ws.m, costs, out=costs)
 
 
-def _tau_cost(raw, y, tau, lam, reg, m):
-    resid = y - (raw + tau[:, None])
-    return (0.5 / m) * (_sq_norms(resid) + lam * reg)
-
-
-def _pick_tau(raw, y, nu, lam, reg, m):
-    """Per block, the argmin of the regularized cost over shifts {0, -nu, +nu}.
+def _pick_tau(ws: Workspace, nu, lam_reg, use_tau: bool) -> None:
+    """Per block, the shift tau (ws.row[3]) that minimizes the regularized
+    cost over {0, -nu, +nu}, or 0 without use_tau, its cost (ws.row[0])
+    and the cost at 0 (ws.row[5]).
 
     Ties prefer 0, then -nu (the least perturbation first); a NaN cost is
-    never picked.  Returns (tau, cost_at_tau, cost_at_zero).
+    never picked.
     """
-    tau = np.zeros_like(nu)
-    cost_zero = _tau_cost(raw, y, tau, lam, reg, m)
-    best = cost_zero
-    for cand in (-nu, nu):
-        c = _tau_cost(raw, y, cand, lam, reg, m)
-        better = c < best
-        tau = np.where(better, cand, tau)
-        best = np.where(better, c, best)
-    return tau, best, cost_zero
+    taus = ws.taus
+    if use_tau:
+        np.negative(nu, out=taus[:, 1])
+        taus[:, 2] = nu
+    costs = _shift_costs(ws, taus[:, :3 if use_tau else 1], lam_reg)
+    best, tau = ws.row[0], ws.row[3]
+    best[:] = costs[:, 0]
+    ws.row[5] = best
+    tau[:] = 0.0
+    for c in range(1, costs.shape[1]):
+        np.less(costs[:, c], best, out=ws.better)
+        np.copyto(tau, taus[:, c], where=ws.better)
+        np.copyto(best, costs[:, c], where=ws.better)
 
 
 def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
     """Regularized cost: (1/2m) [sum squared residuals + lam * sum of
     squared non-bias weights], residuals against the tau-shifted output."""
     stack = stack_blocks([block])
-    inputs = layer_inputs(stack, np.asarray(X, dtype=np.float64)[None])
-    y = _targets(inputs, np.asarray(y, dtype=np.float64)[None])
-    _, raw = _forward_all(stack, inputs)
-    return float(_tau_cost(raw, y, stack.tau, stack.lam, _reg_sum(stack),
-                           y.shape[1])[0])
+    ws = Workspace(stack, np.asarray(X, dtype=np.float64)[None],
+                   np.asarray(y, dtype=np.float64)[None])
+    _forward_all(stack, ws)
+    lam_reg = stack.lam * _reg_sum(stack, ws)
+    return float(_shift_costs(ws, stack.tau[:, None], lam_reg)[0, 0])
 
 
-def block_gradients(stack: BlockStack, inputs: list, activations: list, y,
-                    raw, tau, gamma):
-    """Gamma-scaled gradient matrices, (B, rows, cols) each, aligned with
-    stack.mats.
+def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
+    """Gamma-scaled gradient matrices into ws.deltas, (B, rows, cols) each,
+    aligned with stack.mats.
 
     Each delta equals -m * dJ_data/dtheta * gamma at the stack's weights,
-    with J_data the squared-error half-mean against the tau-shifted output;
-    inputs and activations are what _forward_all produced at those weights.
+    with J_data the squared-error half-mean against the output shifted by
+    ws.row[3]; ws holds what _forward_all produced at those weights.
     """
     g = gamma[:, None, None]
-    d = (y - (raw + tau[:, None]))[:, :, None]
-    deltas = [(inputs[-1].swapaxes(1, 2) @ d) * g]
-    for i in range(len(inputs) - 1, 0, -1):
-        h = activations[i - 1]
-        d = (d @ stack.mats[i][:, 1:].swapaxes(1, 2)) * (h * (1.0 - h))
-        deltas.append((inputs[i - 1].swapaxes(1, 2) @ d) * g)
-    deltas.reverse()
+    mats, inputs, deltas = stack.mats, ws.inputs, ws.deltas
+    np.add(ws.raw, ws.row[3][:, None], out=ws.shifted)
+    d = ws.d_out
+    np.subtract(ws.y, ws.shifted, out=d[:, :, 0])
+    np.matmul(inputs[-1].swapaxes(1, 2), d, out=deltas[-1])
+    np.multiply(deltas[-1], g, out=deltas[-1])
+    for i in range(len(mats) - 1, 0, -1):
+        h, d_in = ws.acts[i - 1], ws.back[(len(mats) - 1 - i) % 2]
+        w = mats[i][:, 1:].swapaxes(1, 2)
+        if i == len(mats) - 1:
+            # theta2 has one column, so each element of d @ w is the single
+            # product 0 + d * w: einsum's outer product forms the same bits
+            # without a K = 1 matmul
+            np.einsum("bj,bl->bjl", d[:, :, 0], w[:, 0], out=d_in)
+        else:
+            np.matmul(d, w, out=d_in)
+        s = ws.z
+        np.subtract(1.0, h, out=s)
+        np.multiply(h, s, out=s)
+        np.multiply(d_in, s, out=d_in)
+        np.matmul(inputs[i - 1].swapaxes(1, 2), d_in, out=deltas[i - 1])
+        np.multiply(deltas[i - 1], g, out=deltas[i - 1])
+        d = d_in
     return deltas
 
 
 class ReinforcedRule:
     """Default update rule: gradients at the current weights, then
-    theta <- theta + (alpha * delta - lam * theta_nobias) / m."""
+    theta <- theta + (alpha * delta - lam * theta_nobias) / m, in place."""
 
     def gradient_point(self, stack: BlockStack) -> BlockStack:
         return stack
 
-    def update(self, stack, at, deltas: list, m: int) -> list:
+    def update(self, stack, at, deltas: list, m: int, scratch: list) -> list:
+        """Update stack.mats in place and return them; scratch holds two
+        buffers per matrix whose bias rows stay zero."""
         alpha = stack.alpha[:, None, None]
         lam = stack.lam[:, None, None]
-        new_mats = []
-        for th, delta in zip(stack.mats, deltas):
-            nobias = th.copy()
-            nobias[:, 0] = 0.0
-            new_mats.append(th + (alpha * delta - lam * nobias) / m)
-        return new_mats
+        for th, delta, (step, decay) in zip(stack.mats, deltas, scratch):
+            np.multiply(alpha, delta, out=step)
+            np.multiply(lam, th[:, 1:], out=decay[:, 1:])
+            np.subtract(step, decay, out=step)
+            np.divide(step, m, out=step)
+            np.add(th, step, out=th)
+        return stack.mats
 
     def take(self, keep) -> "ReinforcedRule":
         return self
@@ -403,53 +516,51 @@ class ReinforcedRule:
 REINFORCED = ReinforcedRule()
 
 
-def backprop_step(block: BlockStack, X, y, use_tau: bool = True, gamma=None,
-                  rule=REINFORCED):
-    """One full-batch iteration of every block in a stack.
+def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
+                  gamma=None, rule=REINFORCED) -> np.ndarray:
+    """One full-batch iteration of every block in a stack, in place.
 
-    block is a BlockStack, X its layer_inputs and y its targets (B, m);
-    gamma, if given, is a (B,) vector.  Returns (updated stack, StepResult,
-    finite): finite flags the blocks whose cost and new weights are all
-    finite.  Order: forward pass at rule.gradient_point(stack), shift
-    selection against that pre-update cost, gradients of every matrix at the
-    same weights, then the new weights from rule.update.  The updated stack
-    carries nu for the next iteration: the mean error of the shifted output
-    emitted here.
+    ws is the stack's Workspace (made with targets); gamma, if given, is a
+    (B,) vector.  Order: forward pass at rule.gradient_point(stack), shift
+    selection against that pre-update cost, gradients of every matrix at
+    the same weights, then the new weights from rule.update.  The stack
+    then holds the new weights, the selected shift, and the nu for the next
+    iteration: the mean error of the shifted output emitted here.  The
+    step's trace values are in ws.row and its gradients in ws.deltas.
+    Returns the (B,) mask of the blocks whose cost and new weights are all
+    finite.  Overflow is divergence: run this under
+    np.errstate(over="ignore", invalid="ignore").
     """
-    m = y.shape[1]
+    m, row = ws.m, ws.row
     if gamma is None:
-        gamma = block.gamma
+        gamma = stack.gamma
+    at = rule.gradient_point(stack)
+    _forward_all(at, ws)
+    if stack.nu is None:
+        row[4] = np.mean(np.zeros_like(ws.y) - ws.y, axis=1)
+    else:
+        row[4] = stack.nu
+    np.multiply(at.lam, _reg_sum(at, ws), out=ws.lam_reg)
+    _pick_tau(ws, row[4], ws.lam_reg, use_tau)
+    deltas = block_gradients(at, ws, gamma)
+    for j, f in ((1, ws.flat[0]), (2, ws.flat[-1])):
+        np.matmul(f, f.swapaxes(1, 2), out=ws.norm)
+        np.sqrt(ws.norm[:, 0, 0], out=row[j])
+    stack.mats = rule.update(stack, at, deltas, m, ws.scratch)
+    stack.tau[:] = row[3]
 
-    # Overflow here just means divergence; the finite mask reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        at = rule.gradient_point(block)
-        activations, raw = _forward_all(at, X)
-        nu = block.nu
-        if nu is None:
-            nu = np.mean(np.zeros_like(y) - y, axis=1)
-
-        reg = _reg_sum(at)
-        if use_tau:
-            tau, cost_sel, cost_zero = _pick_tau(raw, y, nu, at.lam, reg, m)
-        else:
-            tau = np.zeros_like(nu)
-            cost_zero = _tau_cost(raw, y, tau, at.lam, reg, m)
-            cost_sel = cost_zero
-
-        deltas = block_gradients(at, X, activations, y, raw, tau, gamma)
-        new_mats = rule.update(block, at, deltas, m)
-        grad1_norm = np.sqrt(_sq_norms(deltas[0]))
-        grad2_norm = np.sqrt(_sq_norms(deltas[-1]))
-        finite = np.isfinite(cost_sel)
-        for th in new_mats:
-            finite &= np.isfinite(th).reshape(len(th), -1).all(axis=1)
-        new_nu = np.mean((raw + tau[:, None]) - y, axis=1)
-
-    updated = replace(block, mats=new_mats, tau=tau, nu=new_nu)
-    step = StepResult(cost=cost_sel, cost_tau_zero=cost_zero, tau=tau, nu=nu,
-                      deltas=deltas, grad1_norm=grad1_norm,
-                      grad2_norm=grad2_norm)
-    return updated, step, finite
+    finite = ws.finite
+    np.isfinite(row[0], out=finite)
+    for th, ok in zip(stack.mats, ws.ok):
+        np.isfinite(th, out=ok)
+        np.logical_and.reduce(ok.reshape(len(ok), -1), axis=1, out=ws.ok_part)
+        finite &= ws.ok_part
+    # nu = np.mean(shifted output - y) in np.mean's own steps: a sum along
+    # each row, then a division by m (block_gradients left raw + tau here)
+    np.subtract(ws.shifted, ws.y, out=ws.shifted)
+    np.add.reduce(ws.shifted, axis=1, out=ws.nu)
+    stack.nu = np.divide(ws.nu, m, out=ws.nu)
+    return finite
 
 
 def _records(cols: np.ndarray, start_iteration: int) -> list:
@@ -462,7 +573,8 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
               use_tau: bool = True, jitter_rngs=None, rule=REINFORCED) -> list:
     """Run n_steps backprop iterations of every block in the stack.
 
-    This is the only loop that trains block weights.  X is (B, m, d) and y
+    This is the only loop that trains block weights; it trains the stack in
+    place, every step writing into one Workspace.  X is (B, m, d) and y
     (B, m); jitter_rngs, if given, holds one generator per block whose
     standard-normal draw is added to that block's gamma every iteration.
     Returns one outcome per block, in stack order: (block, trace columns),
@@ -472,35 +584,34 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     (numbered from start_iteration).  A diverged block leaves the stack; the
     others carry on unchanged.
     """
-    inputs = layer_inputs(stack, X)
-    y = _targets(inputs, y)
+    ws = Workspace(stack, X, y)
     outcomes = [None] * len(stack)
     active = np.arange(len(stack))
-    # per step: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero
-    cols = np.empty((6, n_steps, len(stack)))
-    for i in range(n_steps):
-        gamma = None
-        if jitter_rngs is not None:
-            gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
-        stack, step, finite = backprop_step(stack, inputs, y, use_tau=use_tau,
-                                            gamma=gamma, rule=rule)
-        cols[:, i, active] = (step.cost, step.grad1_norm, step.grad2_norm,
-                              step.tau, step.nu, step.cost_tau_zero)
-        if finite.all():
-            continue
-        for b in active[~finite]:
-            outcomes[b] = Diverged(
-                iteration=start_iteration + i,
-                trace=TrainingTrace(_records(cols[:, :i, b], start_iteration)))
-        active = active[finite]
-        if not active.size:
-            return outcomes
-        stack, rule = stack.take(finite), rule.take(finite)
-        inputs, y = [buf[finite] for buf in inputs], y[finite]
-        if jitter_rngs is not None:
-            jitter_rngs = [r for r, ok in zip(jitter_rngs, finite) if ok]
+    # per step and block: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero
+    cols = np.empty((n_steps, 6, len(stack)))
+    # Overflow here just means divergence; the finite mask reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            gamma = None
+            if jitter_rngs is not None:
+                gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
+            finite = backprop_step(stack, ws, use_tau, gamma, rule)
+            cols[i][:, active] = ws.row
+            if finite.all():
+                continue
+            for b in active[~finite]:
+                outcomes[b] = Diverged(
+                    iteration=start_iteration + i,
+                    trace=TrainingTrace(_records(cols[:i, :, b].T, start_iteration)))
+            active = active[finite]
+            if not active.size:
+                return outcomes
+            stack, rule = stack.take(finite), rule.take(finite)
+            ws = ws.take(stack, finite)
+            if jitter_rngs is not None:
+                jitter_rngs = [r for r, ok in zip(jitter_rngs, finite) if ok]
     for b, blk in zip(active, unstack(stack)):
-        outcomes[b] = (blk, cols[:, :, b])
+        outcomes[b] = (blk, cols[:, :, b].T)
     return outcomes
 
 

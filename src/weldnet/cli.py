@@ -37,6 +37,9 @@ SUMMARY_COLUMNS = ("mean_rmse", "median_rmse", "mean_pe", "ci95_low",
 DEFAULT_META = {"neurons": 8, "depth": 1, "degree": 0, "alpha": 0.5,
                 "gamma": 1.0, "lambda": 0.0, "iterations": 1000}
 
+# Hyperparameters of the adagrad/rmsprop/nesterov baselines.
+DEFAULT_OPT_HYPER = {"eta": 0.1, "rho": 0.9, "momentum": 0.9, "eps": 1e-8}
+
 DEFAULT_SPACE = {"neurons": [4, 8], "alpha": [0.1, 0.3, 1.0],
                  "gamma": [0.5, 1.0, 2.0], "lambda": [0.0],
                  "iterations": [1000], "depth": [1], "degree": [0]}
@@ -120,11 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="best-params JSON for nrn/ann/optimizers")
     p.add_argument("--no-tau", action="store_true")
     p.add_argument("--gamma-jitter", action="store_true")
-    p.add_argument("--eta", type=float, default=0.1,
+    p.add_argument("--eta", type=float, default=DEFAULT_OPT_HYPER["eta"],
                    help="learning rate for adagrad/rmsprop/nesterov")
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--rho", type=float, default=DEFAULT_OPT_HYPER["rho"])
+    p.add_argument("--momentum", type=float,
+                   default=DEFAULT_OPT_HYPER["momentum"])
+    p.add_argument("--eps", type=float, default=DEFAULT_OPT_HYPER["eps"])
     p.add_argument("--ner-degree", type=int, default=0)
     p.add_argument("--mcr-alpha", type=float, default=0.3)
     p.add_argument("--mcr-lambda", type=float, default=0.0)
@@ -403,6 +407,8 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     summary: per (method, target) mean/median rmse, mean pe, optional 95%
     CI over seeds, and a per-target z-score across methods, with its values
     in SUMMARY_COLUMNS order.
+    opt_hyper: eta, rho, momentum and eps of the optimizer methods; a key
+    left out takes its DEFAULT_OPT_HYPER value, as on the command line.
     """
     methods = list(methods)
     if not methods:
@@ -419,7 +425,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     metas = list(metas)
     if set(methods) & set(BLOCK_METHODS) and len(metas) != data.n_targets:
         raise ValueError(f"need {data.n_targets} meta sets, got {len(metas)}")
-    opt_hyper = opt_hyper or {}
+    opt_hyper = {**DEFAULT_OPT_HYPER, **(opt_hyper or {})}
     mcr_params = mcr_params or baselines.McrParams(
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 

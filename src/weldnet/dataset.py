@@ -18,6 +18,7 @@ from .errors import (
     BadColumnName,
     ConstantColumn,
     DegreeOutOfRange,
+    DuplicateColumn,
     EmptyDataset,
     IoError,
     MissingHeader,
@@ -122,6 +123,9 @@ def load_csv(path) -> Dataset:
     header = [c.strip() for c in lines[0].split(",")]
     if _all_numeric(header):
         raise MissingHeader(f"{path} first line looks like data, not a header")
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DuplicateColumn(name)
 
     feat_idx, feat_names, targ_idx, targ_names = [], [], [], []
     for j, name in enumerate(header):

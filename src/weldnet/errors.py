@@ -19,6 +19,14 @@ class UnprefixedColumn(WeldnetError):
         super().__init__(f"column {name!r} is not prefixed with 'iwp:' or 'dwp:'")
 
 
+class DuplicateColumn(WeldnetError):
+    """CSV header names one feature or one target twice."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column {name!r} appears more than once in the header")
+
+
 class BadColumnName(WeldnetError):
     """A column name a CSV header cannot carry: load_csv splits cells at
     commas and lines at line ends, reads quotes as text and strips

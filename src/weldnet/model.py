@@ -14,12 +14,11 @@ from .block import (
     BlockMetaParams,
     RegressionBlock,
     TrainingTrace,
+    blocks_output,
     cost,
     init_block,
     run_blocks,
     run_steps,
-    stack_blocks,
-    stack_output,
     trained_block,
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
@@ -232,15 +231,15 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
 
 
 def predict(model: AggregateModel, X_raw: np.ndarray) -> np.ndarray:
-    """Estimates for every target; column k comes from block k."""
+    """Estimates for every target; column k comes from block k.  The blocks
+    see the rows in tiles (block.OUTPUT_ROWS)."""
     X_raw = np.asarray(X_raw, dtype=np.float64)
     if X_raw.ndim != 2 or X_raw.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"expected {model.input_dim} feature columns, got {X_raw.shape}")
     _, inputs = ds.prepare_features(
         X_raw, [blk.meta.degree for blk in model.blocks], model.scaler)
-    return np.column_stack([stack_output(stack_blocks([blk]), X[None])[0]
-                            for blk, X in zip(model.blocks, inputs)])
+    return np.column_stack(blocks_output(model.blocks, inputs))
 
 
 def _mat_to_doc(mat: np.ndarray) -> dict:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dataset as ds
 from .block import (
+    INTEGER_FIELDS,
     MAX_DEPTH,
     MAX_ITERATIONS,
     MAX_NEURONS,
@@ -25,6 +26,7 @@ from .block import (
     BlockMetaParams,
     blocks_output,
     init_block,
+    is_count,
     run_blocks,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE
@@ -38,6 +40,8 @@ def _check_range(name, values, lo, hi):
     if not values:
         raise ValueError(f"{name} list must be non-empty")
     for v in values:
+        if name in INTEGER_FIELDS and not is_count(v):
+            raise ValueError(f"{name} value {v!r} is not an integer")
         if not (lo <= v <= hi):
             raise ValueError(f"{name} value {v} outside [{lo}, {hi}]")
     return values

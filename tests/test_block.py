@@ -7,13 +7,13 @@ import pytest
 from oracles import fd_data_gradients, forward_one, max_rel_error, step_one
 from weldnet.block import (
     BlockMetaParams,
+    Workspace,
     _forward_all,
     _pick_tau,
     _reg_sum,
     compute_nu,
     cost,
     init_block,
-    layer_inputs,
     run_steps,
     sigmoid,
     stack_blocks,
@@ -46,6 +46,24 @@ class TestMetaParams:
         good[field] = value
         with pytest.raises(ValueError):
             BlockMetaParams(**good)
+
+    @pytest.mark.parametrize("field,value", [
+        ("neurons", 4.7), ("neurons", 8.0), ("depth", True),
+        ("degree", "1"), ("iterations", 1000.5)])
+    def test_counts_must_be_integers(self, field, value):
+        good = dict(neurons=4, alpha=0.5, gamma=1.0, lam=0.0, iterations=1000)
+        good[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BlockMetaParams(**good)
+        doc = {"neurons": 4, "alpha": 0.5, "gamma": 1.0, "lambda": 0.0,
+               "iterations": 1000, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BlockMetaParams.from_dict(doc)
+
+    def test_numpy_integers_accepted(self):
+        meta = BlockMetaParams(neurons=np.int64(4), alpha=0.5, gamma=1.0,
+                               lam=0.0, iterations=np.int32(1000))
+        assert meta.neurons == 4 and meta.iterations == 1000
 
     def test_dict_round_trip(self):
         meta = BlockMetaParams(neurons=7, alpha=0.3, gamma=2.0, lam=0.01,
@@ -156,10 +174,10 @@ class TestComputeNu:
 def select_tau(block, X, y, nu):
     """Shift _pick_tau selects at the block's current weights."""
     stack = stack_blocks([block])
-    _, raw = _forward_all(stack, layer_inputs(stack, X[None]))
-    tau, _, _ = _pick_tau(raw, y[None], np.array([nu]), stack.lam,
-                          _reg_sum(stack), y.size)
-    return tau[0]
+    ws = Workspace(stack, X[None], y[None])
+    _forward_all(stack, ws)
+    _pick_tau(ws, np.array([nu]), stack.lam * _reg_sum(stack, ws), True)
+    return ws.row[3, 0]
 
 
 class TestSelectTau:

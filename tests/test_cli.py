@@ -415,6 +415,19 @@ class TestRunComparison:
             assert rec["rmse"] == wn.rmse(te.targets[:, k], preds[:, k])
             assert summary[("nrn", tname)]["ci_low"] is None
 
+    def test_optimizer_hyperparameters_default_to_the_cli(self):
+        data = wn.synthesize_weld(60, 0.02, seed=5)
+        meta = wn.BlockMetaParams(neurons=4, alpha=1.0, gamma=1.0, lam=0.0,
+                                  iterations=1000)
+        args = cli._build_parser().parse_args(["compare"])
+        flags = {"eta": args.eta, "rho": args.rho, "momentum": args.momentum,
+                 "eps": args.eps}
+        assert flags == {"eta": 0.1, "rho": 0.9, "momentum": 0.9, "eps": 1e-8}
+        got, _ = run_comparison(data, ["adagrad"], [meta, meta], [0], 0.2)
+        want, _ = run_comparison(data, ["adagrad"], [meta, meta], [0], 0.2,
+                                 opt_hyper=flags)
+        assert got == want
+
     def test_validation(self):
         data = wn.synthesize_weld(20, 0.02, seed=5)
         meta = wn.BlockMetaParams(neurons=4, alpha=1.0, gamma=1.0, lam=0.0,
@@ -427,6 +440,49 @@ class TestRunComparison:
             run_comparison(data, ["nrn"], [meta, meta], [], 0.2)
         with pytest.raises(ConfigError):
             run_comparison(data, ["nrn"], [meta, meta], [1], 1.5)
+
+
+class TestErrorContract:
+    """Bad values end in a WeldnetError and the documented exit code, run
+    in-process through cli.main."""
+
+    @pytest.mark.parametrize("space", [
+        {"iterations": [1000.5]}, {"neurons": [4.7]}, {"depth": [True]},
+        {"degree": ["1"]}])
+    def test_non_integer_search_space_is_config_error(
+            self, synth_csv, tmp_path, capsys, space):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        code = cli.main(["search", "--data", str(synth_csv), "--space",
+                         str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and next(iter(space)) in err
+        assert not (tmp_path / "best_params.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("neurons", 4.7), ("neurons", 8.0), ("iterations", 1000.5),
+        ("depth", True)])
+    def test_non_integer_params_is_config_error(self, synth_csv, tmp_path,
+                                                capsys, key, value):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"targets": {"penetration": {key: value}}}))
+        code = cli.main(["train", "--data", str(synth_csv), "--params",
+                         str(params), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be an integer" in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("header", ["iwp:a,iwp:a,dwp:y", "iwp:a,dwp:y,dwp:y"])
+    def test_duplicate_csv_column_is_runtime_error(self, tmp_path, capsys,
+                                                   header):
+        path = tmp_path / "dup.csv"
+        path.write_text(header + "\n1,2,3\n4,5,7\n2,1,0\n")
+        code = cli.main(["stats", "--data", str(path), "--out-dir",
+                         str(tmp_path)])
+        assert code == 3
+        assert "appears more than once" in capsys.readouterr().err
 
 
 class TestUnknownMetaKey:

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from weldnet.errors import (
     BadColumnName,
     ConstantColumn,
     DegreeOutOfRange,
+    DuplicateColumn,
     EmptyDataset,
     IoError,
     MissingHeader,
@@ -74,6 +76,21 @@ class TestLoadCsv:
             load_csv(p)
         assert err.value.name == "penetration"
 
+    @pytest.mark.parametrize("header, name", [
+        ("iwp:a,iwp:a,dwp:y", "iwp:a"), ("iwp:a,dwp:y,iwp:b,dwp:y", "dwp:y")])
+    def test_duplicate_column(self, tmp_path, header, name):
+        p = tmp_path / "dup.csv"
+        p.write_text(header + "\n" + ",".join("1" * len(header.split(","))) + "\n")
+        with pytest.raises(DuplicateColumn) as err:
+            load_csv(p)
+        assert err.value.name == name
+
+    def test_feature_and_target_may_share_a_name(self, tmp_path):
+        p = tmp_path / "same.csv"
+        p.write_text("iwp:a,dwp:a\n1,2\n")
+        data = load_csv(p)
+        assert data.feature_names == ["a"] and data.target_names == ["a"]
+
     def test_parse_error_locates_cell(self, tmp_path):
         p = tmp_path / "cell.csv"
         p.write_text("iwp:v,dwp:p\n1,2\n3,oops\n")
@@ -115,6 +132,8 @@ class TestLoadCsv:
 
 CELLS = st.one_of(
     st.floats(allow_nan=False), st.integers(), st.none(), st.text())
+SPECIAL_TEXT = st.lists(st.sampled_from(["a", ",", '"', "\n", "\r"]),
+                        max_size=4).map("".join)
 
 
 class TestWriteCsv:
@@ -154,6 +173,24 @@ class TestWriteCsv:
         p = tmp_path / "t.csv"
         write_csv(p, ["a\rb", "c"], [("x\r", 1.5)])
         assert p.read_bytes() == b'"a\rb",c\n"x\r",1.5\n'
+
+    @given(rows=st.lists(st.lists(st.one_of(CELLS, SPECIAL_TEXT), min_size=1,
+                                  max_size=5), max_size=8))
+    @example(rows=[[1.5, -7, None, ",", '"', "\n", "\r", "a\r\nb"]])
+    def test_same_bytes_as_row_by_row_writer(self, tmp_path_factory, rows):
+        """Every cell kind (float, int, None, and str with a comma, a quote,
+        a line feed or a lone carriage return) writes the bytes of a
+        "\r\n"-terminated csv.writer whose rows are cut back to "\n"."""
+        p =tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(p, ["h\r", "h,2"], iter(rows))
+        want = io.StringIO()
+        ref = csv.writer(want, lineterminator="\r\n")
+        for row in [["h\r", "h,2"], *rows]:
+            ref.writerow(row)
+            want.seek(want.tell() - 2)
+            want.write("\n")
+            want.truncate()
+        assert p.read_bytes() == want.getvalue().encode("utf-8")
 
 
 class TestSaveCsvNames:

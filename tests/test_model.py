@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from weldnet.block import BlockMetaParams, init_block, run_steps, train
+from weldnet import block
+from weldnet.block import (
+    OUTPUT_ROWS,
+    BlockMetaParams,
+    init_block,
+    run_steps,
+    train,
+)
 from weldnet.dataset import Dataset, save_csv, standardize, synthesize_weld
 from weldnet.errors import DimensionMismatch, FormatError, IoError
 from weldnet.model import (
@@ -189,6 +196,55 @@ class TestPredict:
         model, _ = train_all([quick_meta(), quick_meta()], weld_train, seed=1)
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((2, 5)))
+
+
+class TestPredictTiles:
+    """predict runs the rows through the hidden layers in tiles of
+    OUTPUT_ROWS and through the output matrix in one call."""
+
+    @pytest.fixture(scope="class")
+    def model(self, weld_train):
+        metas = [quick_meta(neurons=6, depth=2, degree=1),
+                 quick_meta(neurons=5, degree=2)]
+        return train_all(metas, weld_train, seed=2)[0]
+
+    @pytest.fixture(scope="class")
+    def wide_model(self, weld_train):
+        """Tall matrices: (16, 2) on the 15 degree-4 features, for which
+        BLAS gives other bits to a matmul of 16384 rows than to one of 10^5,
+        and (21, 40) and (41, 1) in a block of width 40, whose output
+        column takes other bits for a few rows when the output matrix is
+        applied tile by tile."""
+        metas = [quick_meta(neurons=2, degree=4),
+                 quick_meta(neurons=40, degree=5)]
+        return train_all(metas, weld_train, seed=2)[0]
+
+    def test_slices_match_the_whole(self, model):
+        """The model's matrices have at most 16 rows, where BLAS gives a row
+        the same bits whatever the row count of the call (for taller
+        matrices it can choose another kernel for a shorter call), so any
+        difference here would come from the tiling."""
+        X = synthesize_weld(2 * OUTPUT_ROWS + 300, 0.02, seed=3).features
+        whole = predict(model, X)
+        n, t = len(X), OUTPUT_ROWS
+        for i, j in [(0, 10), (t - 5, t + 5), (t - 1, 2 * t + 1),
+                     (100, t + 150), (2 * t - 20, n), (n - 12, n), (0, n)]:
+            assert predict(model, X[i:j]).tobytes() == whole[i:j].tobytes()
+
+    def test_tile_size_changes_nothing(self, model, monkeypatch):
+        X = synthesize_weld(500, 0.02, seed=4).features
+        one_tile = predict(model, X)
+        monkeypatch.setattr(block, "OUTPUT_ROWS", 16)
+        assert predict(model, X).tobytes() == one_tile.tobytes()
+
+    def test_tiles_match_a_single_pass(self, wide_model, monkeypatch):
+        """With tall matrices too, the tiled predict has the bits of one
+        pass over all rows (three tiles here)."""
+        X = synthesize_weld(65_539, 0.02, seed=5).features
+        assert 2 * OUTPUT_ROWS < len(X)
+        tiled = predict(wide_model, X)
+        monkeypatch.setattr(block, "OUTPUT_ROWS", len(X) + 1)
+        assert predict(wide_model, X).tobytes() == tiled.tobytes()
 
 
 class TestPersistence:

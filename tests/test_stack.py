@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import RefOptimizer, reference_run
 from weldnet import baselines, dataset as ds, metrics, model as mdl
 from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
@@ -169,6 +170,83 @@ def test_chunking_changes_nothing(case, cut, use_tau):
             assert_same_outcome(g, w)
         else:
             assert_same_outcome(g, (w[0], _records(w[1], 1)))
+
+
+# --- the workspace loop against the allocating step it replaced ---
+
+
+def assert_same_as_reference(got, want):
+    """got: run_stack outcomes; want: oracles.reference_run outcomes.
+    Weights, tau, nu and all six trace columns must be bit-equal."""
+    for g, w in zip(got, want):
+        if isinstance(w, Diverged):
+            assert isinstance(g, Diverged) and g.iteration == w.iteration
+            assert_same_records(g.trace.records, w.trace.records)
+        else:
+            assert not isinstance(g, Diverged)
+            assert_same_block(g[0], w[0])
+            assert g[1].shape == w[1].shape and bits(g[1]) == bits(w[1])
+
+
+@st.composite
+def reference_cases(draw):
+    """Blocks of one shape (depth 1-4, width 2-12, 1-40 rows) with their
+    own hyperparameters; in about half the cases one block is blown up to
+    diverge within the run while the others carry on."""
+    b = draw(st.integers(1, 5))
+    depth = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**16))
+    metas = [BlockMetaParams(
+        neurons=k, depth=depth, iterations=1000,
+        alpha=draw(st.floats(0.01, 3.0)), gamma=draw(st.floats(0.1, 4.0)),
+        lam=draw(st.sampled_from([0.0, 0.01, 0.3])))
+        for _ in range(b)]
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(b, m, d))
+    y = rng.normal(size=(b, m))
+    if draw(st.booleans()):
+        bad = draw(st.integers(0, b - 1))
+        X[bad] *= 50.0
+        y[bad] *= 1e3
+        metas[bad] = replace(metas[bad], alpha=1e6, gamma=1e6)
+    blocks = [init_block(meta, d, seed + i) for i, meta in enumerate(metas)]
+    return blocks, X, y
+
+
+@PROPERTY
+@given(case=reference_cases(), n_steps=st.integers(1, 30),
+       use_tau=st.booleans(), jitter=st.booleans())
+def test_run_stack_matches_allocating_step(case, n_steps, use_tau, jitter):
+    blocks, X, y = case
+
+    def rngs():
+        return ([np.random.default_rng(100 + i) for i in range(len(blocks))]
+                if jitter else None)
+
+    want = reference_run(blocks, X, y, n_steps, use_tau, rngs())
+    got = run_stack(stack_blocks(blocks), X, y, n_steps, use_tau=use_tau,
+                    jitter_rngs=rngs())
+    assert_same_as_reference(got, want)
+
+
+@PROPERTY
+@given(case=reference_cases(), n_steps=st.integers(1, 20),
+       kind=st.sampled_from(["plain", "adagrad", "rmsprop", "nesterov"]))
+def test_optimizer_run_stack_matches_allocating_step(case, n_steps, kind):
+    blocks, X, y = case
+    n_mats = len(blocks[0].matrices())
+
+    def states():
+        return [OptimizerState(kind, eta=0.01) for _ in range(n_mats)]
+
+    want = reference_run(blocks, X, y, n_steps, False,
+                         rule=RefOptimizer(states()))
+    got = run_stack(stack_blocks(blocks), X, y, n_steps, use_tau=False,
+                    rule=OptimizerRule(states()))
+    assert_same_as_reference(got, want)
 
 
 # --- commands that stack their blocks: train_all and compare ---
