@@ -15,7 +15,6 @@ from .block import (
     RegressionBlock,
     TrainingTrace,
     backprop_step,
-    compute_nu,
     cost,
     init_block,
     sigmoid,
@@ -58,7 +57,7 @@ __all__ = [
     "AggregateModel", "BlockMetaParams", "Dataset", "McrParams",
     "OptimizerState", "RegressionBlock", "ScalerParams",
     "SearchSpace", "TrainingTrace", "append_bias",
-    "backprop_step", "bead_surfaces", "combine", "compute_nu",
+    "backprop_step", "bead_surfaces", "combine",
     "confidence_interval", "cost", "evaluate_point", "grid_search",
     "init_block", "kendall", "linear_predict", "load", "load_csv", "mcr_fit",
     "normal_equation_fit", "optimizer_step", "optimizer_train", "pe",

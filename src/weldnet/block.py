@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MAX_DEGREE, MIN_DEGREE, write_csv
-from .errors import DimensionMismatch, Diverged, LengthMismatch
+from .errors import DimensionMismatch, Diverged
 
 MIN_NEURONS, MAX_NEURONS = 2, 100
 MIN_DEPTH, MAX_DEPTH = 1, 4
@@ -383,15 +383,6 @@ def stack_output(stack: BlockStack, X) -> np.ndarray:
 def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
     """Raw block output shifted by the scalar tau."""
     return np.asarray(raw, dtype=np.float64) + tau
-
-
-def compute_nu(estimates: np.ndarray, y: np.ndarray) -> float:
-    """Mean estimation error of one iteration's shifted output."""
-    estimates = np.asarray(estimates, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if estimates.shape != y.shape or y.ndim != 1 or y.size == 0:
-        raise LengthMismatch(f"estimates {estimates.shape} vs targets {y.shape}")
-    return float(np.mean(estimates - y))
 
 
 def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import baselines, dataset as ds, metrics, model as mdl, search as srch
 from .block import BlockMetaParams, trained_block
 from .errors import ConfigError, WeldnetError
 from .rng import derive_seed
+from .workers import map_tasks
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
 # Methods that train one block per target; compare trains each of them on
@@ -430,14 +431,15 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 
     splits = [ds.split(data, split_fraction, seed) for seed in seeds]
-    stacked = [m for m in methods if m in BLOCK_METHODS
-               and not (dynamic_width and m in ("nrn", "ann"))]
+    # every distinct block method that trains as stacks, each on a worker
+    stacked = list(dict.fromkeys(
+        m for m in methods if m in BLOCK_METHODS
+        and not (dynamic_width and m in ("nrn", "ann"))))
     feats = [_seed_features(tr, metas, standardize) if stacked else None
              for tr, _ in splits]
-    trained = {method: _train_stacked(method, data.target_names, splits, feats,
-                                      seeds, metas, use_tau, gamma_jitter,
-                                      opt_hyper)
-               for method in dict.fromkeys(stacked)}
+    trained = dict(zip(stacked, map_tasks(_train_stacked, [
+        (method, data.target_names, splits, feats, seeds, metas, use_tau,
+         gamma_jitter, opt_hyper) for method in stacked])))
 
     records = []
     for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):

@@ -2,7 +2,22 @@
 
 
 class WeldnetError(Exception):
-    """Base class for all weldnet errors."""
+    """Base class for all weldnet errors.
+
+    Errors pickle with their message and fields (worker processes hand
+    them back that way): an error is rebuilt from its args and attributes
+    without calling __init__, whose signature differs from class to class.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls, args, fields):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(fields)
+    return error
 
 
 # --- dataset ---
@@ -132,3 +147,8 @@ class FormatError(WeldnetError):
 
 class ConfigError(WeldnetError):
     """Experiment configuration is invalid or incomplete."""
+
+
+class WorkerDied(WeldnetError):
+    """A worker process ended before handing back its result (killed, for
+    example, by the out-of-memory killer)."""

@@ -23,6 +23,7 @@ from .block import (
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
 from .rng import derive_seed
+from .workers import map_tasks
 
 MODEL_FILE_VERSION = 1
 
@@ -61,7 +62,8 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     not depend on target order.  At fixed width the blocks train as stacks
     (train_seeded); with dynamic_width, each block trains alone, holds out
     a validation slice and probes neighboring hidden widths every
-    RESIZE_PERIOD iterations.  A divergence raises Diverged naming the
+    RESIZE_PERIOD iterations, the targets at the same time on forked
+    workers (workers.map_tasks).  A divergence raises Diverged naming the
     first diverging target in column order.
     """
     metas = list(metas)
@@ -74,16 +76,13 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     targets = list(train_data.targets.T)
 
     if dynamic_width:
-        trained = []
-        for meta, tname, X, y in zip(metas, names, inputs, targets):
-            jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
-                          if gamma_jitter else None)
-            try:
-                trained.append(_train_dynamic(meta, X, y, seed, tname,
-                                              use_tau, jitter_rng))
-            except Diverged as exc:
-                raise Diverged(iteration=exc.iteration, trace=exc.trace,
-                               target=tname) from exc
+        trained = map_tasks(_train_target, [
+            (meta, X, y, seed, tname, use_tau, gamma_jitter)
+            for meta, tname, X, y in zip(metas, names, inputs, targets)])
+        for tname, out in zip(names, trained):
+            if isinstance(out, Diverged):
+                raise Diverged(iteration=out.iteration, trace=out.trace,
+                               target=tname) from out
     else:
         trained = [trained_block(out, tname) for tname, out in zip(
             names, train_seeded(metas, inputs, targets, [seed] * len(metas),
@@ -109,6 +108,17 @@ def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
              for s, name in zip(seeds, names)] if gamma_jitter else None)
     return run_blocks(blocks, inputs, targets, use_tau=use_tau,
                       jitter_rngs=rngs, rule_for=rule_for)
+
+
+def _train_target(meta, X, y, seed, tname, use_tau, gamma_jitter):
+    """One target's dynamic-width training, a map_tasks task: (block,
+    trace), or the Diverged it ended in, returned rather than raised."""
+    jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
+                  if gamma_jitter else None)
+    try:
+        return _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng)
+    except Diverged as exc:
+        return exc
 
 
 def _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng):

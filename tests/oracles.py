@@ -21,7 +21,7 @@ from weldnet.block import (
     stack_blocks,
     unstack,
 )
-from weldnet.errors import Diverged
+from weldnet.errors import Diverged, LengthMismatch
 
 
 @dataclass
@@ -36,6 +36,15 @@ class StepResult:
     deltas: list
     grad1_norm: float
     grad2_norm: float
+
+
+def compute_nu(estimates, y):
+    """Mean estimation error of one iteration's shifted output."""
+    estimates = np.asarray(estimates, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if estimates.shape != y.shape or y.ndim != 1 or y.size == 0:
+        raise LengthMismatch(f"estimates {estimates.shape} vs targets {y.shape}")
+    return float(np.mean(estimates - y))
 
 
 def forward_one(block, X):
@@ -71,16 +80,18 @@ def step_one(block, X, y, use_tau=True, gamma=None, rule=REINFORCED):
         grad2_norm=grad2)
 
 
-def data_cost(block, X, y, tau=0.0):
-    """Half-mean squared error of the tau-shifted output (no regularizer)."""
+def data_cost(block, X, y, tau=0.0, lam=0.0):
+    """Half-mean squared error of the tau-shifted output, plus lam / (2m)
+    times the sum of squared non-bias weights (by default no regularizer)."""
     _, raw = forward_one(block, X)
     resid = y - (raw + tau)
-    return 0.5 / y.size * float(resid @ resid)
+    reg = sum(float(np.sum(th[1:] ** 2)) for th in block.matrices())
+    return 0.5 / y.size * (float(resid @ resid) + lam * reg)
 
 
-def fd_data_gradients(block, X, y, tau=0.0, h=1e-5):
-    """Central finite-difference gradients of the data cost for every
-    weight matrix, one perturbed entry at a time."""
+def fd_data_gradients(block, X, y, tau=0.0, h=1e-5, lam=0.0):
+    """Central finite-difference gradients of data_cost for every weight
+    matrix, one perturbed entry at a time."""
     grads = []
     for mat_idx, th in enumerate(block.matrices()):
         g = np.zeros_like(th)
@@ -91,7 +102,7 @@ def fd_data_gradients(block, X, y, tau=0.0, h=1e-5):
                 mats[mat_idx][idx] += sgn * h
                 b = replace(block, theta1=mats[0], hidden=mats[1:-1],
                             theta2=mats[-1])
-                vals.append(data_cost(b, X, y, tau))
+                vals.append(data_cost(b, X, y, tau, lam))
             g[idx] = (vals[0] - vals[1]) / (2.0 * h)
         grads.append(g)
     return grads

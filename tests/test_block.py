@@ -3,15 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import fd_data_gradients, forward_one, max_rel_error, step_one
+from oracles import (
+    compute_nu,
+    fd_data_gradients,
+    forward_one,
+    max_rel_error,
+    step_one,
+)
 from weldnet.block import (
     BlockMetaParams,
     Workspace,
     _forward_all,
     _pick_tau,
     _reg_sum,
-    compute_nu,
     cost,
     init_block,
     run_steps,
@@ -263,6 +270,31 @@ class TestBackpropStep:
         fd = fd_data_gradients(block, X, y)
         for delta, g in zip(step.deltas, fd):
             assert max_rel_error(delta / 1.6, -y.size * g) < 1e-5
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(depth=st.integers(1, 4), k=st.integers(2, 12), d=st.integers(1, 6),
+           m=st.integers(3, 30), lam=st.sampled_from([0.0, 0.01, 0.5]),
+           gamma=st.floats(0.1, 4.0), seed=st.integers(0, 2**16))
+    def test_finite_difference_oracle_on_random_shapes(self, depth, k, d, m,
+                                                       lam, gamma, seed):
+        """The gradients match central differences of the data cost, and
+        the update adds the regularizer's gradient: m * (new - old) =
+        alpha * delta - lam * (non-bias weights)."""
+        block = make_block(seed=seed, d=d, k=k, depth=depth, alpha=0.3,
+                           gamma=gamma, lam=lam)
+        X, y = make_data(seed=seed + 1, m=m, d=d)
+        updated, step = step_one(block, X, y, use_tau=False)
+        fd = fd_data_gradients(block, X, y)
+        fd_reg = fd_data_gradients(block, X, y, lam=lam)
+        for delta, g, g_reg, old, new in zip(step.deltas, fd, fd_reg,
+                                             block.matrices(),
+                                             updated.matrices()):
+            assert max_rel_error(delta / gamma, -m * g, floor=1e-3) < 1e-5
+            # the regularizer's part of m * dJ/dtheta, by differences
+            reg_grad = m * (g_reg - g)
+            assert max_rel_error(m * (new - old) - 0.3 * delta, -reg_grad,
+                                 floor=1e-3) < 1e-5
 
     def test_nu_is_mean_error_of_emitted_output(self):
         block = make_block(seed=6)

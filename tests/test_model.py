@@ -2,9 +2,13 @@ import copy
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weldnet import block
 from weldnet.block import (
@@ -14,7 +18,13 @@ from weldnet.block import (
     run_steps,
     train,
 )
-from weldnet.dataset import Dataset, save_csv, standardize, synthesize_weld
+from weldnet.dataset import (
+    Dataset,
+    ScalerParams,
+    save_csv,
+    standardize,
+    synthesize_weld,
+)
 from weldnet.errors import DimensionMismatch, FormatError, IoError
 from weldnet.model import (
     AggregateModel,
@@ -265,6 +275,58 @@ class TestPersistence:
         save(model, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), n_targets=st.integers(1, 3),
+           width=st.integers(1, 4), scaled=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_round_trip_is_exact(self, data, n_targets, width, scaled, seed):
+        """Random depth, hidden width and degree per block, weights and
+        shifts over the whole float range, with and without a scaler."""
+        rng = np.random.default_rng(seed)
+
+        def floats(shape):
+            return (rng.standard_normal(shape)
+                    * 10.0 ** rng.integers(-300, 300, shape))
+
+        blocks = []
+        for _ in range(n_targets):
+            meta = BlockMetaParams(
+                neurons=data.draw(st.integers(2, 12)),
+                depth=data.draw(st.integers(1, 4)),
+                degree=data.draw(st.integers(0, 6)),
+                alpha=data.draw(st.floats(1e-6, 1e6)),
+                gamma=data.draw(st.floats(1e-6, 1e6)),
+                lam=data.draw(st.floats(0.0, 1e6)), iterations=1000)
+            blk = init_block(meta, width * (meta.degree + 1), seed)
+            for th in blk.matrices():
+                th[:] = floats(th.shape)
+            blk.tau = float(floats(()))
+            blocks.append(blk)
+        scaler = (ScalerParams(floats(width), np.abs(floats(width)) + 1e-300)
+                  if scaled else None)
+        model = AggregateModel(blocks, scaler,
+                               [f"t{i}" for i in range(n_targets)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save(model, path)
+            back = load(path)
+            save(back, Path(tmp) / "again.json")
+            assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+        assert back.target_names == model.target_names
+        if scaled:
+            for got, want in ((back.scaler.means, scaler.means),
+                              (back.scaler.stds, scaler.stds)):
+                assert got.tobytes() == want.tobytes()
+        else:
+            assert back.scaler is None
+        for got, want in zip(back.blocks, model.blocks):
+            assert got.meta == want.meta
+            assert np.float64(got.tau).tobytes() == np.float64(want.tau).tobytes()
+            assert len(got.matrices()) == len(want.matrices())
+            for a, b in zip(got.matrices(), want.matrices()):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_wrong_version(self, tmp_path):
         p = tmp_path / "bad.json"
