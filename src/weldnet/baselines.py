@@ -20,6 +20,7 @@ from .block import (
     MIN_ITERATIONS,
     BlockMetaParams,
     init_block,
+    param_views,
     run_blocks,
     train,
     trained_block,
@@ -110,43 +111,73 @@ def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
 
 
 class OptimizerRule:
-    """Update rule with one OptimizerState per weight matrix, its
-    accumulator stacked like the matrix: gradients at the look-ahead
-    weights, then optimizer_step on the cost gradient."""
+    """Update rule of one OptimizerState for a whole stack, its accumulator
+    (B, P) like the stack's params and updated in place: gradients at the
+    look-ahead weights, then optimizer_step's arithmetic on the cost
+    gradient, op for op, written into the stack's params."""
 
-    def __init__(self, states: list):
-        self.states = states
+    def __init__(self, state: OptimizerState):
+        self.state = state
+        self.tmp = None  # (B, P) scratch: the look-ahead weights, then the step's
+
+    def _tmp(self, params):
+        if self.tmp is None:
+            self.tmp = np.empty_like(params)
+        return self.tmp
 
     def gradient_point(self, stack):
-        return replace(stack, mats=[lookahead(st, th)
-                                    for st, th in zip(self.states, stack.mats)])
+        st = self.state
+        if st.kind != "nesterov" or st.accum is None:
+            return stack
+        ahead = np.multiply(st.momentum, st.accum, out=self._tmp(stack.params))
+        np.add(stack.params, ahead, out=ahead)
+        return replace(stack, params=ahead, mats=param_views(ahead, stack.mats))
 
-    def update(self, stack, at, deltas, m, scratch):
-        lam = stack.lam[:, None, None]
-        new_states, new_mats = [], []
-        for st, th, sh, delta, (_, nobias) in zip(self.states, stack.mats,
-                                                  at.mats, deltas, scratch):
-            np.copyto(nobias, sh)
-            nobias[:, 0] = 0.0
-            st, new_th = optimizer_step(st, th, (-delta + lam * nobias) / m)
-            new_states.append(st)
-            new_mats.append(new_th)
-        self.states = new_states
-        return new_mats
+    def update(self, stack, at, ws):
+        st, w, g = self.state, stack.params, ws.step
+        # g = (-delta + lam * nobias) / m; decay's bias entries stay +0.0
+        np.multiply(stack.lam[:, None], at.params, out=ws.decay, where=ws.nonbias)
+        np.negative(ws.grad, out=g)
+        np.add(g, ws.decay, out=g)
+        np.divide(g, ws.m, out=g)
+        if st.kind == "plain":
+            np.multiply(st.eta, g, out=g)
+            np.subtract(w, g, out=w)
+            return
+        if st.accum is None:
+            self.state = st = replace(st, accum=np.zeros_like(w))
+        acc, tmp = st.accum, self._tmp(w)
+        if st.kind == "nesterov":
+            np.multiply(st.momentum, acc, out=acc)
+            np.multiply(st.eta, g, out=g)
+            np.subtract(acc, g, out=acc)
+            np.add(w, acc, out=w)
+            return
+        if st.kind == "adagrad":
+            np.multiply(g, g, out=tmp)
+        else:  # rmsprop
+            np.multiply(1.0 - st.rho, g, out=tmp)
+            np.multiply(tmp, g, out=tmp)
+            np.multiply(st.rho, acc, out=acc)
+        np.add(acc, tmp, out=acc)
+        np.sqrt(acc, out=tmp)
+        np.add(tmp, st.eps, out=tmp)
+        np.multiply(st.eta, g, out=g)
+        np.divide(g, tmp, out=g)
+        np.subtract(w, g, out=w)
 
     def take(self, keep) -> "OptimizerRule":
-        return OptimizerRule([st if st.accum is None
-                              else replace(st, accum=st.accum[keep])
-                              for st in self.states])
+        st = self.state
+        return OptimizerRule(st if st.accum is None
+                             else replace(st, accum=st.accum[keep]))
 
 
 def optimizer_rules(kind: str, eta: float, rho: float = 0.9,
                     momentum: float = 0.9, eps: float = 1e-8):
     """Update-rule factory for block.run_blocks: a fresh OptimizerRule, one
-    OptimizerState per weight matrix, for every stack."""
+    OptimizerState over the stack's params, for every stack."""
     def rule_for(stack):
-        return OptimizerRule([OptimizerState(kind, eta, rho, momentum, eps)
-                              for _ in stack.mats])
+        return OptimizerRule(OptimizerState(kind, eta, rho, momentum, eps))
     return rule_for
 
 

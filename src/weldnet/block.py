@@ -7,9 +7,10 @@ theta1 is (d+1) x k, each extra hidden matrix is (k+1) x k, and theta2 is
 (k+1) x 1; row 0 of every matrix holds the bias weights fed by an appended
 all-ones column.
 
-Training is B-way: a BlockStack holds B same-shape blocks with every weight
-matrix stacked on a leading axis, (B, rows, cols), and trains them on
-inputs (B, m, d) against targets (B, m).  run_stack is the one training
+Training is B-way: a BlockStack holds B same-shape blocks, all their
+weights in one (B, P) buffer viewed as every weight matrix stacked on a
+leading axis, (B, rows, cols), and trains them on inputs (B, m, d) against
+targets (B, m).  run_stack is the one training
 loop, every step writing into one Workspace made for the stack's shape;
 each backprop_step picks every block's shift tau from {-nu, 0, +nu}
 (nu: that block's previous mean error) and hands the gamma-scaled gradients
@@ -167,11 +168,13 @@ class TrainingTrace:
 class BlockStack:
     """B same-shape blocks on a leading axis.
 
-    mats are (B, rows, cols), input side first; tau, alpha, gamma and lam
-    are (B,) vectors; nu is a (B,) vector, or None before the first
-    iteration.
+    params is one (B, P) buffer holding each block's weights, matrix after
+    matrix, each row-major; mats are its (B, rows, cols) views, input side
+    first.  tau, alpha, gamma and lam are (B,) vectors; nu is a (B,)
+    vector, or None before the first iteration.
     """
 
+    params: np.ndarray
     mats: list
     tau: np.ndarray
     nu: np.ndarray | None
@@ -185,11 +188,23 @@ class BlockStack:
 
     def take(self, keep) -> "BlockStack":
         """The stack of the blocks selected by a boolean mask."""
+        params = self.params[keep]
         return BlockStack(
-            mats=[th[keep] for th in self.mats], tau=self.tau[keep],
-            nu=None if self.nu is None else self.nu[keep],
+            params=params, mats=param_views(params, self.mats),
+            tau=self.tau[keep], nu=None if self.nu is None else self.nu[keep],
             metas=[meta for meta, k in zip(self.metas, keep) if k],
             alpha=self.alpha[keep], gamma=self.gamma[keep], lam=self.lam[keep])
+
+
+def param_views(flat: np.ndarray, mats) -> list:
+    """(B, rows, cols) views of a (B, P) buffer, shaped and ordered like
+    the (B, rows, cols) arrays mats, each over its contiguous part of a row."""
+    views, start = [], 0
+    for th in mats:
+        rows, cols = th.shape[1:]
+        views.append(flat[:, start:start + rows * cols].reshape(-1, rows, cols))
+        start += rows * cols
+    return views
 
 
 def stack_blocks(blocks) -> BlockStack:
@@ -204,8 +219,11 @@ def stack_blocks(blocks) -> BlockStack:
     if len(started) != 1:
         raise ValueError("cannot stack started and unstarted blocks")
     metas = [b.meta for b in blocks]
+    params = np.array([np.concatenate([th.ravel() for th in b.matrices()])
+                       for b in blocks], dtype=np.float64)
     return BlockStack(
-        mats=[np.stack(ths) for ths in zip(*(b.matrices() for b in blocks))],
+        params=params,
+        mats=param_views(params, [th[None] for th in blocks[0].matrices()]),
         tau=np.array([b.tau for b in blocks], dtype=np.float64),
         nu=np.array([b.nu for b in blocks]) if started == {True} else None,
         metas=metas,
@@ -277,10 +295,13 @@ class Workspace:
     sigmoid scratch of one layer; acts, every hidden activation (B, m, k);
     raw, the unshifted outputs (B, m).  With targets y (B, m) it also holds
     what a backprop_step writes: shift candidates and their residuals and
-    costs, the regularizer, the shifted output, the backward deltas, the
-    gradient matrices (deltas, aligned with stack.mats), the update rule's
-    scratch, the finite mask, nu, and row, the step's trace values (6, B):
-    cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero.
+    costs, the squared weights and the regularizer, the shifted output, the
+    backward deltas, the gradients (grad, laid out like stack.params, and
+    deltas, its views aligned with stack.mats), the update rule's scratch
+    (step, and decay, whose bias entries stay zero), the finite mask, nu,
+    and row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
+    tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row of
+    params; spans gives each matrix's non-bias part as a (start, stop) slice.
     """
 
     def __init__(self, stack: BlockStack, X, y=None):
@@ -309,18 +330,28 @@ class Workspace:
         self.sq = np.empty((B, 3, 1, 1))
         self.costs = np.empty((B, 3))
         self.better = np.empty(B, dtype=bool)
-        self.squares = [np.empty((B, rows - 1, cols)) for rows, cols in shapes]
+        P = stack.params.shape[1]
+        self.nonbias = np.zeros(P, dtype=bool)
+        self.spans, start = [], 0
+        for rows, cols in shapes:
+            span = (start + cols, start + rows * cols)
+            self.nonbias[span[0]:span[1]] = True
+            self.spans.append(span)
+            start = span[1]
+        self.squares = np.empty((B, P))
         self.reg = np.empty(B)
         self.reg_part = np.empty(B)
         self.lam_reg = np.empty(B)
         self.shifted = np.empty((B, m))
         self.d_out = np.empty((B, m, 1))
         self.back = [np.empty((B, m, k)) for _ in range(min(2, len(shapes) - 1))]
-        self.deltas = [np.empty((B,) + shape) for shape in shapes]
-        self.scratch = [np.zeros((2, B) + shape) for shape in shapes]
-        self.flat = [delta.reshape(B, 1, -1) for delta in self.deltas]
+        self.grad = np.empty((B, P))
+        self.deltas = param_views(self.grad, stack.mats)
+        self.norm_rows = [d.reshape(B, 1, -1) for d in (self.deltas[0], self.deltas[-1])]
         self.norm = np.empty((B, 1, 1))
-        self.ok = [np.empty((B,) + shape, dtype=bool) for shape in shapes]
+        self.step = np.empty((B, P))
+        self.decay = np.zeros((B, P))
+        self.ok = np.empty((B, P), dtype=bool)
         self.ok_part = np.empty(B, dtype=bool)
         self.finite = np.empty(B, dtype=bool)
         self.nu = np.empty(B)
@@ -388,10 +419,9 @@ def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
 def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:
     """Per block, the sum of squared non-bias weights over all matrices,
     matrix by matrix, into ws.reg."""
-    for i, (th, sq) in enumerate(zip(stack.mats, ws.squares)):
-        np.square(th[:, 1:], out=sq)
-        np.add.reduce(sq.reshape(len(sq), -1), axis=1,
-                      out=ws.reg_part if i else ws.reg)
+    sq = np.square(stack.params, out=ws.squares)
+    for i, (lo, hi) in enumerate(ws.spans):
+        np.add.reduce(sq[:, lo:hi], axis=1, out=ws.reg_part if i else ws.reg)
         if i:
             np.add(ws.reg, ws.reg_part, out=ws.reg)
     return ws.reg
@@ -447,19 +477,17 @@ def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
 
 def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
     """Gamma-scaled gradient matrices into ws.deltas, (B, rows, cols) each,
-    aligned with stack.mats.
+    aligned with stack.mats (views of ws.grad).
 
     Each delta equals -m * dJ_data/dtheta * gamma at the stack's weights,
     with J_data the squared-error half-mean against the output shifted by
     ws.row[3]; ws holds what _forward_all produced at those weights.
     """
-    g = gamma[:, None, None]
     mats, inputs, deltas = stack.mats, ws.inputs, ws.deltas
     np.add(ws.raw, ws.row[3][:, None], out=ws.shifted)
     d = ws.d_out
     np.subtract(ws.y, ws.shifted, out=d[:, :, 0])
     np.matmul(inputs[-1].swapaxes(1, 2), d, out=deltas[-1])
-    np.multiply(deltas[-1], g, out=deltas[-1])
     for i in range(len(mats) - 1, 0, -1):
         h, d_in = ws.acts[i - 1], ws.back[(len(mats) - 1 - i) % 2]
         w = mats[i][:, 1:].swapaxes(1, 2)
@@ -475,8 +503,9 @@ def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
         np.multiply(h, s, out=s)
         np.multiply(d_in, s, out=d_in)
         np.matmul(inputs[i - 1].swapaxes(1, 2), d_in, out=deltas[i - 1])
-        np.multiply(deltas[i - 1], g, out=deltas[i - 1])
         d = d_in
+    # the backward pass reads no delta, so all are scaled at once
+    np.multiply(ws.grad, gamma[:, None], out=ws.grad)
     return deltas
 
 
@@ -487,18 +516,15 @@ class ReinforcedRule:
     def gradient_point(self, stack: BlockStack) -> BlockStack:
         return stack
 
-    def update(self, stack, at, deltas: list, m: int, scratch: list) -> list:
-        """Update stack.mats in place and return them; scratch holds two
-        buffers per matrix whose bias rows stay zero."""
-        alpha = stack.alpha[:, None, None]
-        lam = stack.lam[:, None, None]
-        for th, delta, (step, decay) in zip(stack.mats, deltas, scratch):
-            np.multiply(alpha, delta, out=step)
-            np.multiply(lam, th[:, 1:], out=decay[:, 1:])
-            np.subtract(step, decay, out=step)
-            np.divide(step, m, out=step)
-            np.add(th, step, out=th)
-        return stack.mats
+    def update(self, stack: BlockStack, at: BlockStack, ws: Workspace) -> None:
+        """Update stack.params in place from the gradients in ws.grad."""
+        step, decay = ws.step, ws.decay
+        np.multiply(stack.alpha[:, None], ws.grad, out=step)
+        # bias entries of decay are never written, so they stay +0.0
+        np.multiply(stack.lam[:, None], stack.params, out=decay, where=ws.nonbias)
+        np.subtract(step, decay, out=step)
+        np.divide(step, ws.m, out=step)
+        np.add(stack.params, step, out=stack.params)
 
     def take(self, keep) -> "ReinforcedRule":
         return self
@@ -533,19 +559,18 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
         row[4] = stack.nu
     np.multiply(at.lam, _reg_sum(at, ws), out=ws.lam_reg)
     _pick_tau(ws, row[4], ws.lam_reg, use_tau)
-    deltas = block_gradients(at, ws, gamma)
-    for j, f in ((1, ws.flat[0]), (2, ws.flat[-1])):
+    block_gradients(at, ws, gamma)
+    for j, f in zip((1, 2), ws.norm_rows):
         np.matmul(f, f.swapaxes(1, 2), out=ws.norm)
         np.sqrt(ws.norm[:, 0, 0], out=row[j])
-    stack.mats = rule.update(stack, at, deltas, m, ws.scratch)
+    rule.update(stack, at, ws)
     stack.tau[:] = row[3]
 
     finite = ws.finite
     np.isfinite(row[0], out=finite)
-    for th, ok in zip(stack.mats, ws.ok):
-        np.isfinite(th, out=ok)
-        np.logical_and.reduce(ok.reshape(len(ok), -1), axis=1, out=ws.ok_part)
-        finite &= ws.ok_part
+    np.isfinite(stack.params, out=ws.ok)
+    np.logical_and.reduce(ws.ok, axis=1, out=ws.ok_part)
+    finite &= ws.ok_part
     # nu = np.mean(shifted output - y) in np.mean's own steps: a sum along
     # each row, then a division by m (block_gradients left raw + tau here)
     np.subtract(ws.shifted, ws.y, out=ws.shifted)
@@ -587,7 +612,10 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
             if jitter_rngs is not None:
                 gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
             finite = backprop_step(stack, ws, use_tau, gamma, rule)
-            cols[i][:, active] = ws.row
+            if active.size == len(outcomes):
+                cols[i] = ws.row
+            else:
+                cols[i][:, active] = ws.row
             if finite.all():
                 continue
             for b in active[~finite]:
@@ -653,14 +681,19 @@ def run_blocks(blocks, inputs, targets, use_tau: bool = True,
     return outcomes
 
 
-def trained_block(outcome, target=None):
-    """(block, TrainingTrace) of a run_stack outcome; a Diverged outcome is
-    raised, naming target if given."""
+def outcome_block(outcome, target=None) -> RegressionBlock:
+    """The block of a run_stack outcome; a Diverged outcome is raised,
+    naming target if given."""
     if isinstance(outcome, Diverged):
         raise Diverged(iteration=outcome.iteration, trace=outcome.trace,
                        target=target) from outcome
-    block, cols = outcome
-    return block, TrainingTrace(_records(cols, 1))
+    return outcome[0]
+
+
+def trained_block(outcome, target=None):
+    """(block, TrainingTrace) of a run_stack outcome, raised as by
+    outcome_block."""
+    return outcome_block(outcome, target), TrainingTrace(_records(outcome[1], 1))
 
 
 def blocks_output(blocks, inputs) -> list:

@@ -12,16 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import RefOptimizer, reference_run
+from oracles import RefOptimizer, RefReinforced, reference_run
 from weldnet import baselines, dataset as ds, metrics, model as mdl
 from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
+    REINFORCED,
     BlockMetaParams,
+    Workspace,
     _records,
     init_block,
     run_stack,
     run_steps,
     stack_blocks,
+    unstack,
 )
 from weldnet.cli import run_comparison
 from weldnet.errors import Diverged
@@ -124,11 +127,9 @@ def test_stack_equals_blocks_alone(case, n_steps, use_tau, jitter):
        kind=st.sampled_from(["plain", "adagrad", "rmsprop", "nesterov"]))
 def test_optimizer_rule_stack_equals_blocks_alone(case, n_steps, kind):
     blocks, X, y = case
-    n_mats = len(blocks[0].matrices())
 
     def rule_for(_):
-        return OptimizerRule([OptimizerState(kind, eta=0.01)
-                              for _ in range(n_mats)])
+        return OptimizerRule(OptimizerState(kind, eta=0.01))
 
     got = together(blocks, X, y, n_steps, False, rule_for=rule_for)
     want = alone(blocks, X, y, n_steps, False, rule_for=rule_for)
@@ -191,8 +192,14 @@ def assert_same_as_reference(got, want):
 @st.composite
 def reference_cases(draw):
     """Blocks of one shape (depth 1-4, width 2-12, 1-40 rows) with their
-    own hyperparameters; in about half the cases one block is blown up to
-    diverge within the run while the others carry on."""
+    own hyperparameters (lambda 0 or above); in about half the cases one
+    block is blown up to diverge within the run while the others carry on.
+
+    The blown-up block's gamma is drawn from three scales.  1e6 makes the
+    reinforced update overflow some steps in, 1e12 the plain and Nesterov
+    ones too.  Adagrad and rmsprop take steps of at most ~eta whatever the
+    gradient's scale, so only a gradient that overflows at once (1e308)
+    makes them diverge, in the first step."""
     b = draw(st.integers(1, 5))
     depth = draw(st.integers(1, 4))
     k = draw(st.integers(2, 12))
@@ -211,7 +218,8 @@ def reference_cases(draw):
         bad = draw(st.integers(0, b - 1))
         X[bad] *= 50.0
         y[bad] *= 1e3
-        metas[bad] = replace(metas[bad], alpha=1e6, gamma=1e6)
+        metas[bad] = replace(metas[bad], alpha=1e6,
+                             gamma=draw(st.sampled_from([1e6, 1e12, 1e308])))
     blocks = [init_block(meta, d, seed + i) for i, meta in enumerate(metas)]
     return blocks, X, y
 
@@ -245,8 +253,97 @@ def test_optimizer_run_stack_matches_allocating_step(case, n_steps, kind):
     want = reference_run(blocks, X, y, n_steps, False,
                          rule=RefOptimizer(states()))
     got = run_stack(stack_blocks(blocks), X, y, n_steps, use_tau=False,
-                    rule=OptimizerRule(states()))
+                    rule=OptimizerRule(OptimizerState(kind, eta=0.01)))
     assert_same_as_reference(got, want)
+
+
+RULE_KINDS = [None, "plain", "adagrad", "rmsprop", "nesterov"]
+
+
+def take_case(gamma_bad):
+    """Three depth-3 blocks with lambda > 0, the first blown up by
+    gamma_bad to diverge while the other two carry on."""
+    metas = [BlockMetaParams(neurons=4, depth=3, iterations=1000, alpha=0.5,
+                             gamma=g, lam=lam)
+             for g, lam in ((gamma_bad, 0.01), (1.5, 0.3), (0.8, 0.01))]
+    metas[0] = replace(metas[0], alpha=1e6)
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(3, 20, 2))
+    y = rng.normal(size=(3, 20))
+    X[0] *= 50.0
+    y[0] *= 1e3
+    return [init_block(meta, 2, 40 + i) for i, meta in enumerate(metas)], X, y
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS, ids=lambda k: k or "reinforced")
+def test_take_path_matches_allocating_step(kind):
+    # see reference_cases for why adagrad and rmsprop need gamma 1e308
+    blocks, X, y = take_case(1e308 if kind in ("adagrad", "rmsprop") else 1e12)
+    if kind is None:
+        want = reference_run(blocks, X, y, 25, False)
+        got = run_stack(stack_blocks(blocks), X, y, 25, use_tau=False)
+    else:
+        want = reference_run(blocks, X, y, 25, False, rule=RefOptimizer(
+            [OptimizerState(kind, eta=0.01) for _ in blocks[0].matrices()]))
+        got = run_stack(stack_blocks(blocks), X, y, 25, use_tau=False,
+                        rule=OptimizerRule(OptimizerState(kind, eta=0.01)))
+    assert isinstance(want[0], Diverged)
+    assert want[0].iteration >= (1 if kind in ("adagrad", "rmsprop") else 2)
+    assert not any(isinstance(w, Diverged) for w in want[1:])
+    assert_same_as_reference(got, want)
+
+
+# not nesterov: w + v with v = +0.0 turns -0.0 into +0.0 in the reference too
+@pytest.mark.parametrize("kind", RULE_KINDS[:4], ids=lambda k: k or "reinforced")
+def test_negative_zero_bias_keeps_its_bits(kind):
+    """With lambda > 0, a bias entry holding -0.0 whose update is zero stays
+    -0.0, as in the per-matrix reference: its decay term is +0.0, never
+    lam * -0.0 (which a 0/1 bias mask would give, flipping the sign)."""
+    blocks, X, y = take_case(1.0)
+    for blk in blocks:
+        for th in blk.matrices():
+            th[0] = -0.0
+    stack = stack_blocks(blocks)
+    ws = Workspace(stack, X, y)
+    ws.grad[:] = np.random.default_rng(3).normal(size=ws.grad.shape)
+    # the reinforced step adds alpha * delta, an optimizer step subtracts
+    # a multiple of -delta: a zero of either sign keeps -0.0 the same way
+    for d in ws.deltas:
+        d[:, 0] = -0.0 if kind is None else 0.0
+    mats = [th.copy() for th in stack.mats]
+    deltas = [d.copy() for d in ws.deltas]
+    if kind is None:
+        rule, ref = REINFORCED, RefReinforced()
+    else:
+        rule = OptimizerRule(OptimizerState(kind, eta=0.01))
+        ref = RefOptimizer([OptimizerState(kind, eta=0.01) for _ in mats])
+    rule.update(stack, stack, ws)
+    want = ref(mats, mats, deltas, stack.alpha, stack.lam, ws.m)
+    for th, w in zip(stack.mats, want):
+        assert bits(th) == bits(w)
+        assert np.all(np.signbit(th[:, 0])) and np.all(th[:, 0] == 0.0)
+
+
+def test_stack_buffers_are_views_and_unstack_copies():
+    blocks, X, y = take_case(1.0)
+    stack = stack_blocks(blocks)
+    ws = Workspace(stack, X, y)
+    keep = np.array([True, False, True])
+    taken = stack.take(keep)
+    for stk, w, members in ((stack, ws, blocks),
+                            (taken, ws.take(taken, keep), blocks[::2])):
+        assert stk.params.flags.c_contiguous
+        for th in stk.mats:
+            assert np.shares_memory(th, stk.params)
+        for d in w.deltas:
+            assert np.shares_memory(d, w.grad)
+        for row, blk in zip(stk.params, members):
+            assert bits(row) == bits(np.concatenate(
+                [th.ravel() for th in blk.matrices()]))
+    for blk in unstack(taken):
+        for th in blk.matrices():
+            assert th.flags.owndata
+            assert not np.shares_memory(th, taken.params)
 
 
 # --- commands that stack their blocks: train_all and compare ---
