@@ -19,7 +19,9 @@ the new weights (update).  ReinforcedRule is the default; the plain ANN
 uses it with gamma = 1 and tau off, the optimizer baselines plug in their
 own rules.  A single block is a stack of one: run_steps and train are
 B = 1 calls of the same loop.  run_blocks trains any list of blocks, each
-on its own data, grouping those of one shape into stacks.
+on its own data, grouping those of one shape into stacks, and cuts a group
+of at least 2 * PART_BLOCKS blocks into sub-stacks that train at the same
+time, one per usable CPU, on forked workers (workers.map_tasks).
 
 Every per-block quantity is computed slice by slice in the rounding order of
 a lone block, so a block's weights, shifts and trace do not depend on what
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .dataset import MAX_DEGREE, MIN_DEGREE, write_csv
 from .errors import DimensionMismatch, Diverged
 
@@ -655,28 +658,63 @@ def _stack_groups(blocks, inputs):
             yield idx[start:start + size]
 
 
+# Fewest blocks in a sub-stack when run_blocks cuts a group across CPUs.
+# At m=160, d=3, k=8 and 1000 steps a stack step costs ~105 us of call
+# overhead plus ~17 us per block, and one map_tasks call ~12 ms, so on 2
+# CPUs two half-stacks beat the whole stack from B=8 on (-14%, faster in
+# 13 of 15 alternating pairs; B=10: -18%, 15 of 15) but not at B=4 (-1%,
+# 8 of 15).
+PART_BLOCKS = 4
+
+
+def _parts(idx, cpus: int) -> list:
+    """idx cut into min(cpus, len(idx) // PART_BLOCKS) near-equal runs,
+    at least one."""
+    n = max(1, min(cpus, len(idx) // PART_BLOCKS))
+    return [idx[k * len(idx) // n:(k + 1) * len(idx) // n] for k in range(n)]
+
+
+def _train_stack(blocks, inputs, targets, use_tau, jitter_rngs, rule_for):
+    """run_stack outcomes of same-shape blocks trained as one stack."""
+    stack = stack_blocks(blocks)
+    return run_stack(stack, inputs, targets, stack.metas[0].iterations,
+                     use_tau=use_tau, jitter_rngs=jitter_rngs,
+                     rule=REINFORCED if rule_for is None else rule_for(stack))
+
+
 def run_blocks(blocks, inputs, targets, use_tau: bool = True,
                jitter_rngs=None, rule_for=None) -> list:
     """Train every block for its meta.iterations, each on its own inputs
     (m, d) and targets (m,), as few stacks as the shapes allow.
 
     Blocks with the same matrix shapes, rows and iteration count share a
-    run_stack call; jitter_rngs, if given, holds one generator per block;
+    stack; jitter_rngs, if given, holds one generator per block;
     rule_for(stack) makes the update rule of each stack (default: the
     reinforced rule), as a rule may hold state for one stack.  Returns one
     run_stack outcome per block, in input order; as a block's training does
     not depend on its stack, each equals the block trained alone.
+
+    A group of at least 2 * PART_BLOCKS blocks is cut into
+    min(usable CPUs, len // PART_BLOCKS) near-equal sub-stacks, and then
+    every stack of the call trains on forked workers (workers.map_tasks),
+    each with its own rule_for(stack).  A generator of jitter_rngs used on
+    a worker does not advance in the caller, so pass fresh ones.  A call
+    with no group that large trains its stacks here, one after another.
     """
+    groups = list(_stack_groups(blocks, inputs))
+    cpus = workers.usable_cpus()
+    parts = [part for idx in groups for part in _parts(idx, cpus)]
+    tasks = [([blocks[i] for i in idx], [inputs[i] for i in idx],
+              [targets[i] for i in idx], use_tau,
+              None if jitter_rngs is None else [jitter_rngs[i] for i in idx],
+              rule_for) for idx in parts]
+    if len(parts) > len(groups):
+        outs = workers.map_tasks(_train_stack, tasks)
+    else:
+        outs = [_train_stack(*task) for task in tasks]
     outcomes = [None] * len(blocks)
-    for idx in _stack_groups(blocks, inputs):
-        stack = stack_blocks(blocks[i] for i in idx)
-        outs = run_stack(
-            stack, [inputs[i] for i in idx], [targets[i] for i in idx],
-            stack.metas[0].iterations, use_tau=use_tau,
-            jitter_rngs=(None if jitter_rngs is None
-                         else [jitter_rngs[i] for i in idx]),
-            rule=REINFORCED if rule_for is None else rule_for(stack))
-        for i, out in zip(idx, outs):
+    for idx, part_outs in zip(parts, outs):
+        for i, out in zip(idx, part_outs):
             outcomes[i] = out
     return outcomes
 

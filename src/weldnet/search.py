@@ -4,7 +4,10 @@ cross-validated RMSE on one target column.
 Every (grid point, fold) pair is one block.  block.run_blocks trains
 blocks of one shape (training rows, input width, neurons, depth,
 iterations) together as a stack, so a grid costs a few B-way loops rather
-than one loop per block.
+than one loop per block, and cuts a group of 2 * block.PART_BLOCKS blocks
+or more into sub-stacks that train at the same time on forked workers,
+one per usable CPU.  Either way every score has the bits of its point
+trained alone.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ min(tasks, CPUs) of them, which it joins before it returns.  The workers
 inherit fn and the tasks from the fork, so only task indices go to them
 and only results (or the exception a task raised) come back, pickled.
 Where fork is not available, or with one task or one CPU, the tasks run
-inline.  Each task computes what it would compute inline, so results do
-not depend on where it ran; a failing map raises the exception of the
-first failing task in task order, and WorkerDied if a worker ended
+inline.  A worker counts one usable CPU, so a map_tasks call made inside
+a task runs inline there rather than forking onto CPUs its siblings are
+already using.  Each task computes what it would compute inline, so
+results do not depend on where it ran; a failing map raises the exception
+of the first failing task in task order, and WorkerDied if a worker ended
 without handing back its result.
 """
 
@@ -25,14 +27,22 @@ _CALL = None
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on (1 where the platform does not say)."""
+    """CPUs this process may run on (1 where the platform does not say,
+    and in a map_tasks worker)."""
     affinity = getattr(os, "sched_getaffinity", None)
     return 1 if affinity is None else len(affinity(0))
 
 
+def _one_cpu() -> int:
+    return 1
+
+
 def _inherit(fn, tasks) -> None:
-    global _CALL
+    global _CALL, usable_cpus
     _CALL = fn, tasks
+    # rebound, not tested in usable_cpus, so that it also replaces a
+    # usable_cpus the parent had patched
+    usable_cpus = _one_cpu
 
 
 def _run(i: int):

@@ -1,18 +1,36 @@
 """Independent tasks on forked workers (workers.map_tasks): results equal
-the tasks run inline, errors come back intact, and a dead worker ends in a
-WeldnetError.  The dynamic-width targets of train_all run this way; each
-equals its target trained alone, bit for bit, with one CPU or with two."""
+the tasks run inline, errors come back intact, a dead worker ends in a
+WeldnetError, and a task runs any map_tasks of its own inline.  The
+dynamic-width targets of train_all run this way, and so do the sub-stacks
+run_blocks cuts a large same-shape group into; each equals its block or
+target trained alone, bit for bit, with one CPU or with two."""
 
 import inspect
+import json
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from test_stack import assert_same_block, assert_same_records, weld_meta
-from weldnet import cli, dataset as ds, errors, model as mdl, workers
-from weldnet.block import TraceRecord, TrainingTrace
+from test_stack import assert_same_block, assert_same_records, bits, weld_meta
+from weldnet import (
+    baselines,
+    block,
+    cli,
+    dataset as ds,
+    errors,
+    model as mdl,
+    workers,
+)
+from weldnet.block import (
+    TraceRecord,
+    TrainingTrace,
+    init_block,
+    run_blocks,
+    run_stack,
+    stack_blocks,
+)
 from weldnet.errors import Diverged, WeldnetError, WorkerDied
 from weldnet.rng import derive_seed
 
@@ -116,6 +134,22 @@ def test_dead_worker_is_a_weldnet_error(monkeypatch):
         workers.map_tasks(dies_in_worker, [(1,), (2,)])
 
 
+def _inner_pids(x):
+    """A task that maps tasks of its own: its pid, the CPUs it counts and
+    the pids its inner tasks ran in."""
+    inner = workers.map_tasks(_pid_and_square, [(y,) for y in range(x + 2)])
+    return os.getpid(), workers.usable_cpus(), [pid for pid, _ in inner]
+
+
+def test_task_runs_its_own_map_inline(monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    got = workers.map_tasks(_inner_pids, [(x,) for x in range(3)])
+    assert os.getpid() not in {pid for pid, _, _ in got}
+    for x, (pid, cpus, inner) in enumerate(got):
+        assert cpus == 1
+        assert inner == [pid] * (x + 2)
+
+
 def test_dead_worker_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
     data = ds.synthesize_weld(40, 0.02, seed=2)
     ds.save_csv(data, tmp_path / "weld.csv")
@@ -195,3 +229,192 @@ def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
     assert got.value.iteration == alone[0].iteration
     assert str(got.value) == str(Diverged(alone[0].iteration, target="p"))
     assert_same_records(got.value.trace.records, alone[0].trace.records)
+
+
+# --- run_blocks: large same-shape groups cut across workers ---
+
+
+def spy_map_tasks(monkeypatch) -> list:
+    """The task count of every map_tasks call run_blocks makes from now on."""
+    calls = []
+    real = workers.map_tasks
+
+    def spy(fn, tasks):
+        tasks = list(tasks)
+        calls.append(len(tasks))
+        return real(fn, tasks)
+
+    monkeypatch.setattr(workers, "map_tasks", spy)
+    return calls
+
+
+def blocks_case(shapes, seed=0, bad=None):
+    """Blocks of the given (count, neurons, rows) groups, each with its own
+    alpha, gamma and data; block bad is blown up to diverge."""
+    rng = np.random.default_rng(seed)
+    blocks, inputs, targets = [], [], []
+    for count, k, m in shapes:
+        for _ in range(count):
+            meta = weld_meta(neurons=k, alpha=float(rng.uniform(0.1, 1.0)),
+                             gamma=float(rng.uniform(0.5, 2.0)), lam=0.001)
+            blocks.append(init_block(meta, 3, int(rng.integers(2**16))))
+            inputs.append(rng.normal(size=(m, 3)))
+            targets.append(rng.normal(size=m))
+    if bad is not None:
+        inputs[bad] *= 50.0
+        targets[bad] *= 1e3
+        blocks[bad].meta = weld_meta(neurons=blocks[bad].meta.neurons,
+                                     alpha=1e6, gamma=1e6, lam=0.0)
+    return blocks, inputs, targets
+
+
+def jitter_rngs(n):
+    return [np.random.default_rng(100 + i) for i in range(n)]
+
+
+def groups_whole(case, counts, jitter=False, rule_for=None):
+    """run_stack outcomes of case's blocks trained in one stack per group
+    of counts consecutive blocks, in this process: run_blocks as it was
+    before it cut groups (and, by tests/test_stack.py, every block trained
+    alone)."""
+    blocks, inputs, targets = case
+    rngs = jitter_rngs(len(blocks)) if jitter else None
+    out, start = [], 0
+    for count in counts:
+        part = slice(start, start + count)
+        stack = stack_blocks(blocks[part])
+        out += run_stack(stack, inputs[part], targets[part],
+                         blocks[start].meta.iterations,
+                         jitter_rngs=None if rngs is None else rngs[part],
+                         rule=(block.REINFORCED if rule_for is None
+                               else rule_for(stack)))
+        start += count
+    return out
+
+
+def assert_same_outcomes(got, want):
+    """Weights, tau, nu and all six trace columns bit-equal; a Diverged at
+    the same iteration with the same partial trace."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Diverged):
+            assert isinstance(g, Diverged)
+            assert g.iteration == w.iteration
+            assert_same_records(g.trace.records, w.trace.records)
+        else:
+            assert not isinstance(g, Diverged)
+            assert_same_block(g[0], w[0])
+            assert g[1].shape == w[1].shape and bits(g[1]) == bits(w[1])
+
+
+RUN_BLOCKS_CASES = {
+    # name: (groups of (count, neurons, rows), diverging block, jitter,
+    #        optimizer, map_tasks task counts at 2 CPUs)
+    "diverging-member": ([(9, 3, 16)], 4, False, None, [2]),
+    "gamma-jitter": ([(8, 3, 16)], None, True, None, [2]),
+    "optimizer": ([(8, 3, 16)], None, False, "adagrad", [2]),
+    "mixed-shapes": ([(8, 3, 16), (3, 4, 16), (9, 3, 12)], 12, False, None,
+                     [5]),
+}
+
+
+@pytest.fixture(scope="module")
+def whole_outcomes():
+    """Per RUN_BLOCKS_CASES name: (blocks, inputs, targets, rule_for, the
+    outcomes of every group trained as one stack)."""
+    out = {}
+    for name, (shapes, bad, jitter, kind, _) in RUN_BLOCKS_CASES.items():
+        case = blocks_case(shapes, bad=bad)
+        rule_for = (None if kind is None
+                    else baselines.optimizer_rules(kind, eta=0.01))
+        out[name] = (*case, rule_for, groups_whole(
+            case, [count for count, _, _ in shapes], jitter, rule_for))
+    return out
+
+
+@pytest.mark.parametrize("name", RUN_BLOCKS_CASES)
+def test_run_blocks_equals_groups_whole(name, whole_outcomes, cpus,
+                                        monkeypatch):
+    blocks, inputs, targets, rule_for, want = whole_outcomes[name]
+    _, bad, jitter, _, cut = RUN_BLOCKS_CASES[name]
+    calls = spy_map_tasks(monkeypatch)
+    got = run_blocks(blocks, inputs, targets,
+                     jitter_rngs=jitter_rngs(len(blocks)) if jitter else None,
+                     rule_for=rule_for)
+    assert calls == (cut if cpus == 2 else [])
+    if bad is not None:
+        assert isinstance(want[bad], Diverged)
+        assert 1 < want[bad].iteration < 1000
+    assert_same_outcomes(got, want)
+
+
+def test_chunks_of_one_are_not_cut(whole_outcomes, cpus, monkeypatch):
+    blocks, inputs, targets, _, want = whole_outcomes["diverging-member"]
+    monkeypatch.setattr(block, "STACK_ELEMENTS", 1)
+    calls = spy_map_tasks(monkeypatch)
+    assert_same_outcomes(run_blocks(blocks, inputs, targets), want)
+    assert calls == []
+
+
+def test_small_groups_train_here(monkeypatch):
+    """Groups below 2 * PART_BLOCKS blocks never reach map_tasks."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    calls = spy_map_tasks(monkeypatch)
+    counts = [2 * block.PART_BLOCKS - 1, 1]
+    case = blocks_case([(counts[0], 3, 12), (counts[1], 4, 12)])
+    assert_same_outcomes(run_blocks(*case), groups_whole(case, counts))
+    assert calls == []
+
+
+def search_outputs(tmp_path, monkeypatch, capsys, n_cpus):
+    """Every file `weldnet search` writes, and its stdout, with n_cpus
+    usable CPUs."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n_cpus)
+    out = tmp_path / f"{n_cpus}cpus"
+    assert cli.main(["search", "--data", str(tmp_path / "weld.csv"),
+                     "--space", str(tmp_path / "space.json"),
+                     "--out-dir", str(out), "--seed", "4"]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return files, capsys.readouterr().out.replace(str(out), "OUT")
+
+
+def test_search_outputs_equal_at_one_and_two_cpus(tmp_path, monkeypatch,
+                                                  capsys):
+    ds.save_csv(ds.synthesize_weld(40, 0.02, seed=2), tmp_path / "weld.csv")
+    # two neuron counts, so two groups of 2 points x 5 folds; alpha 5000
+    # diverges
+    (tmp_path / "space.json").write_text(json.dumps(dict(
+        neurons=[3, 4], alpha=[0.5, 5000.0], gamma=[1.0], iterations=[1000])))
+    calls = spy_map_tasks(monkeypatch)
+    one = search_outputs(tmp_path, monkeypatch, capsys, 1)
+    assert calls == []
+    two = search_outputs(tmp_path, monkeypatch, capsys, 2)
+    assert calls == [4, 4]  # per target, 2 sub-stacks of each group
+    assert one == two
+    board = one[0]["leaderboard_penetration.csv"].decode().splitlines()
+    assert len(board) == 5 and board[-1].endswith(",inf,inf")
+
+
+def test_dead_worker_in_search_exits_3(monkeypatch, tmp_path, capsys):
+    ds.save_csv(ds.synthesize_weld(40, 0.02, seed=2), tmp_path / "weld.csv")
+    (tmp_path / "space.json").write_text(json.dumps(dict(
+        neurons=[3], alpha=[0.5, 1.0], gamma=[1.0], iterations=[1000])))
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+    train = block.run_stack
+
+    def dies_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(block, "run_stack", dies_in_worker)
+    code = cli.main(["search", "--data", str(tmp_path / "weld.csv"),
+                     "--space", str(tmp_path / "space.json"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out/*"))
