@@ -22,6 +22,9 @@ B = 1 calls of the same loop.  run_blocks trains any list of blocks, each
 on its own data, grouping those of one shape into stacks, and cuts a group
 of at least 2 * PART_BLOCKS blocks into sub-stacks that train at the same
 time, one per usable CPU, on forked workers (workers.map_tasks).
+stack_output (and blocks_output over any list of blocks) is the forward
+pass alone: tau-shifted outputs for any number of rows, through one buffer
+set per call, in OUTPUT_ROWS tiles with the bits of a single pass.
 
 Every per-block quantity is computed slice by slice in the rounding order of
 a lone block, so a block's weights, shifts and trace do not depend on what
@@ -46,12 +49,21 @@ MIN_ITERATIONS, MAX_ITERATIONS = 1000, 12000
 # BlockMetaParams fields that count something: an int, not a float or bool.
 INTEGER_FIELDS = ("neurons", "depth", "degree", "iterations")
 
-# Rows stack_output passes through the hidden layers at a time, reusing one
-# workspace, where one pass over 10^5 rows would allocate tens of MB per
+# Rows stack_output passes through each hidden matmul at a time, reusing one
+# buffer set, where one pass over 10^5 rows would allocate tens of MB per
 # layer.  BLAS can pick another kernel, with other last bits, for a matmul
 # of fewer rows; at 32768 rows or more it picked the single pass's kernel
 # for every hidden matrix shape tried.
 OUTPUT_ROWS = 32768
+
+# Rows of one OUTPUT_ROWS tile that stack_output's sigmoid and its copy into
+# the next layer input take at a time, so that their passes stay in cache.
+# Elementwise ufuncs give an element the same bits at any offset, so this
+# changes no result.  predict on 10^5 rows at widths 41 and 40 (depth 3, a
+# 2-vCPU VM), median time relative to one training Workspace per tile
+# length: 256 rows 0.68, 512 0.61, 1024 0.56, 2048 0.56, 4096 0.62, whole
+# tiles 0.69.
+SIGMOID_ROWS = 1024
 
 
 def is_count(value) -> bool:
@@ -288,42 +300,45 @@ def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBl
                            tau=0.0, meta=meta)
 
 
+def _with_bias(B: int, rows: int, cols: int) -> np.ndarray:
+    """An empty (B, rows, cols) layer input whose column 0 is all ones."""
+    buf = np.empty((B, rows, cols))
+    buf[:, :, 0] = 1.0
+    return buf
+
+
 class Workspace:
-    """Every array a stack's forward pass and training steps write, made
-    once for the stack's shape and rows X (B, m, d).
+    """Every array a stack's training steps write, made once for the
+    stack's shape, rows X (B, m, d) and targets y (B, m).
 
     The forward part: inputs, the bias-augmented input of every weight
     matrix (column 0 all ones, the first filled with X here, the others
     with the hidden activations); z and mask, the pre-activation and
     sigmoid scratch of one layer; acts, every hidden activation (B, m, k);
-    raw, the unshifted outputs (B, m).  With targets y (B, m) it also holds
-    what a backprop_step writes: shift candidates and their residuals and
-    costs, the squared weights and the regularizer, the shifted output, the
-    backward deltas, the gradients (grad, laid out like stack.params, and
-    deltas, its views aligned with stack.mats), the update rule's scratch
-    (step, and decay, whose bias entries stay zero), the finite mask, nu,
-    and row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
-    tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row of
-    params; spans gives each matrix's non-bias part as a (start, stop) slice.
+    raw, the unshifted outputs (B, m).  The rest is what a backprop_step
+    writes: shift candidates and their residuals and costs, the squared
+    weights and the regularizer, the shifted output, the backward deltas,
+    the gradients (grad, laid out like stack.params, and deltas, its views
+    aligned with stack.mats), the update rule's scratch (step, and decay,
+    whose bias entries stay zero), the finite mask, nu, and row, the step's
+    trace values (6, B): cost, grad1_norm, grad2_norm, tau, nu,
+    cost_tau_zero.  nonbias marks the non-bias entries of a row of params;
+    spans gives each matrix's non-bias part as a (start, stop) slice.
     """
 
-    def __init__(self, stack: BlockStack, X, y=None):
+    def __init__(self, stack: BlockStack, X, y):
         X = _block_rows(stack, X)
         B, m, _ = X.shape
         shapes = [th.shape[1:] for th in stack.mats]
         k = shapes[0][1]
         self.m = m
-        self.inputs = [np.empty((B, m, rows)) for rows, _ in shapes]
-        for buf in self.inputs:
-            buf[:, :, 0] = 1.0
+        self.inputs = [_with_bias(B, m, rows) for rows, _ in shapes]
         self.inputs[0][:, :, 1:] = X
         self.z = np.empty((B, m, k))
         self.mask = np.empty((B, m, k), dtype=bool)
         self.acts = [np.empty((B, m, k)) for _ in shapes[1:]]
         self.raw_col = np.empty((B, m, 1))
         self.raw = self.raw_col[:, :, 0]
-        if y is None:
-            return
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (B, m):
             raise DimensionMismatch(f"targets {y.shape} vs {(B, m)} blocks x samples")
@@ -375,42 +390,54 @@ def _block_rows(stack: BlockStack, X) -> np.ndarray:
     return X
 
 
-def _hidden_all(stack: BlockStack, ws: Workspace) -> None:
-    """Every hidden activation into ws.acts, copied into the non-bias
-    columns of the next layer input."""
+def _forward_all(stack: BlockStack, ws: Workspace) -> None:
+    """Forward pass at the stack's weights: every hidden activation into
+    ws.acts, copied into the non-bias columns of the next layer input, and
+    the raw (unshifted) outputs into ws.raw."""
     for th, a_in, act, a_next in zip(stack.mats, ws.inputs, ws.acts, ws.inputs[1:]):
         _sigmoid_into(np.matmul(a_in, th, out=ws.z), ws.mask, act)
         a_next[:, :, 1:] = act
-
-
-def _forward_all(stack: BlockStack, ws: Workspace) -> None:
-    """Forward pass at the stack's weights: the hidden activations, and the
-    raw (unshifted) outputs into ws.raw."""
-    _hidden_all(stack, ws)
     np.matmul(ws.inputs[-1], stack.mats[-1], out=ws.raw_col)
 
 
 def stack_output(stack: BlockStack, X) -> np.ndarray:
     """Tau-shifted outputs (B, m) of the stacked blocks for rows X (B, m, d).
 
-    The hidden layers take OUTPUT_ROWS rows at a time through one workspace
-    (the last tile takes the remainder, so no tile is shorter unless X is)
-    and write the output matrix's input for all rows, which then goes
-    through the output matrix in one call, as in a single pass."""
+    One call allocates its buffers once: the first layer input, one input
+    for the hidden layers after it (a layer no longer reads its input once
+    its matmul is in z, so it overwrites it with its activations) and the
+    pre-activations z, each for the longest OUTPUT_ROWS tile (the last tile
+    takes the remainder, so no tile is shorter unless X is); the sigmoid
+    scratch for SIGMOID_ROWS rows; and the output matrix's input for all
+    rows.  Each hidden matmul is one call per tile, as BLAS can give a
+    shorter call other bits; the sigmoid and the copy into the next layer
+    input then take the tile's z SIGMOID_ROWS rows at a time.  The output
+    matrix is one call over all rows, so the result has the bits of a
+    single pass."""
     X = _block_rows(stack, X)
-    B, m, _ = X.shape
-    last = np.empty((B, m, stack.mats[-1].shape[1]))
-    last[:, :, 0] = 1.0
+    B, m, d = X.shape
+    hidden, out_mat = stack.mats[:-1], stack.mats[-1]
+    k = out_mat.shape[1] - 1
     starts = range(0, max(m - OUTPUT_ROWS, 0) + 1, OUTPUT_ROWS)
-    ws = None
+    T = m - starts[-1]
+    first = _with_bias(B, T, d + 1)
+    mid = _with_bias(B, T, k + 1) if len(hidden) > 1 else None
+    last = _with_bias(B, m, k + 1)
+    z = np.empty((B, T, k))
+    mask = np.empty((B, min(SIGMOID_ROWS, T), k), dtype=bool)
+    act = np.empty(mask.shape)
     for lo, hi in zip(starts, [*starts[1:], m]):
-        if ws is None or ws.m != hi - lo:
-            ws = Workspace(stack, X[:, lo:hi])
-        else:
-            ws.inputs[0][:, :, 1:] = X[:, lo:hi]
-        ws.inputs[-1] = last[:, lo:hi]
-        _hidden_all(stack, ws)
-    return weighted_estimate(np.matmul(last, stack.mats[-1])[:, :, 0],
+        t = hi - lo
+        a_in = first[:, :t]
+        a_in[:, :, 1:] = X[:, lo:hi]
+        for i, th in enumerate(hidden):
+            np.matmul(a_in, th, out=z[:, :t])
+            a_in = mid[:, :t] if i < len(hidden) - 1 else last[:, lo:hi]
+            for r in range(0, t, SIGMOID_ROWS):
+                s = min(SIGMOID_ROWS, t - r)
+                _sigmoid_into(z[:, r:r + s], mask[:, :s], act[:, :s])
+                a_in[:, r:r + s, 1:] = act[:, :s]
+    return weighted_estimate(np.matmul(last, out_mat)[:, :, 0],
                              stack.tau[:, None])
 
 

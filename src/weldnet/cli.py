@@ -60,6 +60,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

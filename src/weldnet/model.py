@@ -241,8 +241,9 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
 
 
 def predict(model: AggregateModel, X_raw: np.ndarray) -> np.ndarray:
-    """Estimates for every target; column k comes from block k.  The blocks
-    see the rows in tiles (block.OUTPUT_ROWS)."""
+    """Estimates (n, N) for every target; column k comes from block k.
+    Same-shape blocks go through block.stack_output as one stack, with one
+    buffer set per call for all n rows."""
     X_raw = np.asarray(X_raw, dtype=np.float64)
     if X_raw.ndim != 2 or X_raw.shape[1] != model.input_dim:
         raise DimensionMismatch(

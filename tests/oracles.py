@@ -1,9 +1,10 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 Everything here recomputes quantities through a different route than the
-library (finite differences, explicit loops, naive summation, or the
-allocating step maths the workspace step replaced) so the tests do not
-just compare the implementation with itself.
+library (finite differences, explicit loops, naive summation, the
+allocating step maths the workspace step replaced, or Kendall's tau over
+all pairs at once) so the tests do not just compare the implementation
+with itself.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from weldnet.block import (
     stack_blocks,
     unstack,
 )
-from weldnet.errors import Diverged, LengthMismatch
+from weldnet.errors import ConstantInput, Diverged, LengthMismatch
 
 
 @dataclass
@@ -47,10 +48,27 @@ def compute_nu(estimates, y):
     return float(np.mean(estimates - y))
 
 
+def kendall_all_pairs(x, y) -> float:
+    """Kendall tau-b from the n x n sign matrices of all pairs at once."""
+    n = x.size
+    iu = np.triu_indices(n, k=1)
+    sx = np.sign(x[:, None] - x[None, :])[iu]
+    sy = np.sign(y[:, None] - y[None, :])[iu]
+    concordance = float(np.sum(sx * sy))
+    n0 = n * (n - 1) // 2
+    n1 = sum(t * (t - 1) // 2 for t in np.unique(x, return_counts=True)[1])
+    n2 = sum(t * (t - 1) // 2 for t in np.unique(y, return_counts=True)[1])
+    denom = float(np.sqrt(float(n0 - n1) * float(n0 - n2)))
+    if denom == 0.0:
+        raise ConstantInput("tau undefined for a constant vector")
+    return min(1.0, max(-1.0, concordance / denom))
+
+
 def forward_one(block, X):
     """Hidden activations and raw output of one block (a stack of one)."""
+    X = np.asarray(X, dtype=np.float64)
     stack = stack_blocks([block])
-    ws = Workspace(stack, np.asarray(X, dtype=np.float64)[None])
+    ws = Workspace(stack, X[None], np.zeros((1, len(X))))
     _forward_all(stack, ws)
     return [a[0] for a in ws.acts], ws.raw[0]
 

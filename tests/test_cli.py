@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weldnet as wn
-from weldnet import cli
+from weldnet import cli, metrics
 from weldnet.cli import run_comparison
 from weldnet.errors import ConfigError
 
@@ -483,6 +483,19 @@ class TestErrorContract:
                          str(tmp_path)])
         assert code == 3
         assert "appears more than once" in capsys.readouterr().err
+
+    def test_out_of_memory_is_runtime_error(self, synth_csv, tmp_path,
+                                            capsys, monkeypatch):
+        def exhausted(x, y):
+            raise MemoryError("Unable to allocate 9.31 GiB")
+
+        monkeypatch.setattr(metrics, "kendall", exhausted)
+        code = cli.main(["stats", "--data", str(synth_csv), "--out-dir",
+                         str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 9.31 GiB\n")
+        assert not (tmp_path / "stats.csv").exists()
 
 
 class TestUnknownMetaKey:

@@ -1,8 +1,14 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weldnet import cli
+from oracles import kendall_all_pairs
+from weldnet import cli, metrics
 from weldnet.dataset import save_csv, synthesize_weld
 from weldnet.errors import (
     AllTargetsZero,
@@ -170,6 +176,43 @@ class TestCorrelations:
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ConstantInput):
             kendall([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+TIED = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 3.25])
+
+
+class TestKendallBlocks:
+    """kendall sums the concordance a block of rows at a time; as every
+    partial sum is an exact integer, it has the bits of the sum over all
+    pairs at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(xy=st.integers(3, 60).flatmap(lambda n: st.tuples(
+               st.lists(TIED | st.floats(-5, 5), min_size=n, max_size=n),
+               st.lists(TIED, min_size=n, max_size=n))),
+           pairs=st.integers(1, 300))
+    def test_blocks_equal_all_pairs(self, xy, pairs):
+        x, y = (np.array(v) for v in xy)
+        with patch.object(metrics, "KENDALL_PAIRS", pairs):
+            try:
+                want = kendall_all_pairs(x, y)
+            except ConstantInput:
+                with pytest.raises(ConstantInput):
+                    kendall(x, y)
+                return
+            assert np.float64(kendall(x, y)).tobytes() == np.float64(want).tobytes()
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=3000), np.round(rng.normal(size=3000), 1)
+        tracemalloc.start()
+        try:
+            kendall(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all pairs at once took over 200 MiB here
+        assert peak < 6 * metrics.KENDALL_PAIRS * 8
 
 
 class TestZscore:

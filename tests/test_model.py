@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,12 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((2, 5)))
 
+    def test_zero_rows(self):
+        model = AggregateModel([init_block(quick_meta(depth=depth), 3, seed=0)
+                                for depth in (1, 3)], None, ["a", "b"])
+        out = predict(model, np.empty((0, 3)))
+        assert out.shape == (0, 2) and out.dtype == np.float64
+
 
 class TestPredictTiles:
     """predict runs the rows through the hidden layers in tiles of
@@ -245,7 +252,9 @@ class TestPredictTiles:
         X = synthesize_weld(500, 0.02, seed=4).features
         one_tile = predict(model, X)
         monkeypatch.setattr(block, "OUTPUT_ROWS", 16)
-        assert predict(model, X).tobytes() == one_tile.tobytes()
+        for sigmoid_rows in (1, 7, len(X) + 1):
+            monkeypatch.setattr(block, "SIGMOID_ROWS", sigmoid_rows)
+            assert predict(model, X).tobytes() == one_tile.tobytes()
 
     def test_tiles_match_a_single_pass(self, wide_model, monkeypatch):
         """With tall matrices too, the tiled predict has the bits of one
@@ -255,6 +264,23 @@ class TestPredictTiles:
         tiled = predict(wide_model, X)
         monkeypatch.setattr(block, "OUTPUT_ROWS", len(X) + 1)
         assert predict(wide_model, X).tobytes() == tiled.tobytes()
+
+    def test_buffers_stay_few(self):
+        """Two blocks of width 40 and depth 3, each its own stack, on two
+        tiles: the traced peak of predict stays within 3 times the output
+        matrix's input (m, k+1), where a training workspace per tile length
+        took over 7 times."""
+        meta = quick_meta(neurons=40, depth=3)
+        model = AggregateModel([init_block(meta, 3, seed=s) for s in (0, 1)],
+                               None, ["a", "b"])
+        X = np.random.default_rng(0).normal(size=(2 * OUTPUT_ROWS + 1000, 3))
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(X) * 41 * 8
 
 
 class TestPersistence:

@@ -1,19 +1,21 @@
 """Property tests of the B-way training loop: a block trained in a stack is
 bit-identical to the same block trained alone (B = 1), whatever it is
 stacked with, however the stack is chunked, and whether or not a neighbour
-diverges.  The commands that stack their blocks (train_all, compare) are
-checked against their blocks trained one at a time, results and the error
-raised on divergence alike."""
+diverges; so are its outputs from the forward pass alone.  The commands
+that stack their blocks (train_all, compare) are checked against their
+blocks trained one at a time, results and the error raised on divergence
+alike."""
 
 from dataclasses import astuple, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import RefOptimizer, RefReinforced, reference_run
-from weldnet import baselines, dataset as ds, metrics, model as mdl
+from oracles import RefOptimizer, RefReinforced, forward_one, reference_run
+from weldnet import baselines, block, dataset as ds, metrics, model as mdl
 from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
     REINFORCED,
@@ -24,6 +26,7 @@ from weldnet.block import (
     run_stack,
     run_steps,
     stack_blocks,
+    stack_output,
     unstack,
 )
 from weldnet.cli import run_comparison
@@ -171,6 +174,48 @@ def test_chunking_changes_nothing(case, cut, use_tau):
             assert_same_outcome(g, w)
         else:
             assert_same_outcome(g, (w[0], _records(w[1], 1)))
+
+
+# --- the forward pass alone: stack_output ---
+
+
+@st.composite
+def output_cases(draw):
+    """B = 1-4 blocks of one shape, depth 1-4 (so no, one or several hidden
+    layers write the shared hidden input), with their own weights, biases
+    and shifts, on 0-80 rows each."""
+    b = draw(st.integers(1, 4))
+    meta = BlockMetaParams(neurons=draw(st.integers(2, 9)),
+                           depth=draw(st.integers(1, 4)),
+                           alpha=0.1, gamma=1.0, lam=0.0, iterations=1000)
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 80))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    blocks = [init_block(meta, d, seed + i) for i in range(b)]
+    for blk in blocks:
+        blk.tau = float(rng.normal())
+        for th in blk.matrices():
+            th[0] = rng.normal(size=th.shape[1])
+    return blocks, rng.normal(scale=3.0, size=(b, m, d))
+
+
+@PROPERTY
+@given(case=output_cases(), sigmoid_rows=st.sampled_from([1, 3, 7]))
+def test_stack_output_equals_blocks_alone(case, sigmoid_rows):
+    """Tiles of 16 rows and row blocks of 1, 3 or 7 in one call: every
+    block's outputs have the bits of that block alone, and of its training
+    forward pass (one pass over all rows; matrices of at most 10 rows get
+    the same bits from BLAS at any row count)."""
+    blocks, X = case
+    with patch.object(block, "OUTPUT_ROWS", 16), \
+            patch.object(block, "SIGMOID_ROWS", sigmoid_rows):
+        got = stack_output(stack_blocks(blocks), X)
+        assert got.shape == X.shape[:2]
+        for i, blk in enumerate(blocks):
+            alone_out = stack_output(stack_blocks([blk]), X[i:i + 1])
+            assert bits(got[i]) == bits(alone_out[0])
+            assert bits(got[i]) == bits(forward_one(blk, X[i])[1] + blk.tau)
 
 
 # --- the workspace loop against the allocating step it replaced ---
