@@ -69,16 +69,25 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out-dir", default=".")
+    common.add_argument("--out-dir")
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--no-standardize", action="store_true",
-                        help="feed raw (unscaled) features to the blocks")
-    common.add_argument("--dynamic-width", action="store_true",
-                        help="probe hidden-width changes during training")
 
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", help="CSV path(s), comma separated "
                                      "(default: the config's data)")
+
+    scaled = argparse.ArgumentParser(add_help=False, parents=[data])
+    scaled.add_argument("--no-standardize", dest="standardize",
+                        action="store_false", default=None,
+                        help="feed raw (unscaled) features to the blocks")
+
+    training = argparse.ArgumentParser(add_help=False, parents=[scaled])
+    training.add_argument("--params", help="best-params JSON from search")
+    training.add_argument("--no-tau", dest="use_tau", action="store_false",
+                          default=None, help="disable the output shift tau")
+    training.add_argument("--gamma-jitter", action="store_true", default=None)
+    training.add_argument("--dynamic-width", action="store_true", default=None,
+                          help="probe hidden-width changes during training")
 
     parser = argparse.ArgumentParser(
         prog="weldnet",
@@ -92,12 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common, data],
+    p = sub.add_parser("train", parents=[common, training],
                        help="train a model and write model + trace files")
-    p.add_argument("--params", help="best-params JSON from the search command")
-    p.add_argument("--no-tau", action="store_true",
-                   help="disable the learned output shift")
-    p.add_argument("--gamma-jitter", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common, data],
@@ -110,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="polynomial degree for --ner-train")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", parents=[common, data],
+    p = sub.add_parser("search", parents=[common, scaled],
                        help="grid-search block hyperparameters per target")
     p.add_argument("--space", help="JSON file with candidate value lists")
     p.add_argument("--folds", type=int, default=5)
@@ -118,16 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="all", help="target name or 'all'")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("compare", parents=[common, data],
+    p = sub.add_parser("compare", parents=[common, training],
                        help="train every requested method over every seed")
     p.add_argument("--methods",
                    help=f"comma list from {','.join(METHODS)} (default nrn,ann)")
     p.add_argument("--seeds", help="comma list of seeds (default: --seed)")
-    p.add_argument("--split", type=float,
+    p.add_argument("--split", dest="split_fraction", type=float,
                    help="test fraction in (0, 1), default 0.2")
-    p.add_argument("--params", help="best-params JSON for nrn/ann/optimizers")
-    p.add_argument("--no-tau", action="store_true")
-    p.add_argument("--gamma-jitter", action="store_true")
     p.add_argument("--eta", type=float, default=DEFAULT_OPT_HYPER["eta"],
                    help="learning rate for adagrad/rmsprop/nesterov")
     p.add_argument("--rho", type=float, default=DEFAULT_OPT_HYPER["rho"])
@@ -188,42 +190,56 @@ _FORMS = {
 }
 
 
-def _setting(cfg, key: str, default, form: str):
-    """cfg[key], or default if it is absent or null; a value not of the
-    given form (a key of _FORMS) is a config error."""
-    value = cfg.get(key)
-    if value is None:
-        return default
-    if not _FORMS[form](value):
-        raise ConfigError(f"config {key!r} must be {form}, got {value!r}")
-    return value
+# Every config key -> (form, default): form is a key of _FORMS, or None for
+# a value checked where it is read.  A flag that mirrors a key stores under
+# the key's name with default None, so _settings sees whether it was given.
+SETTINGS = {
+    "data": ("a string or a list of strings", None),
+    "out_dir": ("a string", "."),
+    "params": ("a string", None),
+    "standardize": ("true or false", True),
+    "dynamic_width": ("true or false", False),
+    "use_tau": ("true or false", True),
+    "gamma_jitter": ("true or false", False),
+    "seeds": ("a list of integers", None),
+    "methods": ("a string", "nrn,ann"),
+    "split_fraction": ("a number", 0.2),
+    "metas": (None, {}),
+    "search_space": (None, {}),
+}
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    return _json_object(_read_json(args.config, "config"), "config root")
+def _settings(args) -> dict:
+    """Every SETTINGS key resolved: its flag if the flag was given, else the
+    --config value (null means absent), else the default.  An unknown
+    config key, or a value not of its key's form, is a config error."""
+    cfg = (_json_object(_read_json(args.config, "config"), "config root")
+           if args.config else {})
+    unknown = sorted(set(cfg) - set(SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} "
+                          f"(known: {', '.join(SETTINGS)})")
+    resolved = {}
+    for key, (form, default) in SETTINGS.items():
+        value = cfg.get(key)
+        if value is not None and form and not _FORMS[form](value):
+            raise ConfigError(f"config {key!r} must be {form}, got {value!r}")
+        flag = getattr(args, key, None)
+        resolved[key] = (flag if flag is not None
+                         else default if value is None else value)
+    return resolved
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(args.out_dir if args.out_dir != "."
-               else _setting(cfg, "out_dir", ".", "a string"))
+def _out_dir(s) -> Path:
+    out = Path(s["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _standardize_on(args, cfg) -> bool:
-    if args.no_standardize:
-        return False
-    return _setting(cfg, "standardize", True, "true or false")
-
-
-def _load_data(args, cfg) -> ds.Dataset:
-    source = getattr(args, "data", None) or _setting(
-        cfg, "data", None, "a string or a list of strings")
-    if not source:
+def _load_data(s) -> ds.Dataset:
+    if not s["data"]:
         raise ConfigError("no input data given")
-    paths = source.split(",") if isinstance(source, str) else list(source)
+    paths = s["data"].split(",") if isinstance(s["data"], str) else s["data"]
     return ds.combine([ds.load_csv(p) for p in paths])
 
 
@@ -233,18 +249,14 @@ def _json_object(doc, what: str) -> dict:
     return doc
 
 
-def _metas_for(data: ds.Dataset, args, cfg) -> list:
+def _metas_for(data: ds.Dataset, s) -> list:
     """One BlockMetaParams per target, keyed by target name."""
-    by_name = {}
-    if cfg.get("metas") is not None:
-        by_name.update(_json_object(cfg["metas"], "config 'metas'"))
-    params_path = (getattr(args, "params", None)
-                   or _setting(cfg, "params", None, "a string"))
-    if params_path:
-        doc = _json_object(_read_json(params_path, "params"),
-                           f"params {params_path}")
+    by_name = {**_json_object(s["metas"], "config 'metas'")}
+    if s["params"]:
+        doc = _json_object(_read_json(s["params"], "params"),
+                           f"params {s['params']}")
         by_name.update(_json_object(doc.get("targets", doc),
-                                    f"'targets' in params {params_path}"))
+                                    f"'targets' in params {s['params']}"))
     metas = []
     for name in data.target_names:
         raw = _json_object(by_name.get(name, DEFAULT_META),
@@ -262,15 +274,15 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _parse_seeds(args, cfg) -> list:
-    if getattr(args, "seeds", None):
+def _parse_seeds(seeds, seed: int) -> list:
+    """A --seeds comma list, the config's list, or [seed] if that is empty."""
+    if isinstance(seeds, str):
         try:
-            seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+            seeds = [int(p) for p in seeds.split(",") if p != ""]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds: {exc}") from exc
-    else:
-        seeds = (_setting(cfg, "seeds", None, "a list of integers")
-                 or [args.seed])
+    elif not seeds:
+        seeds = [seed]
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seeds must be >= 0, got {seeds}")
     return seeds
@@ -292,7 +304,7 @@ def _report(path, text: str) -> None:
 
 
 def cmd_synth(args) -> int:
-    _load_config(args)  # validates --config if one was given
+    _settings(args)  # validates --config if one was given
     with _config("synth arguments"):
         data = ds.synthesize_weld(args.rows, args.noise, args.seed)
     ds.save_csv(data, args.out)
@@ -302,19 +314,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    data = _load_data(args, cfg)
-    metas = _metas_for(data, args, cfg)
-    use_tau = not args.no_tau and _setting(cfg, "use_tau", True, "true or false")
+    s = _settings(args)
+    out = _out_dir(s)
+    data = _load_data(s)
     model, traces = mdl.train_all(
-        metas, data, args.seed,
-        standardize=_standardize_on(args, cfg),
-        use_tau=use_tau,
-        dynamic_width=args.dynamic_width or _setting(
-            cfg, "dynamic_width", False, "true or false"),
-        gamma_jitter=args.gamma_jitter or _setting(
-            cfg, "gamma_jitter", False, "true or false"))
+        _metas_for(data, s), data, args.seed, standardize=s["standardize"],
+        use_tau=s["use_tau"], dynamic_width=s["dynamic_width"],
+        gamma_jitter=s["gamma_jitter"])
     model_path = out / "model.json"
     mdl.save(model, model_path)
     for tname, trace in zip(data.target_names, traces):
@@ -326,13 +332,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    s = _settings(args)
     if bool(args.model) == bool(args.ner_train):
         raise ConfigError("give exactly one of --model or --ner-train")
     if args.ner_train:
         _check_degree(args.degree, "--degree")
-    out = _out_dir(args, cfg)
-    test = _load_data(args, cfg)
+    out = _out_dir(s)
+    test = _load_data(s)
     if args.model:
         model = mdl.load(args.model)
         if model.target_names != test.target_names:
@@ -368,14 +374,13 @@ def _space_from_doc(doc: dict) -> srch.SearchSpace:
 
 
 def cmd_search(args) -> int:
-    cfg = _load_config(args)
-    doc = (_read_json(args.space, "space") if args.space
-           else cfg.get("search_space", {}))
+    s = _settings(args)
+    doc = _read_json(args.space, "space") if args.space else s["search_space"]
     space = _space_from_doc(doc)
     with _config("search arguments"):
         srch.check_grid_args(args.folds, args.max_points)
-    out = _out_dir(args, cfg)
-    data = _load_data(args, cfg)
+    out = _out_dir(s)
+    data = _load_data(s)
 
     if args.target == "all":
         targets = list(enumerate(data.target_names))
@@ -388,7 +393,7 @@ def cmd_search(args) -> int:
     for k, tname in targets:
         best, board = srch.grid_search(
             space, data, k, folds=args.folds, seed=args.seed,
-            standardize=_standardize_on(args, cfg), max_points=args.max_points)
+            standardize=s["standardize"], max_points=args.max_points)
         best_by_target[tname] = best.to_dict()
         srch.write_leaderboard_csv(board, out / f"leaderboard_{_safe_name(tname)}.csv")
         print(f"{tname}: best {best.to_dict()} "
@@ -558,7 +563,7 @@ def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+    s = _settings(args)
     opt_hyper = {"eta": args.eta, "rho": args.rho,
                  "momentum": args.momentum, "eps": args.eps}
     with _config("compare arguments"):
@@ -566,19 +571,14 @@ def cmd_compare(args) -> int:
             alpha=args.mcr_alpha, lam=args.mcr_lambda, degree=args.mcr_degree,
             iterations=args.mcr_iterations)
         baselines.OptimizerState("adagrad", **opt_hyper)  # checks the values
-    out = _out_dir(args, cfg)
-    data = _load_data(args, cfg)
-    metas = _metas_for(data, args, cfg)
-    methods = [m for m in (args.methods or _setting(
-        cfg, "methods", "nrn,ann", "a string")).split(",") if m]
-    seeds = _parse_seeds(args, cfg)
-    split_fraction = (args.split if args.split is not None
-                      else float(_setting(cfg, "split_fraction", 0.2, "a number")))
-    use_tau = not args.no_tau and _setting(cfg, "use_tau", True, "true or false")
+    out = _out_dir(s)
+    data = _load_data(s)
+    methods = [m for m in s["methods"].split(",") if m]
     records, summary = run_comparison(
-        data, methods, metas, seeds, split_fraction,
-        standardize=_standardize_on(args, cfg), use_tau=use_tau,
-        dynamic_width=args.dynamic_width, gamma_jitter=args.gamma_jitter,
+        data, methods, _metas_for(data, s),
+        _parse_seeds(s["seeds"], args.seed), s["split_fraction"],
+        standardize=s["standardize"], use_tau=s["use_tau"],
+        dynamic_width=s["dynamic_width"], gamma_jitter=s["gamma_jitter"],
         opt_hyper=opt_hyper, ner_degree=args.ner_degree, mcr_params=mcr_params)
 
     ds.write_csv(out / "compare_raw.csv", RAW_COLUMNS,
@@ -596,9 +596,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    data = _load_data(args, cfg)
+    s = _settings(args)
+    out = _out_dir(s)
+    data = _load_data(s)
     names = data.target_names
     rows = []  # a, b, pearson r and p, spearman, kendall, slope, intercept
     for a in range(data.n_targets):

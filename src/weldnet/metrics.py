@@ -107,16 +107,17 @@ def pearson(x, y):
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties replaced by their average rank."""
+    """Ranks 1..n with ties replaced by their average rank.
+
+    A run of equal sorted values at positions i..j ranks 0.5 * (i + j) + 1;
+    each NaN is a run of its own, in input order, as the stable sort leaves
+    it (np.unique would reorder the NaNs)."""
     order = np.argsort(v, kind="stable")
+    sv = v[order]
+    start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    counts = np.diff(np.r_[start, v.size])
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * start + counts - 1) + 1.0, counts)
     return ranks
 
 

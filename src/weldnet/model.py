@@ -123,16 +123,11 @@ def _train_target(meta, X, y, seed, tname, use_tau, gamma_jitter):
 
 def _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng):
     """Chunked training with width probes on a held-out validation slice."""
-    m = y.size
-    if m < 3:
+    if y.size < 3:
         raise TooFewRows("dynamic width needs at least 3 training rows")
-    n_val = min(max(1, int(m * VAL_FRACTION)), m - 2)
-    perm = np.random.default_rng(derive_seed(seed, tname, "val")).permutation(m)
-    val_idx = np.sort(perm[:n_val])
-    fit_idx = np.sort(perm[n_val:])
     names = [f"x{j}" for j in range(X.shape[1])]
-    fit_ds = ds.Dataset(X[fit_idx], y[fit_idx, None], names, [tname])
-    val_ds = ds.Dataset(X[val_idx], y[val_idx, None], names, [tname])
+    fit_ds, val_ds = ds.split(ds.Dataset(X, y[:, None], names, [tname]),
+                              VAL_FRACTION, derive_seed(seed, tname, "val"))
 
     block = init_block(meta, X.shape[1], derive_seed(seed, tname))
     records = []

@@ -64,6 +64,20 @@ def kendall_all_pairs(x, y) -> float:
     return min(1.0, max(-1.0, concordance / denom))
 
 
+def average_ranks_loop(v) -> np.ndarray:
+    """Average ranks 1..n, one run of equal sorted values at a time."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def forward_one(block, X):
     """Hidden activations and raw output of one block (a stack of one)."""
     X = np.asarray(X, dtype=np.float64)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weldnet as wn
 from weldnet import cli, metrics
@@ -226,6 +228,8 @@ class TestExitCodes:
         ("compare", {"split_fraction": "x"}),
         ("compare", {"methods": 5}),
         ("compare", {"use_tau": "false"}),
+        ("compare", {"gamma_jitter": "yes"}),
+        ("compare", {"dynamic_width": "yes"}),
         ("train", {"out_dir": 5}),
         ("train", {"params": 5}),
         ("train", {"data": 5}),
@@ -349,6 +353,21 @@ class TestCompare:
         assert proc.returncode == 0, proc.stderr
         rows = read_csv(out2 / "compare_raw.csv")
         assert {r["seed"] for r in rows} == {"7"}
+
+    def test_config_dynamic_width_equals_flag(self, synth_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dynamic_width": True}))
+        outs = [tmp_path / "flag", tmp_path / "config"]
+        procs = [run_cli("compare", "--data", synth_csv, "--methods", "nrn",
+                         "--out-dir", out, *argv)
+                 for out, argv in zip(outs, (["--dynamic-width"],
+                                             ["--config", cfg]))]
+        assert [p.returncode for p in procs] == [0, 0], procs[1].stderr
+        assert procs[0].stdout == procs[1].stdout
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_table_shape_and_zscores(self, synth_csv, tmp_path):
         out = tmp_path / "run"
@@ -516,3 +535,131 @@ class TestUnknownMetaKey:
                        "--out-dir", tmp_path)
         assert proc.returncode == 2
         assert "'gama'" in proc.stderr
+
+
+class Read(Exception):
+    """The value a command read from its resolved settings."""
+
+
+def stop_at_read(monkeypatch, key):
+    """Make the commands raise Read(value) where they first read key from
+    the settings _settings resolved."""
+    resolve = cli._settings
+
+    class Spy(dict):
+        def __getitem__(self, k):
+            value = super().__getitem__(k)
+            if k == key:
+                raise Read(value)
+            return value
+
+    monkeypatch.setattr(cli, "_settings", lambda args: Spy(resolve(args)))
+
+
+META = {"neurons": 4, "depth": 1, "degree": 0, "alpha": 1.0, "gamma": 1.0,
+        "lambda": 0.0, "iterations": 1000}
+
+# key: (command, flag argv, its value, a config value the flag beats, a
+# config value that beats the default); keys without a flag have None.
+PRECEDENCE = {
+    "data": ("stats", ["--data", "f.csv"], "f.csv", ["c.csv"], ["c.csv"]),
+    "out_dir": ("stats", ["--out-dir", "f"], "f", "c", "c"),
+    "params": ("train", ["--params", "f.json"], "f.json", "c.json", "c.json"),
+    "standardize": ("search", ["--no-standardize"], False, True, False),
+    "dynamic_width": ("compare", ["--dynamic-width"], True, False, True),
+    "use_tau": ("train", ["--no-tau"], False, True, False),
+    "gamma_jitter": ("compare", ["--gamma-jitter"], True, False, True),
+    "seeds": ("compare", ["--seeds", "3,4"], "3,4", [5], [5]),
+    "methods": ("compare", ["--methods", "ner"], "ner", "mcr", "mcr"),
+    "split_fraction": ("compare", ["--split", "0.5"], 0.5, 0.3, 0.3),
+    "metas": ("train", None, None, None, {"width": META}),
+    "search_space": ("search", None, None, None, {"neurons": [3]}),
+}
+
+
+def test_precedence_covers_every_setting():
+    assert set(PRECEDENCE) == set(cli.SETTINGS)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key", PRECEDENCE)
+    def test_flag_beats_config_beats_default(self, synth_csv, tmp_path,
+                                             monkeypatch, key):
+        command, flag, flag_value, beaten, config_value = PRECEDENCE[key]
+        runs = [([], {key: config_value}, config_value),
+                ([], {}, cli.SETTINGS[key][1])]
+        if flag is not None:
+            runs.append((flag, {key: beaten}, flag_value))
+        monkeypatch.chdir(tmp_path)
+        stop_at_read(monkeypatch, key)
+        data = [] if key == "data" else ["--data", str(synth_csv)]
+        for argv, doc, want in runs:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            with pytest.raises(Read) as read:
+                cli.main([command, *data, *argv, "--config", str(cfg)])
+            assert read.value.args[0] == want, (argv, doc)
+
+    def test_out_dir_dot_beats_config(self, synth_csv, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": "elsewhere"}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["stats", "--data", str(synth_csv), "--config",
+                         str(cfg), "--out-dir", "."]) == 0
+        assert (tmp_path / "stats.csv").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "stats"])
+    def test_unknown_config_key_is_config_error(self, synth_csv, tmp_path,
+                                                capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"standardize": True, "standrdize": False}))
+        argv = (["--out", str(tmp_path / "s.csv")] if command == "synth"
+                else ["--data", str(synth_csv)])
+        assert cli.main([command, *argv, "--config", str(cfg),
+                         "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config key 'standrdize'")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--dynamic-width"), ("eval", "--dynamic-width"),
+        ("search", "--dynamic-width"), ("synth", "--dynamic-width"),
+        ("stats", "--no-standardize"), ("eval", "--no-standardize"),
+        ("synth", "--no-standardize")])
+    def test_flag_of_a_command_that_ignores_it_is_usage_error(
+            self, synth_csv, tmp_path, capsys, command, flag):
+        source = (["--out", str(tmp_path / "s.csv")] if command == "synth"
+                  else ["--data", str(synth_csv)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *source, flag, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.sampled_from(sorted(cli.SETTINGS))
+                           | st.text(max_size=6), JSON, max_size=5) | JSON)
+def test_any_config_resolves_to_forms_or_config_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_text(json.dumps(doc))
+    args = cli._build_parser().parse_args(["compare", "--config", str(path)])
+    try:
+        s = cli._settings(args)
+    except ConfigError:
+        return
+    assert isinstance(doc, dict) and set(doc) <= set(cli.SETTINGS)
+    assert set(s) == set(cli.SETTINGS)
+    for key, (form, default) in cli.SETTINGS.items():
+        if doc.get(key) is None:
+            assert s[key] == default
+        else:
+            assert json.dumps(s[key]) == json.dumps(doc[key])
+            assert form is None or cli._FORMS[form](s[key])

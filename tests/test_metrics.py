@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kendall_all_pairs
+from oracles import average_ranks_loop, kendall_all_pairs
 from weldnet import cli, metrics
 from weldnet.dataset import save_csv, synthesize_weld
 from weldnet.errors import (
@@ -179,6 +179,16 @@ class TestCorrelations:
 
 
 TIED = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 3.25])
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.lists(TIED | st.sampled_from([-0.0, np.nan, np.inf])
+                      | st.floats(-5, 5), max_size=80))
+    def test_equals_loop_bitwise(self, v):
+        v = np.array(v, dtype=np.float64)
+        assert (metrics._average_ranks(v).tobytes()
+                == average_ranks_loop(v).tobytes())
 
 
 class TestKendallBlocks:
