@@ -304,11 +304,12 @@ def _report(path, text: str) -> None:
 
 
 def cmd_synth(args) -> int:
-    _settings(args)  # validates --config if one was given
+    s = _settings(args)
     with _config("synth arguments"):
         data = ds.synthesize_weld(args.rows, args.noise, args.seed)
-    ds.save_csv(data, args.out)
-    print(f"wrote {args.out}: {data.m} rows, {data.d} features, "
+    path = _out_dir(s) / args.out  # an absolute --out replaces --out-dir
+    ds.save_csv(data, path)
+    print(f"wrote {path}: {data.m} rows, {data.d} features, "
           f"{data.n_targets} targets")
     return 0
 
@@ -613,7 +614,7 @@ def cmd_stats(args) -> int:
             ds.write_csv(
                 out / f"fit_{_safe_name(names[a])}_vs_{_safe_name(names[b])}.csv",
                 [names[a], names[b], "fitted"],
-                zip(xs.tolist(), ys.tolist(), (slope * xs + intercept).tolist()))
+                np.column_stack([xs, ys, slope * xs + intercept]))
 
     corr = ["pair", "pearson_r", "pearson_p", "spearman", "kendall"]
     text = (metrics.align_table(corr, [[f"{r[0]}~{r[1]}", *r[2:6]] for r in rows])

@@ -144,16 +144,7 @@ def load_csv(path) -> Dataset:
     if not feat_idx or not targ_idx:
         raise EmptyDataset(f"{path} must have at least one iwp: and one dwp: column")
 
-    rows = np.empty((len(body), len(header)), dtype=np.float64)
-    for i, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(i + 1, len(cells), line)
-        for j, cell in enumerate(cells):
-            try:
-                rows[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(i + 1, j + 1, cell.strip()) from None
+    rows = _parse_body(body, len(header))
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         i, j = bad[0]
@@ -162,13 +153,38 @@ def load_csv(path) -> Dataset:
     return Dataset(rows[:, feat_idx], rows[:, targ_idx], feat_names, targ_names)
 
 
+def _parse_body(body, width: int) -> np.ndarray:
+    """The body lines as one (rows, width) float array: one float map over
+    every cell when each line has width cells that all parse, else the
+    row-by-row loop, which raises ParseError at the first bad row or cell."""
+    if all(line.count(",") == width - 1 for line in body):
+        try:
+            return np.fromiter(map(float, ",".join(body).split(",")),
+                               dtype=np.float64, count=len(body) * width
+                               ).reshape(len(body), width)
+        except ValueError:
+            pass
+    rows = np.empty((len(body), width), dtype=np.float64)
+    for i, line in enumerate(body):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(i + 1, len(cells), line)
+        for j, cell in enumerate(cells):
+            try:
+                rows[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(i + 1, j + 1, cell.strip()) from None
+    return rows
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header line and then each row as it is produced.
 
     This is the one CSV writer: a float cell is its shortest round-trip
     repr, an int is written with str, None is an empty cell and a str is
     written as is (quoted only if it holds a comma, a quote, a line feed or
-    a carriage return).
+    a carriage return).  rows is an iterable of rows, or a 2-D float array,
+    which is written through one "%r" row template with the same bytes.
     """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -178,7 +194,11 @@ def write_csv(path, header, rows) -> None:
             lf = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
             out = csv.writer(lf, lineterminator="\r\n")
             out.writerow(header)
-            out.writerows(rows)
+            if isinstance(rows, np.ndarray):
+                line = ",".join(["%r"] * rows.shape[1]) + "\n"
+                fh.writelines(line % tuple(row) for row in rows.tolist())
+            else:
+                out.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -194,7 +214,7 @@ def save_csv(data: Dataset, path) -> None:
             raise BadColumnName(name)
     write_csv(path, [IWP_PREFIX + n for n in data.feature_names]
               + [DWP_PREFIX + n for n in data.target_names],
-              (row.tolist() for row in np.hstack([data.features, data.targets])))
+              np.hstack([data.features, data.targets]))
 
 
 def _all_numeric(cells) -> bool:

@@ -130,6 +130,10 @@ class ConstantInput(WeldnetError):
     """Statistic undefined for a constant vector."""
 
 
+class NonFiniteInput(WeldnetError):
+    """Statistic given a NaN or infinite value."""
+
+
 # --- persistence / CLI ---
 
 class IoError(WeldnetError):

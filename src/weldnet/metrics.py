@@ -14,6 +14,7 @@ from .errors import (
     ConstantInput,
     EmptyInput,
     LengthMismatch,
+    NonFiniteInput,
     TooFewSamples,
 )
 
@@ -71,6 +72,8 @@ def _corr_pair(x, y, min_n=3):
         raise LengthMismatch(f"{x.size} vs {y.size}")
     if x.size < min_n:
         raise TooFewSamples(f"need at least {min_n} samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NonFiniteInput("correlation undefined for a NaN or infinite value")
     return x, y
 
 
@@ -90,20 +93,75 @@ def pearson(x, y):
 
     The p-value comes from the exact t relation with n-2 degrees of
     freedom, evaluated through the regularized incomplete beta function.
-    scipy is imported here, by the one function that needs it, as the
-    import costs more than most commands' own work.
     """
-    from scipy import special
-
     x, y = _corr_pair(x, y)
     r = _pearson_r(x, y)
-    df = x.size - 2
+    return r, _pearson_p(r, x.size - 2)
+
+
+def _pearson_p(r: float, df: int) -> float:
+    """Two-sided p-value of correlation r over df = n - 2 degrees of
+    freedom: I_x(df/2, 1/2) at x = df / (df + t^2), t^2 = r^2 df / (1 - r^2)."""
     r2 = min(r * r, 1.0)
     if 1.0 - r2 <= 0.0:
-        return r, 0.0
+        return 0.0
     t2 = r2 * df / (1.0 - r2)
-    p = float(special.betainc(0.5 * df, 0.5, df / (df + t2)))
-    return r, p
+    return _betainc(0.5 * df, 0.5, df / (df + t2))
+
+
+# Modified Lentz evaluation of the incomplete beta continued fraction: stop
+# once a step changes the value by less than BETA_EPS relative; BETA_TINY
+# stands in for a zero denominator.  Below the symmetry point the fraction
+# converges in O(sqrt(max(a, b))) steps; with one argument 1/2, as pearson
+# calls it, in at most 55 for any other from 1/2 to 1e5, far below BETA_STEPS.
+BETA_EPS = 1e-15
+BETA_TINY = 1e-300
+BETA_STEPS = 1000
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  With the larger argument a >= 1000, lgamma(a + b) -
+    lgamma(a) goes through Stirling's series (its next term is below
+    1e-18 there): the difference of the two lgamma values, each near
+    a log a, would keep their rounding error, about 1e-10 at a = 1e5."""
+    a, b = max(a, b), min(a, b)
+    if a < 1000.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    def tail(z):  # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
+        return (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z
+    return math.lgamma(b) - ((a - 0.5) * math.log1p(b / a) + b * math.log(a + b)
+                             - b + tail(a + b) - tail(a))
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0.
+
+    Continued fraction of Numerical Recipes (3rd ed., 6.4) by Lentz's
+    method, times the prefactor x^a (1-x)^b / B(a, b) taken in logs; above
+    x = (a+1)/(a+b+2) it uses I_x(a, b) = 1 - I_{1-x}(b, a), where the
+    fraction converges fast."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
+    h = d
+    for m in range(1, BETA_STEPS):
+        # the even then the odd coefficient of the fraction
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > BETA_TINY else BETA_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < BETA_EPS:
+            break
+    return math.exp(log_front) * h / a
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -127,33 +185,56 @@ def spearman(x, y) -> float:
     return _pearson_r(_average_ranks(x), _average_ranks(y))
 
 
-# Pairs kendall compares in one vectorized block; n rows take about
-# n^2 / (2 * KENDALL_PAIRS) blocks of a few arrays this size each, and up
-# to 512 rows (stats on a training set) take one.
-KENDALL_PAIRS = 1 << 18
+def _tied_pairs(new_run: np.ndarray) -> int:
+    """Pairs of equal values in a sorted vector, t (t - 1) / 2 per run of t,
+    given for each element after the first whether it starts a new run."""
+    runs = np.diff(np.flatnonzero(np.r_[True, new_run, True]))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _inversions(v: np.ndarray) -> int:
+    """Pairs i < j with v[i] > v[j], for integer ranks 0 <= v < n.
+
+    A bottom-up merge sort: at width w, v holds sorted runs of w values,
+    and each right run counts, per value, the values of its left run above
+    it (one searchsorted over keys offset by the run pair), before one sort
+    of the same keys merges each pair into a run of 2w."""
+    n = v.size
+    v = v.astype(np.int64)
+    pos = np.arange(n)
+    count, w = 0, 1
+    while w < n:
+        pair = pos // (2 * w)
+        keys = pair * n + v
+        right = (pos // w) % 2 == 1
+        # every left run before pair p is full, so p * w of them come first
+        below = np.searchsorted(keys[~right], keys[right], side="right")
+        count += int(np.sum(w - (below - pair[right] * w)))
+        v = np.sort(keys) - pair * n
+        w *= 2
+    return count
 
 
 def kendall(x, y) -> float:
-    """Kendall tau-b (tie-corrected).
+    """Kendall tau-b (tie-corrected), by Knight's O(n log n) method.
 
-    The concordance sums sign(x_i - x_j) * sign(y_i - y_j) over the pairs
-    i < j, a block of rows at a time (each block about KENDALL_PAIRS
-    pairs), so memory stays bounded at any n.  Every term is -1, 0 or 1,
-    so every partial sum is an exact integer and the total does not depend
-    on the blocks."""
+    Sorted by (x, y), the discordant pairs are the inversions of y, so the
+    concordance sum of sign(x_i - x_j) * sign(y_i - y_j) over all pairs is
+    n0 - n1 - n2 + n3 - 2 * discordant, with n0 pairs in all, n1 tied in x,
+    n2 tied in y and n3 tied in both.  Every count is an exact integer, so
+    tau has the bits of the sum over all pairs at once."""
     x, y = _corr_pair(x, y)
     n = x.size
-    rows = max(1, KENDALL_PAIRS // n)
-    concordance = 0.0
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        sx = np.sign(x[lo:hi, None] - x[None, lo:])
-        sy = np.sign(y[lo:hi, None] - y[None, lo:])
-        # row i - lo of the block pairs row i with rows lo..n-1; keep j > i
-        concordance += float(np.sum(np.triu(sx * sy, 1)))
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    y_sorted = np.sort(y)
+    new_x, new_y = xs[1:] != xs[:-1], y_sorted[1:] != y_sorted[:-1]
     n0 = n * (n - 1) // 2
-    n1 = sum(t * (t - 1) // 2 for t in np.unique(x, return_counts=True)[1])
-    n2 = sum(t * (t - 1) // 2 for t in np.unique(y, return_counts=True)[1])
+    n1, n2 = _tied_pairs(new_x), _tied_pairs(new_y)
+    n3 = _tied_pairs(new_x | (ys[1:] != ys[:-1]))
+    # ranks with ties equal: the first sorted position of each value
+    discordant = _inversions(np.searchsorted(y_sorted, ys))
+    concordance = float(n0 - n1 - n2 + n3 - 2 * discordant)
     denom = float(np.sqrt(float(n0 - n1) * float(n0 - n2)))
     if denom == 0.0:
         raise ConstantInput("tau undefined for a constant vector")

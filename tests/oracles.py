@@ -2,11 +2,13 @@
 
 Everything here recomputes quantities through a different route than the
 library (finite differences, explicit loops, naive summation, the
-allocating step maths the workspace step replaced, or Kendall's tau over
-all pairs at once) so the tests do not just compare the implementation
-with itself.
+allocating step maths the workspace step replaced, Kendall's tau over
+all pairs at once, or CSV cells read and written one at a time) so the
+tests do not just compare the implementation with itself.
 """
 
+import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from weldnet.block import (
     stack_blocks,
     unstack,
 )
-from weldnet.errors import ConstantInput, Diverged, LengthMismatch
+from weldnet.errors import ConstantInput, Diverged, LengthMismatch, ParseError
 
 
 @dataclass
@@ -62,6 +64,40 @@ def kendall_all_pairs(x, y) -> float:
     if denom == 0.0:
         raise ConstantInput("tau undefined for a constant vector")
     return min(1.0, max(-1.0, concordance / denom))
+
+
+def csv_body_loop(lines, width) -> np.ndarray:
+    """CSV body lines (line ends removed) parsed one cell at a time; raises
+    the ParseError of the first line with a wrong cell count or the first
+    unparsable cell, else of the first non-finite cell."""
+    rows = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(i + 1, len(cells), line)
+        for j, cell in enumerate(cells):
+            try:
+                rows[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(i + 1, j + 1, cell.strip()) from None
+    for i, line in enumerate(lines):
+        for j, cell in enumerate(line.split(",")):
+            if not np.isfinite(float(cell)):
+                raise ParseError(i + 1, j + 1, cell.strip())
+    return rows
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What write_csv should write: each row through a "\r\n"-terminated
+    csv.writer, cut back to "\n"."""
+    out = io.StringIO()
+    ref = csv.writer(out, lineterminator="\r\n")
+    for row in [header, *rows]:
+        ref.writerow(row)
+        out.seek(out.tell() - 2)
+        out.write("\n")
+        out.truncate()
+    return out.getvalue().encode("utf-8")
 
 
 def average_ranks_loop(v) -> np.ndarray:

@@ -55,6 +55,28 @@ class TestSynth:
         proc = run_cli("synth", "--rows", 5)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_relative_out_under_out_dir(self, tmp_path, via):
+        out_dir = tmp_path / "runs"
+        if via == "flag":
+            argv = ["--out-dir", out_dir]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out_dir": str(out_dir)}))
+            argv = ["--config", cfg]
+        proc = run_cli("synth", "--rows", 5, "--out", "s.csv", *argv,
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert wn.load_csv(out_dir / "s.csv").m == 5
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_absolute_out_ignores_out_dir(self, tmp_path):
+        proc = run_cli("synth", "--rows", 5, "--out", tmp_path / "s.csv",
+                       "--out-dir", "elsewhere", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert wn.load_csv(tmp_path / "s.csv").m == 5
+        assert not list((tmp_path / "elsewhere").glob("*"))
+
     def test_output_loads(self, synth_csv):
         data = wn.load_csv(synth_csv)
         assert data.d == 3 and data.n_targets == 2 and data.m == 60
@@ -277,6 +299,19 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_stats_leaves_scipy_unloaded(synth_csv, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from weldnet import cli; "
+         f"code = cli.main(['stats', '--data', {str(synth_csv)!r}, "
+         f"'--out-dir', {str(tmp_path)!r}]); "
+         "print(code, 'scipy' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "stats.csv").exists()
 
 
 class TestSearch:

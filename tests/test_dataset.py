@@ -1,11 +1,12 @@
 import csv
-import io
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import csv_body_loop, csv_writer_bytes
 from weldnet.dataset import (
     Dataset,
     append_bias,
@@ -38,6 +39,10 @@ from weldnet.errors import (
 def random_dataset(rng, m=20, d=3, n=2):
     return Dataset(rng.normal(size=(m, d)), rng.normal(size=(m, n)),
                    [f"f{j}" for j in range(d)], [f"t{j}" for j in range(n)])
+
+
+BODY_CELLS = st.sampled_from(["1", "-2.5", "1e3", "-0.0", " 3 ", "4\t", "1_0",
+                              "", "oops", "nan", "inf", "-Infinity"])
 
 
 class TestLoadCsv:
@@ -116,6 +121,35 @@ class TestLoadCsv:
         data = load_csv(p)
         assert data.m == 1
 
+    @given(lines=st.lists(st.lists(BODY_CELLS, min_size=3, max_size=3)
+                          | st.lists(BODY_CELLS, max_size=5), min_size=1,
+                          max_size=6).map(lambda rows: [",".join(r) for r in rows]),
+           crlf=st.booleans())
+    @example(lines=["1,2,3", " 4 ,5\t,-0.0", "7,oops,8,9", "1,nan,2"], crlf=True)
+    def test_same_error_as_cell_loop(self, tmp_path_factory, lines, crlf):
+        """The one-pass parse reads what the cell-by-cell loop reads, and
+        raises the ParseError it raises (same row, column and cell)."""
+        p = tmp_path_factory.mktemp("body") / "b.csv"
+        end = "\r\n" if crlf else "\n"
+        p.write_bytes(end.join(["iwp:a,iwp:b,dwp:c", *lines, ""]).encode())
+        body = list(lines)
+        while body and body[-1] == "":
+            body.pop()
+        if not body:
+            with pytest.raises(EmptyDataset):
+                load_csv(p)
+            return
+        try:
+            want = csv_body_loop(body, 3)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_csv(p)
+            assert (err.value.row, err.value.col, str(err.value)) == \
+                (exc.row, exc.col, str(exc))
+            return
+        data = load_csv(p)
+        assert np.hstack([data.features, data.targets]).tobytes() == want.tobytes()
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(7)
         data = Dataset(rng.normal(size=(45, 3)) * 1e3,
@@ -130,6 +164,8 @@ class TestLoadCsv:
         assert back.target_names == data.target_names
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, float("inf"), float("-inf"), float("nan"),
+               0.1, -1e-300]
 CELLS = st.one_of(
     st.floats(allow_nan=False), st.integers(), st.none(), st.text())
 SPECIAL_TEXT = st.lists(st.sampled_from(["a", ",", '"', "\n", "\r"]),
@@ -181,16 +217,18 @@ class TestWriteCsv:
         """Every cell kind (float, int, None, and str with a comma, a quote,
         a line feed or a lone carriage return) writes the bytes of a
         "\r\n"-terminated csv.writer whose rows are cut back to "\n"."""
-        p =tmp_path_factory.mktemp("csv") / "t.csv"
+        p = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(p, ["h\r", "h,2"], iter(rows))
-        want = io.StringIO()
-        ref = csv.writer(want, lineterminator="\r\n")
-        for row in [["h\r", "h,2"], *rows]:
-            ref.writerow(row)
-            want.seek(want.tell() - 2)
-            want.write("\n")
-            want.truncate()
-        assert p.read_bytes() == want.getvalue().encode("utf-8")
+        assert p.read_bytes() == csv_writer_bytes(["h\r", "h,2"], rows)
+
+    @given(arr=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)),
+                      elements=st.floats() | st.sampled_from(EDGE_FLOATS)))
+    @example(arr=np.array([EDGE_FLOATS]))
+    def test_float_array_same_bytes_as_row_writer(self, tmp_path_factory, arr):
+        p = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"h{j}" for j in range(arr.shape[1])]
+        write_csv(p, header, arr)
+        assert p.read_bytes() == csv_writer_bytes(header, arr.tolist())
 
 
 class TestSaveCsvNames:

@@ -1,8 +1,8 @@
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +15,7 @@ from weldnet.errors import (
     ConstantInput,
     EmptyInput,
     LengthMismatch,
+    NonFiniteInput,
     TooFewSamples,
 )
 from weldnet.metrics import (
@@ -191,38 +192,73 @@ class TestAverageRanks:
                 == average_ranks_loop(v).tobytes())
 
 
-class TestKendallBlocks:
-    """kendall sums the concordance a block of rows at a time; as every
-    partial sum is an exact integer, it has the bits of the sum over all
-    pairs at once."""
+class TestKendall:
+    """kendall counts the discordant pairs as inversions (Knight's method);
+    every count is an exact integer, so tau has the bits of the sum over
+    all pairs at once."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(xy=st.integers(3, 60).flatmap(lambda n: st.tuples(
+    @settings(max_examples=200, deadline=None)
+    @given(xy=st.integers(3, 80).flatmap(lambda n: st.tuples(
                st.lists(TIED | st.floats(-5, 5), min_size=n, max_size=n),
-               st.lists(TIED, min_size=n, max_size=n))),
-           pairs=st.integers(1, 300))
-    def test_blocks_equal_all_pairs(self, xy, pairs):
+               st.lists(TIED | st.floats(-5, 5), min_size=n, max_size=n))),
+           ties=st.sampled_from(["none", "x", "y", "both"]))
+    def test_equals_all_pairs(self, xy, ties):
         x, y = (np.array(v) for v in xy)
-        with patch.object(metrics, "KENDALL_PAIRS", pairs):
-            try:
-                want = kendall_all_pairs(x, y)
-            except ConstantInput:
-                with pytest.raises(ConstantInput):
-                    kendall(x, y)
-                return
-            assert np.float64(kendall(x, y)).tobytes() == np.float64(want).tobytes()
+        if ties in ("none", "y"):
+            x = x + np.arange(x.size) * 1e-3  # distinct x
+        if ties in ("none", "x"):
+            y = y + np.arange(y.size) * 1e-3
+        try:
+            want = kendall_all_pairs(x, y)
+        except ConstantInput:
+            with pytest.raises(ConstantInput):
+                kendall(x, y)
+            return
+        assert np.float64(kendall(x, y)).tobytes() == np.float64(want).tobytes()
 
     def test_memory_stays_bounded(self):
+        n = 20000
         rng = np.random.default_rng(5)
-        x, y = rng.normal(size=3000), np.round(rng.normal(size=3000), 1)
+        x, y = rng.normal(size=n), np.round(rng.normal(size=n), 1)
         tracemalloc.start()
         try:
             kendall(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # all pairs at once took over 200 MiB here
-        assert peak < 6 * metrics.KENDALL_PAIRS * 8
+        # all pairs at once would take gigabytes; the merge count a few
+        # vectors of n values
+        assert peak < 32 * n * 8
+
+
+class TestPearsonP:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(3, 200_000),
+           r=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           scale=st.sampled_from([1.0, 1e-2, 1e-4]))
+    def test_matches_scipy_betainc(self, n, r, scale):
+        r *= scale  # small r at large n takes the symmetry branch
+        df = n - 2
+        t2 = r * r * df / (1.0 - r * r)
+        want = float(scipy.special.betainc(0.5 * df, 0.5, df / (df + t2)))
+        got = metrics._pearson_p(r, df)
+        assert abs(got - want) <= 1e-8 * want + 1e-300
+
+    def test_edges(self):
+        assert metrics._pearson_p(0.0, 5) == 1.0
+        assert metrics._pearson_p(1.0, 5) == 0.0
+        assert metrics._pearson_p(-1.0, 5) == 0.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("fn", [pearson, spearman, kendall])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, fn, bad):
+        x = [1.0, bad, 2.0, 3.0, 4.0]
+        with pytest.raises(NonFiniteInput):
+            fn(x, [1.0, 2.0, 3.0, 5.0, 4.0])
+        with pytest.raises(NonFiniteInput):
+            fn([1.0, 2.0, 3.0, 5.0, 4.0], x)
 
 
 class TestZscore:
