@@ -20,6 +20,7 @@ from .block import (
     MIN_ITERATIONS,
     BlockMetaParams,
     init_block,
+    is_count,
     param_views,
     run_blocks,
     train,
@@ -217,6 +218,9 @@ class McrParams:
     iterations: int
 
     def __post_init__(self):
+        for name in ("degree", "iterations"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if self.lam < 0:

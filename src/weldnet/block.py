@@ -35,7 +35,7 @@ the stack with its own Diverged; the others carry on.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class RegressionBlock:
         return [self.theta1] + list(self.hidden) + [self.theta2]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRecord:
     """Scalars recorded for one training iteration.
 
@@ -166,17 +166,37 @@ class TraceRecord:
 
 @dataclass
 class TrainingTrace:
-    """Per-iteration training log for one block."""
+    """Per-iteration training log of one block: cols, a (6, n) array whose
+    rows are the TraceRecord fields after the iteration (the columns
+    run_stack writes), for the iterations numbered from start.  Traces
+    compare by value: start, shape and the columns' bits."""
 
-    records: list = field(default_factory=list)
+    cols: np.ndarray
+    start: int = 1
 
     def __len__(self):
-        return len(self.records)
+        return self.cols.shape[1]
+
+    def __eq__(self, other):
+        return (isinstance(other, TrainingTrace) and self.start == other.start
+                and self.cols.shape == other.cols.shape
+                and self.cols.tobytes() == other.cols.tobytes())
+
+    @property
+    def records(self) -> tuple:
+        """One TraceRecord per iteration, built from the columns."""
+        return tuple(TraceRecord(self.start + i, *vals)
+                     for i, vals in enumerate(zip(*self.cols.tolist())))
+
+    def then(self, later: "TrainingTrace") -> "TrainingTrace":
+        """This trace followed by the iterations of later."""
+        return TrainingTrace(np.concatenate([self.cols, later.cols], axis=1),
+                             self.start)
 
     def write_csv(self, path) -> None:
         write_csv(path, ["iter", "cost", "grad1_norm", "grad2_norm", "tau", "nu"],
-                  ((r.iteration, r.cost, r.grad1_norm, r.grad2_norm, r.tau, r.nu)
-                   for r in self.records))
+                  zip(range(self.start, self.start + len(self)),
+                      *self.cols[:5].tolist()))
 
 
 @dataclass
@@ -609,12 +629,6 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
     return finite
 
 
-def _records(cols: np.ndarray, start_iteration: int) -> list:
-    """TraceRecords from one block's trace columns (see run_stack)."""
-    return [TraceRecord(start_iteration + i, *vals)
-            for i, vals in enumerate(zip(*cols.tolist()))]
-
-
 def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
               use_tau: bool = True, jitter_rngs=None, rule=REINFORCED) -> list:
     """Run n_steps backprop iterations of every block in the stack.
@@ -623,12 +637,11 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     place, every step writing into one Workspace.  X is (B, m, d) and y
     (B, m); jitter_rngs, if given, holds one generator per block whose
     standard-normal draw is added to that block's gamma every iteration.
-    Returns one outcome per block, in stack order: (block, trace columns),
-    the columns a (6, n_steps) array of the TraceRecord fields after the
-    iteration number, or the Diverged of a block whose cost or weights
-    turned non-finite, carrying its iteration and the records before it
-    (numbered from start_iteration).  A diverged block leaves the stack; the
-    others carry on unchanged.
+    Returns one outcome per block, in stack order: (block, TrainingTrace)
+    of its n_steps iterations numbered from start_iteration, or the
+    Diverged of a block whose cost or weights turned non-finite, carrying
+    its iteration and the trace of the iterations before it.  A diverged
+    block leaves the stack; the others carry on unchanged.
     """
     ws = Workspace(stack, X, y)
     outcomes = [None] * len(stack)
@@ -651,7 +664,7 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
             for b in active[~finite]:
                 outcomes[b] = Diverged(
                     iteration=start_iteration + i,
-                    trace=TrainingTrace(_records(cols[:i, :, b].T, start_iteration)))
+                    trace=TrainingTrace(cols[:i, :, b].T, start_iteration))
             active = active[finite]
             if not active.size:
                 return outcomes
@@ -660,7 +673,7 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
             if jitter_rngs is not None:
                 jitter_rngs = [r for r, ok in zip(jitter_rngs, finite) if ok]
     for b, blk in zip(active, unstack(stack)):
-        outcomes[b] = (blk, cols[:, :, b].T)
+        outcomes[b] = (blk, TrainingTrace(cols[:, :, b].T, start_iteration))
     return outcomes
 
 
@@ -746,19 +759,13 @@ def run_blocks(blocks, inputs, targets, use_tau: bool = True,
     return outcomes
 
 
-def outcome_block(outcome, target=None) -> RegressionBlock:
-    """The block of a run_stack outcome; a Diverged outcome is raised,
-    naming target if given."""
+def trained_block(outcome, target=None):
+    """A run_stack outcome, (block, TrainingTrace); a Diverged outcome is
+    raised, naming target if given."""
     if isinstance(outcome, Diverged):
         raise Diverged(iteration=outcome.iteration, trace=outcome.trace,
                        target=target) from outcome
-    return outcome[0]
-
-
-def trained_block(outcome, target=None):
-    """(block, TrainingTrace) of a run_stack outcome, raised as by
-    outcome_block."""
-    return outcome_block(outcome, target), TrainingTrace(_records(outcome[1], 1))
+    return outcome
 
 
 def blocks_output(blocks, inputs) -> list:
@@ -776,31 +783,24 @@ def blocks_output(blocks, inputs) -> list:
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
               n_steps: int, start_iteration: int = 1, use_tau: bool = True,
               jitter_rng=None, rule=REINFORCED):
-    """run_stack for one block; returns (block, list of TraceRecord).
-
-    On divergence raises Diverged carrying the records accumulated so far.
-    """
+    """run_stack for one block; returns (block, TrainingTrace), or raises
+    Diverged carrying the trace of the iterations before it."""
     (outcome,) = run_stack(
         stack_blocks([block]), np.asarray(X, dtype=np.float64)[None],
         np.asarray(y, dtype=np.float64)[None], n_steps,
         start_iteration=start_iteration, use_tau=use_tau,
         jitter_rngs=None if jitter_rng is None else [jitter_rng], rule=rule)
-    if isinstance(outcome, Diverged):
-        raise outcome
-    block, cols = outcome
-    return block, _records(cols, start_iteration)
+    return trained_block(outcome)
 
 
 def train(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
           use_tau: bool = True, gamma_jitter: bool = False,
           jitter_seed: int = 0):
-    """Run meta.iterations backprop steps; returns (block, TrainingTrace).
+    """run_steps for meta.iterations steps; returns (block, TrainingTrace).
 
     With gamma_jitter, each iteration adds seeded standard-normal noise to
     gamma (experimental; off by default).  Raises Diverged with the partial
     trace attached if any weight or cost turns non-finite.
     """
-    jitter_rng = np.random.default_rng(jitter_seed) if gamma_jitter else None
-    block, records = run_steps(block, X, y, block.meta.iterations,
-                               use_tau=use_tau, jitter_rng=jitter_rng)
-    return block, TrainingTrace(records)
+    rng = np.random.default_rng(jitter_seed) if gamma_jitter else None
+    return run_steps(block, X, y, block.meta.iterations, use_tau=use_tau, jitter_rng=rng)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, dataset as ds, metrics, model as mdl, search as srch
-from .block import BlockMetaParams, outcome_block
+from .block import BlockMetaParams, trained_block
 from .errors import ConfigError, WeldnetError
 from .rng import derive_seed
 from .workers import map_tasks
@@ -530,7 +530,7 @@ def _predict_stacked(method, outcomes, feats, te):
     if isinstance(feats, WeldnetError):
         raise feats
     names = te.target_names
-    blocks = [outcome_block(out, tname if method in ("nrn", "ann") else None)
+    blocks = [trained_block(out, tname if method in ("nrn", "ann") else None)[0]
               for tname, out in zip(names, outcomes)]
     return mdl.predict(mdl.AggregateModel(blocks=blocks, scaler=feats[0],
                                           target_names=list(names)),

@@ -155,13 +155,15 @@ def load_csv(path) -> Dataset:
 
 def _parse_body(body, width: int) -> np.ndarray:
     """The body lines as one (rows, width) float array: one float map over
-    every cell when each line has width cells that all parse, else the
-    row-by-row loop, which raises ParseError at the first bad row or cell."""
-    if all(line.count(",") == width - 1 for line in body):
+    every cell when each line has width cells and the body is ASCII without
+    "_", else the row-by-row loop, which raises ParseError at the first bad
+    row or cell."""
+    text = ",".join(body)
+    if (text.isascii() and "_" not in text
+            and all(line.count(",") == width - 1 for line in body)):
         try:
-            return np.fromiter(map(float, ",".join(body).split(",")),
-                               dtype=np.float64, count=len(body) * width
-                               ).reshape(len(body), width)
+            return np.fromiter(map(float, text.split(",")), dtype=np.float64,
+                               count=len(body) * width).reshape(len(body), width)
         except ValueError:
             pass
     rows = np.empty((len(body), width), dtype=np.float64)
@@ -170,6 +172,10 @@ def _parse_body(body, width: int) -> np.ndarray:
         if len(cells) != width:
             raise ParseError(i + 1, len(cells), line)
         for j, cell in enumerate(cells):
+            # Python's float also reads digit grouping ("1_0") and
+            # non-ASCII digits and spaces, which no decimal number holds
+            if "_" in cell or not cell.isascii():
+                raise ParseError(i + 1, j + 1, cell.strip())
             try:
                 rows[i, j] = float(cell)
             except ValueError:

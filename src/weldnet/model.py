@@ -18,7 +18,9 @@ from .block import (
     cost,
     init_block,
     run_blocks,
+    run_stack,
     run_steps,
+    stack_blocks,
     trained_block,
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
@@ -76,18 +78,14 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     targets = list(train_data.targets.T)
 
     if dynamic_width:
-        trained = map_tasks(_train_target, [
+        outcomes = map_tasks(_train_dynamic, [
             (meta, X, y, seed, tname, use_tau, gamma_jitter)
             for meta, tname, X, y in zip(metas, names, inputs, targets)])
-        for tname, out in zip(names, trained):
-            if isinstance(out, Diverged):
-                raise Diverged(iteration=out.iteration, trace=out.trace,
-                               target=tname) from out
     else:
-        trained = [trained_block(out, tname) for tname, out in zip(
-            names, train_seeded(metas, inputs, targets, [seed] * len(metas),
-                                names, use_tau, gamma_jitter))]
-    blocks, traces = zip(*trained)
+        outcomes = train_seeded(metas, inputs, targets, [seed] * len(metas),
+                                names, use_tau, gamma_jitter)
+    blocks, traces = zip(*(trained_block(out, tname)
+                           for tname, out in zip(names, outcomes)))
     return AggregateModel(blocks=list(blocks), scaler=scaler,
                           target_names=list(names)), list(traces)
 
@@ -110,44 +108,34 @@ def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
                       jitter_rngs=rngs, rule_for=rule_for)
 
 
-def _train_target(meta, X, y, seed, tname, use_tau, gamma_jitter):
-    """One target's dynamic-width training, a map_tasks task: (block,
-    trace), or the Diverged it ended in, returned rather than raised."""
-    jitter_rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
-                  if gamma_jitter else None)
-    try:
-        return _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng)
-    except Diverged as exc:
-        return exc
-
-
-def _train_dynamic(meta, X, y, seed, tname, use_tau, jitter_rng):
-    """Chunked training with width probes on a held-out validation slice."""
+def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
+    """One target's dynamic-width training, a map_tasks task: RESIZE_PERIOD
+    iterations at a time, with width probes on a held-out validation slice
+    between them.  Returns (block, TrainingTrace), or the Diverged it ended
+    in, unraised, carrying the trace of every iteration before it."""
     if y.size < 3:
         raise TooFewRows("dynamic width needs at least 3 training rows")
     names = [f"x{j}" for j in range(X.shape[1])]
     fit_ds, val_ds = ds.split(ds.Dataset(X, y[:, None], names, [tname]),
                               VAL_FRACTION, derive_seed(seed, tname, "val"))
-
+    X_fit, y_fit = fit_ds.features[None], fit_ds.targets[:, 0][None]
+    jitter_rngs = ([np.random.default_rng(derive_seed(seed, tname, "jitter"))]
+                   if gamma_jitter else None)
     block = init_block(meta, X.shape[1], derive_seed(seed, tname))
-    records = []
-    done = 0
-    while done < meta.iterations:
-        n = min(RESIZE_PERIOD, meta.iterations - done)
-        try:
-            block, recs = run_steps(block, fit_ds.features, fit_ds.targets[:, 0],
-                                    n, start_iteration=done + 1,
-                                    use_tau=use_tau, jitter_rng=jitter_rng)
-        except Diverged as exc:
-            raise Diverged(iteration=exc.iteration,
-                           trace=TrainingTrace(records + exc.trace.records)) from exc
-        records.extend(recs)
-        done += n
-        if done < meta.iterations:
+    trace = TrainingTrace(np.empty((6, 0)))
+    while len(trace) < meta.iterations:
+        n = min(RESIZE_PERIOD, meta.iterations - len(trace))
+        (out,) = run_stack(stack_blocks([block]), X_fit, y_fit, n,
+                           start_iteration=len(trace) + 1, use_tau=use_tau,
+                           jitter_rngs=jitter_rngs)
+        if isinstance(out, Diverged):
+            return Diverged(iteration=out.iteration, trace=trace.then(out.trace))
+        block, trace = out[0], trace.then(out[1])
+        if len(trace) < meta.iterations:
             block = resize_hidden(block, fit_ds, val_ds,
-                                  derive_seed(seed, tname, "resize", done),
+                                  derive_seed(seed, tname, "resize", len(trace)),
                                   use_tau=use_tau)
-    return block, TrainingTrace(records)
+    return block, trace
 
 
 def _candidate_widths(k: int) -> list:

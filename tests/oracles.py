@@ -19,7 +19,6 @@ from weldnet.block import (
     TrainingTrace,
     Workspace,
     _forward_all,
-    _records,
     backprop_step,
     stack_blocks,
     unstack,
@@ -69,13 +68,17 @@ def kendall_all_pairs(x, y) -> float:
 def csv_body_loop(lines, width) -> np.ndarray:
     """CSV body lines (line ends removed) parsed one cell at a time; raises
     the ParseError of the first line with a wrong cell count or the first
-    unparsable cell, else of the first non-finite cell."""
+    unparsable cell (one holding "_" or a non-ASCII character, which
+    Python's float may read, is unparsable), else of the first non-finite
+    cell."""
     rows = np.empty((len(lines), width))
     for i, line in enumerate(lines):
         cells = line.split(",")
         if len(cells) != width:
             raise ParseError(i + 1, len(cells), line)
         for j, cell in enumerate(cells):
+            if "_" in cell or not cell.isascii():
+                raise ParseError(i + 1, j + 1, cell.strip())
             try:
                 rows[i, j] = float(cell)
             except ValueError:
@@ -314,8 +317,8 @@ def reference_run(blocks, X, y, n_steps, use_tau=True, jitter_rngs=None,
             if finite.all():
                 continue
             for b in active[~finite]:
-                outcomes[b] = Diverged(iteration=1 + i, trace=TrainingTrace(
-                    _records(cols[:, :i, b], 1)))
+                outcomes[b] = Diverged(iteration=1 + i,
+                                       trace=TrainingTrace(cols[:, :i, b]))
             active = active[finite]
             if not active.size:
                 return outcomes
@@ -329,5 +332,5 @@ def reference_run(blocks, X, y, n_steps, use_tau=True, jitter_rngs=None,
     stack = replace(stack, mats=mats, tau=tau, nu=nu,
                     metas=[stack.metas[b] for b in active])
     for b, blk in zip(active, unstack(stack)):
-        outcomes[b] = (blk, cols[:, :, b])
+        outcomes[b] = (blk, TrainingTrace(cols[:, :, b]))
     return outcomes

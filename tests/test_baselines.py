@@ -218,6 +218,15 @@ class TestMcr:
         with pytest.raises(ValueError):
             McrParams(alpha=0.1, lam=0.0, degree=0, iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 1000.5), ("iterations", 1000.0), ("iterations", True),
+        ("degree", 0.0), ("degree", True)])
+    def test_counts_must_be_integers(self, field, value):
+        kw = {"alpha": 0.3, "lam": 0.0, "degree": 0, "iterations": 1000, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McrParams(**kw)
+        McrParams(**{**kw, field: np.int64(1000 if field == "iterations" else 0)})
+
     def test_huge_lambda_shrinks_slopes(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 3))

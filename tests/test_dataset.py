@@ -42,7 +42,8 @@ def random_dataset(rng, m=20, d=3, n=2):
 
 
 BODY_CELLS = st.sampled_from(["1", "-2.5", "1e3", "-0.0", " 3 ", "4\t", "1_0",
-                              "", "oops", "nan", "inf", "-Infinity"])
+                              "\u0661", "\uff12", "", "oops", "nan", "inf",
+                              "-Infinity"])
 
 
 class TestLoadCsv:
@@ -126,6 +127,9 @@ class TestLoadCsv:
                           max_size=6).map(lambda rows: [",".join(r) for r in rows]),
            crlf=st.booleans())
     @example(lines=["1,2,3", " 4 ,5\t,-0.0", "7,oops,8,9", "1,nan,2"], crlf=True)
+    @example(lines=["1,2,3", "4,1_0,6"], crlf=False)
+    @example(lines=["1,\u0661,3", "4,5,\uff12"], crlf=True)
+    @example(lines=["1,2,3\u00a0"], crlf=False)
     def test_same_error_as_cell_loop(self, tmp_path_factory, lines, crlf):
         """The one-pass parse reads what the cell-by-cell loop reads, and
         raises the ParseError it raises (same row, column and cell)."""

@@ -6,7 +6,7 @@ that stack their blocks (train_all, compare) are checked against their
 blocks trained one at a time, results and the error raised on divergence
 alike."""
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -21,7 +21,6 @@ from weldnet.block import (
     REINFORCED,
     BlockMetaParams,
     Workspace,
-    _records,
     init_block,
     run_stack,
     run_steps,
@@ -49,22 +48,17 @@ def assert_same_block(a, b):
     assert bits(a.nu) == bits(b.nu)
 
 
-def assert_same_records(a, b):
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert bits(astuple(ra)) == bits(astuple(rb))
-
-
 def assert_same_outcome(got, want):
-    """got: a run_stack outcome; want: the same block's run_steps result."""
+    """got: a run_stack outcome; want: the same block's run_steps result.
+    Traces are equal when their start and their columns' bits are."""
     if isinstance(want, Diverged):
         assert isinstance(got, Diverged)
         assert got.iteration == want.iteration
-        assert_same_records(got.trace.records, want.trace.records)
+        assert got.trace == want.trace
     else:
         assert not isinstance(got, Diverged)
         assert_same_block(got[0], want[0])
-        assert_same_records(_records(got[1], 1), want[1])
+        assert got[1] == want[1]
 
 
 @st.composite
@@ -170,10 +164,7 @@ def test_chunking_changes_nothing(case, cut, use_tau):
              + (together(blocks[cut:], X[cut:], y[cut:], 12, use_tau)
                 if cut < len(blocks) else []))
     for g, w in zip(parts, whole):
-        if isinstance(w, Diverged):
-            assert_same_outcome(g, w)
-        else:
-            assert_same_outcome(g, (w[0], _records(w[1], 1)))
+        assert_same_outcome(g, w)
 
 
 # --- the forward pass alone: stack_output ---
@@ -225,13 +216,7 @@ def assert_same_as_reference(got, want):
     """got: run_stack outcomes; want: oracles.reference_run outcomes.
     Weights, tau, nu and all six trace columns must be bit-equal."""
     for g, w in zip(got, want):
-        if isinstance(w, Diverged):
-            assert isinstance(g, Diverged) and g.iteration == w.iteration
-            assert_same_records(g.trace.records, w.trace.records)
-        else:
-            assert not isinstance(g, Diverged)
-            assert_same_block(g[0], w[0])
-            assert g[1].shape == w[1].shape and bits(g[1]) == bits(w[1])
+        assert_same_outcome(g, w)
 
 
 @st.composite
@@ -418,11 +403,8 @@ def train_alone(method, meta, X, y, seed, tname, use_tau, gamma_jitter,
         meta, use_tau = replace(meta, gamma=1.0), False
     rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
            if gamma_jitter else None)
-    block, records = run_steps(init_block(meta, X.shape[1],
-                                          derive_seed(seed, tname)),
-                               X, y, meta.iterations, use_tau=use_tau,
-                               jitter_rng=rng)
-    return block, records
+    return run_steps(init_block(meta, X.shape[1], derive_seed(seed, tname)),
+                     X, y, meta.iterations, use_tau=use_tau, jitter_rng=rng)
 
 
 @pytest.mark.parametrize("variant", [
@@ -475,10 +457,10 @@ def test_train_all_equals_targets_alone(weld60, use_tau, jitter):
     _, inputs = ds.prepare_features(data.features, [m.degree for m in metas],
                                     fit=True)
     for k, (meta, tname, X) in enumerate(zip(metas, data.target_names, inputs)):
-        block, records = train_alone("nrn", meta, X, data.targets[:, k], 3,
-                                     tname, use_tau, jitter, None)
+        block, trace = train_alone("nrn", meta, X, data.targets[:, k], 3,
+                                   tname, use_tau, jitter, None)
         assert_same_block(model.blocks[k], block)
-        assert_same_records(traces[k].records, records)
+        assert traces[k] == trace
 
 
 def outcomes_alone(data, methods, metas, seeds, opt_hyper):
@@ -537,4 +519,4 @@ def test_train_all_raises_first_divergence_in_target_order(weld60):
         mdl.train_all(metas, tr, seed=1)
     assert str(got.value) == str(Diverged(alone[0].iteration,
                                           target=tr.target_names[0]))
-    assert_same_records(got.value.trace.records, alone[0].trace.records)
+    assert got.value.trace == alone[0].trace

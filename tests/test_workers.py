@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from test_stack import assert_same_block, assert_same_records, bits, weld_meta
+from test_stack import assert_same_block, assert_same_outcome, weld_meta
 from weldnet import (
     baselines,
     block,
@@ -24,7 +24,6 @@ from weldnet import (
     workers,
 )
 from weldnet.block import (
-    TraceRecord,
     TrainingTrace,
     init_block,
     run_blocks,
@@ -32,7 +31,6 @@ from weldnet.block import (
     stack_blocks,
 )
 from weldnet.errors import Diverged, WeldnetError, WorkerDied
-from weldnet.rng import derive_seed
 
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
@@ -44,7 +42,7 @@ def cpus(request, monkeypatch):
 
 # --- errors survive pickling ---
 
-TRACE = TrainingTrace([TraceRecord(1, 0.5, 1.0, 2.0, 0.1, -0.1, 0.6)])
+TRACE = TrainingTrace(np.array([[0.5], [1.0], [2.0], [0.1], [-0.1], [0.6]]))
 # constructor arguments of the errors that take more than a message
 ERROR_ARGS = {
     "UnprefixedColumn": (("x",), {}),
@@ -185,19 +183,12 @@ def three_targets():
 
 def targets_alone(metas, data, seed, use_tau, gamma_jitter):
     """_train_dynamic of every target in this process, one after another:
-    (block, trace) or the Diverged it raised."""
+    (block, trace) or the Diverged it returned."""
     _, inputs = ds.prepare_features(data.features, [m.degree for m in metas],
                                     fit=True)
-    out = []
-    for meta, tname, X, y in zip(metas, data.target_names, inputs,
-                                 data.targets.T):
-        rng = (np.random.default_rng(derive_seed(seed, tname, "jitter"))
-               if gamma_jitter else None)
-        try:
-            out.append(mdl._train_dynamic(meta, X, y, seed, tname, use_tau, rng))
-        except Diverged as exc:
-            out.append(exc)
-    return out
+    return [mdl._train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter)
+            for meta, tname, X, y in zip(metas, data.target_names, inputs,
+                                         data.targets.T)]
 
 
 def test_dynamic_width_equals_targets_alone(three_targets, cpus):
@@ -211,7 +202,7 @@ def test_dynamic_width_equals_targets_alone(three_targets, cpus):
     for block, trace, (want_block, want_trace) in zip(model.blocks, traces, want):
         assert_same_block(block, want_block)
         assert block.meta == want_block.meta
-        assert_same_records(trace.records, want_trace.records)
+        assert trace == want_trace
 
 
 def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
@@ -228,7 +219,12 @@ def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
     assert got.value.target == "p"
     assert got.value.iteration == alone[0].iteration
     assert str(got.value) == str(Diverged(alone[0].iteration, target="p"))
-    assert_same_records(got.value.trace.records, alone[0].trace.records)
+    assert got.value.trace == alone[0].trace
+    # the trace runs across the width probes: every iteration before the
+    # divergence, numbered from 1
+    assert len(got.value.trace) == got.value.iteration - 1
+    assert [r.iteration for r in got.value.trace.records] == list(
+        range(1, got.value.iteration))
 
 
 # --- run_blocks: large same-shape groups cut across workers ---
@@ -297,14 +293,7 @@ def assert_same_outcomes(got, want):
     the same iteration with the same partial trace."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        if isinstance(w, Diverged):
-            assert isinstance(g, Diverged)
-            assert g.iteration == w.iteration
-            assert_same_records(g.trace.records, w.trace.records)
-        else:
-            assert not isinstance(g, Diverged)
-            assert_same_block(g[0], w[0])
-            assert g[1].shape == w[1].shape and bits(g[1]) == bits(w[1])
+        assert_same_outcome(g, w)
 
 
 RUN_BLOCKS_CASES = {
