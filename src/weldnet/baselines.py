@@ -19,8 +19,8 @@ from .block import (
     MAX_ITERATIONS,
     MIN_ITERATIONS,
     BlockMetaParams,
+    check_fields,
     init_block,
-    is_count,
     param_views,
     run_blocks,
     train,
@@ -48,6 +48,7 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        check_fields(self, reals=("eta", "rho", "momentum", "eps"))
         if not self.eta > 0:
             raise ValueError("eta must be > 0")
         if not (0.0 < self.rho < 1.0):
@@ -167,11 +168,6 @@ class OptimizerRule:
         np.divide(g, tmp, out=g)
         np.subtract(w, g, out=w)
 
-    def take(self, keep) -> "OptimizerRule":
-        st = self.state
-        return OptimizerRule(st if st.accum is None
-                             else replace(st, accum=st.accum[keep]))
-
 
 def optimizer_rules(kind: str, eta: float, rho: float = 0.9,
                     momentum: float = 0.9, eps: float = 1e-8):
@@ -218,9 +214,7 @@ class McrParams:
     iterations: int
 
     def __post_init__(self):
-        for name in ("degree", "iterations"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_fields(self, ("degree", "iterations"), ("alpha", "lam"))
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if self.lam < 0:

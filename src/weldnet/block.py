@@ -28,12 +28,13 @@ set per call, in OUTPUT_ROWS tiles with the bits of a single pass.
 
 Every per-block quantity is computed slice by slice in the rounding order of
 a lone block, so a block's weights, shifts and trace do not depend on what
-it is stacked with.  A block whose cost or weights turn non-finite leaves
-the stack with its own Diverged; the others carry on.
+it is stacked with.  A block whose cost or weights turn non-finite gets its
+own Diverged and stays in the stack, masked; the others carry on.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -71,6 +72,27 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (numpy's too) with a finite float
+    value, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check_fields(obj, counts=(), reals=()) -> None:
+    """ValueError unless every field of obj named in counts is an integer
+    (is_count) and every one named in reals a finite number (is_real)."""
+    for names, ok, kind in ((counts, is_count, "an integer"),
+                            (reals, is_real, "a finite number")):
+        for name in names:
+            if not ok(getattr(obj, name)):
+                raise ValueError(f"{name} must be {kind}, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class BlockMetaParams:
     """Per-block hyperparameters.
@@ -89,9 +111,7 @@ class BlockMetaParams:
     degree: int = 0
 
     def __post_init__(self):
-        for name in INTEGER_FIELDS:
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_fields(self, INTEGER_FIELDS, ("alpha", "gamma", "lam"))
         if not (MIN_NEURONS <= self.neurons <= MAX_NEURONS):
             raise ValueError(f"neurons must be in [{MIN_NEURONS}, {MAX_NEURONS}]")
         if not (MIN_DEPTH <= self.depth <= MAX_DEPTH):
@@ -115,8 +135,12 @@ class BlockMetaParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockMetaParams":
-        return cls(neurons=d["neurons"], alpha=float(d["alpha"]),
-                   gamma=float(d["gamma"]), lam=float(d["lambda"]),
+        """The meta of a to_dict dict; alpha, gamma and lambda turn into
+        floats if they are finite numbers, and are rejected otherwise."""
+        def real(key):
+            return float(d[key]) if is_real(d[key]) else d[key]
+        return cls(neurons=d["neurons"], alpha=real("alpha"),
+                   gamma=real("gamma"), lam=real("lambda"),
                    iterations=d["iterations"], depth=d.get("depth", 1),
                    degree=d.get("degree", 0))
 
@@ -220,15 +244,6 @@ class BlockStack:
 
     def __len__(self):
         return len(self.metas)
-
-    def take(self, keep) -> "BlockStack":
-        """The stack of the blocks selected by a boolean mask."""
-        params = self.params[keep]
-        return BlockStack(
-            params=params, mats=param_views(params, self.mats),
-            tau=self.tau[keep], nu=None if self.nu is None else self.nu[keep],
-            metas=[meta for meta, k in zip(self.metas, keep) if k],
-            alpha=self.alpha[keep], gamma=self.gamma[keep], lam=self.lam[keep])
 
 
 def param_views(flat: np.ndarray, mats) -> list:
@@ -394,10 +409,6 @@ class Workspace:
         self.finite = np.empty(B, dtype=bool)
         self.nu = np.empty(B)
         self.row = np.empty((6, B))
-
-    def take(self, stack: BlockStack, keep) -> "Workspace":
-        """A workspace for stack, the blocks of a boolean mask of this one's."""
-        return Workspace(stack, self.inputs[0][keep][:, :, 1:], self.y[keep])
 
 
 def _block_rows(stack: BlockStack, X) -> np.ndarray:
@@ -576,9 +587,6 @@ class ReinforcedRule:
         np.divide(step, ws.m, out=step)
         np.add(stack.params, step, out=stack.params)
 
-    def take(self, keep) -> "ReinforcedRule":
-        return self
-
 
 REINFORCED = ReinforcedRule()
 
@@ -641,11 +649,12 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     of its n_steps iterations numbered from start_iteration, or the
     Diverged of a block whose cost or weights turned non-finite, carrying
     its iteration and the trace of the iterations before it.  A diverged
-    block leaves the stack; the others carry on unchanged.
+    block stays in the stack behind a mask, and the others carry on
+    unchanged; the call returns once every block has diverged.
     """
     ws = Workspace(stack, X, y)
     outcomes = [None] * len(stack)
-    active = np.arange(len(stack))
+    alive = np.ones(len(stack), dtype=bool)
     # per step and block: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero
     cols = np.empty((n_steps, 6, len(stack)))
     # Overflow here just means divergence; the finite mask reports it.
@@ -655,25 +664,19 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
             if jitter_rngs is not None:
                 gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
             finite = backprop_step(stack, ws, use_tau, gamma, rule)
-            if active.size == len(outcomes):
-                cols[i] = ws.row
-            else:
-                cols[i][:, active] = ws.row
+            cols[i] = ws.row
             if finite.all():
                 continue
-            for b in active[~finite]:
+            for b in np.flatnonzero(alive & ~finite):
                 outcomes[b] = Diverged(
                     iteration=start_iteration + i,
                     trace=TrainingTrace(cols[:i, :, b].T, start_iteration))
-            active = active[finite]
-            if not active.size:
+            alive &= finite
+            if not alive.any():
                 return outcomes
-            stack, rule = stack.take(finite), rule.take(finite)
-            ws = ws.take(stack, finite)
-            if jitter_rngs is not None:
-                jitter_rngs = [r for r, ok in zip(jitter_rngs, finite) if ok]
-    for b, blk in zip(active, unstack(stack)):
-        outcomes[b] = (blk, TrainingTrace(cols[:, :, b].T, start_iteration))
+    for b, blk in enumerate(unstack(stack)):
+        if outcomes[b] is None:
+            outcomes[b] = (blk, TrainingTrace(cols[:, :, b].T, start_iteration))
     return outcomes
 
 

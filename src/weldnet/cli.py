@@ -274,6 +274,20 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _target_paths(out: Path, pattern: str, keys) -> list:
+    """out / pattern filled with the safe names of each key (a tuple of
+    target names), in keys order; a ConfigError naming both keys if two of
+    them would write one file."""
+    paths = {}
+    for key in keys:
+        path = out / pattern.format(*map(_safe_name, key))
+        if path in paths:
+            raise ConfigError(f"targets {'~'.join(paths[path])!r} and "
+                              f"{'~'.join(key)!r} would both write {path.name}")
+        paths[path] = key
+    return list(paths)
+
+
 def _parse_seeds(seeds, seed: int) -> list:
     """A --seeds comma list, the config's list, or [seed] if that is empty."""
     if isinstance(seeds, str):
@@ -318,14 +332,16 @@ def cmd_train(args) -> int:
     s = _settings(args)
     out = _out_dir(s)
     data = _load_data(s)
+    trace_paths = _target_paths(out, "trace_{}.csv",
+                                [(t,) for t in data.target_names])
     model, traces = mdl.train_all(
         _metas_for(data, s), data, args.seed, standardize=s["standardize"],
         use_tau=s["use_tau"], dynamic_width=s["dynamic_width"],
         gamma_jitter=s["gamma_jitter"])
     model_path = out / "model.json"
     mdl.save(model, model_path)
-    for tname, trace in zip(data.target_names, traces):
-        trace.write_csv(out / f"trace_{_safe_name(tname)}.csv")
+    for path, trace in zip(trace_paths, traces):
+        trace.write_csv(path)
     widths = ",".join(str(b.width) for b in model.blocks)
     print(f"wrote {model_path} (hidden widths: {widths}) and "
           f"{len(traces)} trace file(s) to {out}")
@@ -389,14 +405,16 @@ def cmd_search(args) -> int:
         if args.target not in data.target_names:
             raise ConfigError(f"unknown target {args.target!r}")
         targets = [(data.target_names.index(args.target), args.target)]
+    board_paths = _target_paths(out, "leaderboard_{}.csv",
+                                [(tname,) for _, tname in targets])
 
     best_by_target = {}
-    for k, tname in targets:
+    for (k, tname), board_path in zip(targets, board_paths):
         best, board = srch.grid_search(
             space, data, k, folds=args.folds, seed=args.seed,
             standardize=s["standardize"], max_points=args.max_points)
         best_by_target[tname] = best.to_dict()
-        srch.write_leaderboard_csv(board, out / f"leaderboard_{_safe_name(tname)}.csv")
+        srch.write_leaderboard_csv(board, board_path)
         print(f"{tname}: best {best.to_dict()} "
               f"(cv-rmse {board[0].mean_rmse:.6g} over {len(board)} points)")
     params_path = out / "best_params.json"
@@ -601,20 +619,21 @@ def cmd_stats(args) -> int:
     out = _out_dir(s)
     data = _load_data(s)
     names = data.target_names
+    pairs = [(a, b) for a in range(len(names)) for b in range(a + 1, len(names))]
+    fit_paths = _target_paths(out, "fit_{}_vs_{}.csv",
+                              [(names[a], names[b]) for a, b in pairs])
     rows = []  # a, b, pearson r and p, spearman, kendall, slope, intercept
-    for a in range(data.n_targets):
-        for b in range(a + 1, data.n_targets):
-            x, y = data.targets[:, a], data.targets[:, b]
-            slope, intercept = np.polyfit(x, y, 1)
-            rows.append((names[a], names[b], *metrics.pearson(x, y),
-                         metrics.spearman(x, y), metrics.kendall(x, y),
-                         slope, intercept))
-            order = np.argsort(x)
-            xs, ys = x[order], y[order]
-            ds.write_csv(
-                out / f"fit_{_safe_name(names[a])}_vs_{_safe_name(names[b])}.csv",
-                [names[a], names[b], "fitted"],
-                np.column_stack([xs, ys, slope * xs + intercept]))
+    for (a, b), fit_path in zip(pairs, fit_paths):
+        x, y = data.targets[:, a], data.targets[:, b]
+        slope, intercept = np.polyfit(x, y, 1)
+        rows.append((names[a], names[b], *metrics.pearson(x, y),
+                     metrics.spearman(x, y), metrics.kendall(x, y),
+                     slope, intercept))
+        order = np.argsort(x)
+        xs, ys = x[order], y[order]
+        ds.write_csv(
+            fit_path, [names[a], names[b], "fitted"],
+            np.column_stack([xs, ys, slope * xs + intercept]))
 
     corr = ["pair", "pearson_r", "pearson_p", "spearman", "kendall"]
     text = (metrics.align_table(corr, [[f"{r[0]}~{r[1]}", *r[2:6]] for r in rows])

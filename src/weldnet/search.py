@@ -30,6 +30,7 @@ from .block import (
     blocks_output,
     init_block,
     is_count,
+    is_real,
     run_blocks,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE
@@ -42,9 +43,11 @@ def _check_range(name, values, lo, hi):
     values = tuple(values)
     if not values:
         raise ValueError(f"{name} list must be non-empty")
+    ok, kind = ((is_count, "an integer") if name in INTEGER_FIELDS
+                else (is_real, "a finite number"))
     for v in values:
-        if name in INTEGER_FIELDS and not is_count(v):
-            raise ValueError(f"{name} value {v!r} is not an integer")
+        if not ok(v):
+            raise ValueError(f"{name} value {v!r} is not {kind}")
         if not (lo <= v <= hi):
             raise ValueError(f"{name} value {v} outside [{lo}, {hi}]")
     return values

@@ -285,7 +285,12 @@ class RefOptimizer:
 def reference_run(blocks, X, y, n_steps, use_tau=True, jitter_rngs=None,
                   rule=None):
     """run_stack's outcomes for blocks on X (B, m, d), y (B, m), computed
-    with the allocating step; rule is RefReinforced() by default."""
+    with the allocating step; rule is RefReinforced() by default.
+
+    A diverged block leaves this stack: every array, the rule's state and
+    the jitter generators are cut down to the survivors.  run_stack keeps
+    it in place behind a mask instead; this policy is kept on purpose, as
+    an independent check that a masked block changes no other block."""
     stack = stack_blocks(blocks)
     rule = RefReinforced() if rule is None else rule
     B, m, _ = X.shape

@@ -218,6 +218,10 @@ class TestExitCodes:
         ["compare", "--data", "{data}", "--rho", "1.5"],
         ["compare", "--data", "{data}", "--momentum", "1"],
         ["compare", "--data", "{data}", "--eps", "0"],
+        ["compare", "--data", "{data}", "--methods", "adagrad", "--eta", "inf"],
+        ["compare", "--data", "{data}", "--eps", "inf"],
+        ["compare", "--data", "{data}", "--mcr-alpha", "inf"],
+        ["compare", "--data", "{data}", "--mcr-lambda", "nan"],
         ["compare", "--data", "{data}", "--ner-degree", "9"],
         ["eval", "--data", "{data}", "--ner-train", "{data}", "--degree", "9"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
@@ -225,7 +229,7 @@ class TestExitCodes:
         argv = [a.format(data=synth_csv, out=tmp_path) for a in argv]
         proc = run_cli(*argv, "--out-dir", tmp_path)
         assert proc.returncode == 2
-        assert "config error" in proc.stderr
+        assert "config error" in proc.stderr and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
 
@@ -550,6 +554,128 @@ class TestErrorContract:
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 9.31 GiB\n")
         assert not (tmp_path / "stats.csv").exists()
+
+
+class TestNonFiniteHyperparameters:
+    """A float hyperparameter must be a finite number, not a bool or a
+    string: anything else is a config error before any training (compare's
+    flags: test_range_error_is_config_error)."""
+
+    @staticmethod
+    def assert_config_error(capsys, code, *words):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    @pytest.mark.parametrize("values", [
+        {"lambda": float("nan")}, {"alpha": float("inf")},
+        {"gamma": float("inf")}, {"alpha": True}, {"gamma": "2"},
+        {"lambda": "nan"}, {"alpha": None}])
+    def test_params_file(self, synth_csv, tmp_path, capsys, values):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"targets": {"penetration": values}}))
+        code = cli.main(["train", "--data", str(synth_csv), "--params",
+                         str(params), "--out-dir", str(tmp_path)])
+        key = next(iter(values))
+        self.assert_config_error(capsys, code, "lam" if key == "lambda" else key,
+                                 "must be a finite number")
+        assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("values", [
+        {"alpha": [0.5, float("inf")]}, {"gamma": [True]},
+        {"lambda": [float("nan")]}, {"lambda": ["0"]}])
+    def test_search_space(self, synth_csv, tmp_path, capsys, values):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(values))
+        code = cli.main(["search", "--data", str(synth_csv), "--space",
+                         str(path), "--out-dir", str(tmp_path)])
+        self.assert_config_error(capsys, code, "is not a finite number")
+        assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "best_params.json").exists()
+
+
+# Any JSON value a meta-parameter may hold, and the corner cases of each.
+META_VALUES = (st.none() | st.booleans() | st.text(max_size=4)
+               | st.integers() | st.floats()
+               | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                  -1, -0.5, 0, 2**1100, "2", "nan"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(sorted(cli.DEFAULT_META)),
+                              META_VALUES, max_size=4))
+def test_any_meta_values_give_a_meta_or_config_error(values):
+    """from_dict, as cli._metas_for calls it, gives a meta whose numbers are
+    the values given (alpha, gamma and lambda as floats), or an error that
+    _metas_for reports as a config error; nothing trains."""
+    data = wn.Dataset(np.zeros((3, 1)), np.zeros((3, 1)), ["x"], ["p"])
+    raw = {**cli.DEFAULT_META, **values}
+    try:
+        (meta,) = cli._metas_for(data, {"metas": {"p": values}, "params": None})
+    except ConfigError as exc:
+        assert str(exc).startswith("bad meta-parameters for 'p'")
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            wn.BlockMetaParams.from_dict(raw)
+        return
+    for key, value in meta.to_dict().items():
+        assert value == raw[key] and not isinstance(raw[key], (bool, str))
+        assert type(value) is (float if key in ("alpha", "gamma", "lambda")
+                               else type(raw[key]))
+        assert np.isfinite(value)
+
+
+class TestTargetFileCollisions:
+    """Two targets whose names map to one per-target file are a config
+    error naming both, before anything trains or is written."""
+
+    @pytest.fixture
+    def colliding_csv(self, tmp_path):
+        path = tmp_path / "collide.csv"
+        path.write_text("iwp:x,dwp:a b,dwp:a_b,dwp:c\n"
+                        + "".join(f"{i},{i * 2 % 5},{i % 3},{i * i % 7}\n"
+                                  for i in range(12)))
+        return path
+
+    @pytest.mark.parametrize("command, names", [
+        ("train", ("'a b'", "'a_b'")), ("search", ("'a b'", "'a_b'")),
+        ("stats", ("'a b~c'", "'a_b~c'"))])
+    def test_is_config_error(self, colliding_csv, tmp_path, capsys, command,
+                             names):
+        out = tmp_path / "out"
+        argv = [command, "--data", str(colliding_csv), "--out-dir", str(out)]
+        if command == "search":
+            argv += ["--folds", "2", "--max-points", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: targets ") and err.count("\n") == 1
+        assert names[0] in err and names[1] in err
+        assert "Traceback" not in err
+        assert not list(out.iterdir())
+
+    def test_stats_pairs(self, tmp_path, capsys):
+        """fit_<a>_vs_<b>.csv of the pairs (x_vs, y) and (x, vs_y)."""
+        path = tmp_path / "pairs.csv"
+        path.write_text("iwp:f,dwp:x_vs,dwp:y,dwp:x,dwp:vs_y\n"
+                        + "".join(f"{i},{i % 3},{i * 2 % 5},{i * i % 7},{i % 4}\n"
+                                  for i in range(12)))
+        out = tmp_path / "out"
+        assert cli.main(["stats", "--data", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'x_vs~y'" in err and "'x~vs_y'" in err
+        assert "fit_x_vs_vs_y.csv" in err
+        assert not list(out.iterdir())
+
+    def test_distinct_names_keep_their_files(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("iwp:x,dwp:a b,dwp:c\n"
+                        + "".join(f"{i},{i * 2 % 5},{i * i % 7}\n"
+                                  for i in range(12)))
+        assert cli.main(["stats", "--data", str(path), "--out-dir",
+                         str(tmp_path)]) == 0
+        assert (tmp_path / "fit_a_b_vs_c.csv").exists()
 
 
 class TestUnknownMetaKey:

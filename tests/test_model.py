@@ -411,6 +411,16 @@ class TestLoadValidation:
         assert repr(key) in self.load_edited(saved_doc, tmp_path,
                                              lambda d: d.pop(key))
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", float("nan")), ("gamma", float("inf")), ("lambda", True),
+        ("alpha", "0.5")])
+    def test_meta_float_not_a_finite_number(self, saved_doc, tmp_path, key,
+                                            value):
+        def edit(d):
+            d["blocks"][1]["meta"][key] = value
+        msg = self.load_edited(saved_doc, tmp_path, edit)
+        assert "blocks[1].meta" in msg and "must be a finite number" in msg
+
     def test_missing_meta_key(self, saved_doc, tmp_path):
         msg = self.load_edited(saved_doc, tmp_path,
                                lambda d: d["blocks"][1]["meta"].pop("neurons"))

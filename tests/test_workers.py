@@ -12,8 +12,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from test_stack import assert_same_block, assert_same_outcome, weld_meta
+from test_stack import (
+    OPT_HYPER,
+    assert_same_block,
+    assert_same_outcome,
+    outcomes_alone,
+    train_alone,
+    weld_meta,
+)
 from weldnet import (
     baselines,
     block,
@@ -225,6 +234,77 @@ def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
     assert len(got.value.trace) == got.value.iteration - 1
     assert [r.iteration for r in got.value.trace.records] == list(
         range(1, got.value.iteration))
+
+
+# --- every path that trains blocks raises a divergence with its context ---
+
+
+@pytest.fixture(scope="module")
+def weld40():
+    return ds.synthesize_weld(40, 0.02, seed=5)
+
+
+def first_diverged_alone(path, metas, data, seed, eta):
+    """(target name, Diverged) of the first target in column order that
+    diverges trained by itself the way path trains it, or None."""
+    if path == "dynamic":
+        outs = targets_alone(metas, data, seed, True, False)
+        return next(((t, o) for t, o in zip(data.target_names, outs)
+                     if isinstance(o, Diverged)), None)
+    if path == "fixed":
+        _, inputs = ds.prepare_features(data.features, [0] * len(metas),
+                                        fit=True)
+        for k, (meta, tname, X) in enumerate(zip(metas, data.target_names,
+                                                 inputs)):
+            try:
+                train_alone("nrn", meta, X, data.targets[:, k], seed, tname,
+                            True, False, None)
+            except Diverged as exc:
+                return tname, exc
+        return None
+    return next(((t, o) for _, _, t, o in outcomes_alone(
+        data, [path], metas, [seed], {**OPT_HYPER, "eta": eta})
+        if o is not None), None)
+
+
+@pytest.mark.parametrize("path", ["fixed", "dynamic", "nrn", "ann", "nesterov"])
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(k=st.integers(0, 1), seed=st.integers(0, 2**16),
+       scale=st.floats(0.0, 1.0))
+def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
+                                                scale):
+    """Target k gets an alpha that makes it diverge (for nesterov, every
+    target gets a large eta): the path raises the Diverged of the first
+    target in column order to diverge alone, at its iteration, with the
+    trace of every iteration before it, naming the target where the path
+    names it (not for the optimizers).  At dynamic width the divergence
+    comes after a width probe."""
+    metas = [weld_meta(), weld_meta()]
+    if path == "dynamic":
+        metas[k] = weld_meta(alpha=3.0 + 0.3 * scale, gamma=1.4, lam=0.0)
+    else:
+        metas[k] = weld_meta(alpha=6.0 + 30.0 * scale, gamma=1.4, lam=0.0)
+    eta = 3.0 + 3.0 * scale
+    first = first_diverged_alone(path, metas, weld40, seed, eta)
+    assume(first is not None)
+    tname, want = first
+    if path == "dynamic":
+        assume(want.iteration > mdl.RESIZE_PERIOD)
+    with pytest.raises(Diverged) as got:
+        if path in ("fixed", "dynamic"):
+            mdl.train_all(metas, weld40, seed, dynamic_width=path == "dynamic")
+        else:
+            cli.run_comparison(weld40, [path], metas, [seed], 0.2,
+                               opt_hyper={**OPT_HYPER, "eta": eta})
+    named = tname if path in ("fixed", "dynamic", "nrn", "ann") else None
+    assert got.value.iteration == want.iteration
+    assert got.value.target == named
+    assert str(got.value) == str(Diverged(want.iteration, target=named))
+    assert got.value.trace == want.trace
+    assert len(got.value.trace) == got.value.iteration - 1
+    assert got.value.trace.start == 1
 
 
 # --- run_blocks: large same-shape groups cut across workers ---
