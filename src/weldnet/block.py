@@ -527,13 +527,15 @@ def _pick_tau(ws: Workspace, nu, lam_reg, use_tau: bool) -> None:
 
 def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
     """Regularized cost: (1/2m) [sum squared residuals + lam * sum of
-    squared non-bias weights], residuals against the tau-shifted output."""
+    squared non-bias weights], residuals against the tau-shifted output;
+    inf or nan, without a warning, where the arithmetic overflows."""
     stack = stack_blocks([block])
     ws = Workspace(stack, np.asarray(X, dtype=np.float64)[None],
                    np.asarray(y, dtype=np.float64)[None])
-    _forward_all(stack, ws)
-    lam_reg = stack.lam * _reg_sum(stack, ws)
-    return float(_shift_costs(ws, stack.tau[:, None], lam_reg)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _forward_all(stack, ws)
+        lam_reg = stack.lam * _reg_sum(stack, ws)
+        return float(_shift_costs(ws, stack.tau[:, None], lam_reg)[0, 0])
 
 
 def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
@@ -763,11 +765,13 @@ def run_blocks(blocks, inputs, targets, use_tau: bool = True,
 
 
 def trained_block(outcome, target=None):
-    """A run_stack outcome, (block, TrainingTrace); a Diverged outcome is
-    raised, naming target if given."""
+    """A training outcome, (block, TrainingTrace); a Diverged outcome is
+    raised naming target if given, any other error outcome as it is."""
     if isinstance(outcome, Diverged):
         raise Diverged(iteration=outcome.iteration, trace=outcome.trace,
                        target=target) from outcome
+    if isinstance(outcome, Exception):
+        raise outcome
     return outcome
 
 

@@ -25,7 +25,7 @@ from .workers import map_tasks
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
 # Methods that train one block per target; compare trains each of them on
-# every (seed, target) as stacks (nrn and ann at dynamic width excepted).
+# every (seed, target) at once, through model.train_seeded.
 BLOCK_METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov")
 
 # Columns of compare_raw.csv (also the keys of each comparison record) and
@@ -459,15 +459,13 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 
     splits = [ds.split(data, split_fraction, seed) for seed in seeds]
-    # every distinct block method that trains as stacks, each on a worker
-    stacked = list(dict.fromkeys(
-        m for m in methods if m in BLOCK_METHODS
-        and not (dynamic_width and m in ("nrn", "ann"))))
-    feats = [_seed_features(tr, metas, standardize) if stacked else None
+    # every distinct block method, each on a worker
+    block_methods = list(dict.fromkeys(m for m in methods if m in BLOCK_METHODS))
+    feats = [_seed_features(tr, metas, standardize) if block_methods else None
              for tr, _ in splits]
-    trained = dict(zip(stacked, map_tasks(_train_stacked, [
+    trained = dict(zip(block_methods, map_tasks(_train_stacked, [
         (method, data.target_names, splits, feats, seeds, metas, use_tau,
-         gamma_jitter, opt_hyper) for method in stacked])))
+         dynamic_width, gamma_jitter, opt_hyper) for method in block_methods])))
 
     records = []
     for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):
@@ -476,8 +474,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                 preds = _predict_stacked(method, trained[method].get(i),
                                          feats[i], te)
             else:
-                preds = _fit_predict(method, tr, te, seed, metas, standardize,
-                                     use_tau, dynamic_width, gamma_jitter,
+                preds = _fit_predict(method, tr, te, seed, standardize,
                                      ner_degree, mcr_params)
             for k, tname in enumerate(data.target_names):
                 records.append(dict(zip(RAW_COLUMNS, (
@@ -510,7 +507,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
 def _seed_features(tr: ds.Dataset, metas, standardize: bool):
     """(scaler, one block input per meta) of a seed's training split, or
     the WeldnetError that preparing them raised; it is raised where the
-    first stacked method of that seed needs them."""
+    first block method of that seed needs them."""
     try:
         return ds.prepare_features(tr.features, [m.degree for m in metas],
                                    fit=standardize)
@@ -519,13 +516,14 @@ def _seed_features(tr: ds.Dataset, metas, standardize: bool):
 
 
 def _train_stacked(method, names, splits, feats, seeds, metas, use_tau,
-                   gamma_jitter, opt_hyper) -> dict:
-    """One block method trained on every (seed, target) at once; returns,
-    per seed index whose features could be prepared, its run_blocks
-    outcomes in target order.
+                   dynamic_width, gamma_jitter, opt_hyper) -> dict:
+    """One block method trained on every (seed, target) at once through
+    model.train_seeded; returns, per seed index whose features could be
+    prepared, its outcomes in target order.
 
     nrn keeps the metas' gamma and the output shift; ann and the optimizers
-    train with gamma 1 and no shift; gamma jitter applies to nrn and ann.
+    train with gamma 1 and no shift; dynamic width and gamma jitter apply
+    to nrn and ann.
     """
     ok = [i for i, f in enumerate(feats) if not isinstance(f, WeldnetError)]
     if method != "nrn":
@@ -537,14 +535,16 @@ def _train_stacked(method, names, splits, feats, seeds, metas, use_tau,
         use_tau=use_tau and method == "nrn",
         gamma_jitter=gamma_jitter and method in ("nrn", "ann"),
         rule_for=(None if method in ("nrn", "ann")
-                  else baselines.optimizer_rules(method, **opt_hyper)))
+                  else baselines.optimizer_rules(method, **opt_hyper)),
+        dynamic_width=dynamic_width and method in ("nrn", "ann"))
     n = len(names)
     return {i: outcomes[j * n:(j + 1) * n] for j, i in enumerate(ok)}
 
 
 def _predict_stacked(method, outcomes, feats, te):
-    """Test estimates of one seed's stacked blocks; raises the seed's
-    feature error or its first divergence (nrn and ann name the target)."""
+    """Test estimates of one seed's trained blocks; raises the seed's
+    feature error or its first error outcome in target order (the
+    divergence of nrn and ann names the target)."""
     if isinstance(feats, WeldnetError):
         raise feats
     names = te.target_names
@@ -555,20 +555,8 @@ def _predict_stacked(method, outcomes, feats, te):
                        te.features)
 
 
-def _fit_predict(method, tr, te, seed, metas, standardize, use_tau,
-                 dynamic_width, gamma_jitter, ner_degree, mcr_params):
-    """Test estimates of a method that is not stacked: nrn and ann at
-    dynamic width, ner and mcr."""
-    if method == "nrn" or method == "ann":
-        use_metas = metas
-        eff_tau = use_tau
-        if method == "ann":
-            use_metas = [replace(m, gamma=1.0) for m in metas]
-            eff_tau = False
-        model, _ = mdl.train_all(use_metas, tr, seed, standardize=standardize,
-                                 use_tau=eff_tau, dynamic_width=dynamic_width,
-                                 gamma_jitter=gamma_jitter)
-        return mdl.predict(model, te.features)
+def _fit_predict(method, tr, te, seed, standardize, ner_degree, mcr_params):
+    """Test estimates of a method that trains no blocks: ner or mcr."""
     if method == "ner":
         theta = baselines.normal_equation_fit(tr, ner_degree)
         return baselines.linear_predict(theta, te.features, ner_degree)

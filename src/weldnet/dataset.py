@@ -22,6 +22,7 @@ from .errors import (
     EmptyDataset,
     IoError,
     MissingHeader,
+    NonFiniteInput,
     ParseError,
     SchemaMismatch,
     TooFewRows,
@@ -271,11 +272,15 @@ def prepare_features(features: np.ndarray, degrees,
     if fit:
         if features.shape[0] < 2:
             raise TooFewRows("standardize needs at least 2 rows")
-        means = features.mean(axis=0)
-        stds = features.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = features.mean(axis=0)
+            stds = features.std(axis=0, ddof=1)
         for j, s in enumerate(stds):
             if s == 0.0:
                 raise ConstantColumn(j)
+            if not np.isfinite(s):  # its sum or its squares overflowed
+                raise NonFiniteInput(f"feature column {j} spreads beyond the "
+                                     f"float range; cannot standardize")
         scaler = ScalerParams(means, stds)
     if scaler is not None:
         features = scaler.apply(features)

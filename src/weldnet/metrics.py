@@ -32,9 +32,10 @@ def _paired(y, yhat):
 
 
 def rmse(y, yhat) -> float:
-    """Root mean squared error."""
+    """Root mean squared error (inf where the squares overflow)."""
     y, yhat = _paired(y, yhat)
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
 
 def pe(y, yhat):
@@ -49,8 +50,9 @@ def pe(y, yhat):
     excluded = int(np.sum(~nonzero))
     if excluded == y.size:
         raise AllTargetsZero("every target is zero")
-    ratios = np.abs(y[nonzero] - yhat[nonzero]) / np.abs(y[nonzero])
-    return float(np.mean(ratios) * 100.0), excluded
+    with np.errstate(over="ignore"):
+        ratios = np.abs(y[nonzero] - yhat[nonzero]) / np.abs(y[nonzero])
+        return float(np.mean(ratios) * 100.0), excluded
 
 
 def confidence_interval(samples, level: float = 0.95):

@@ -17,6 +17,8 @@ from .block import (
     blocks_output,
     cost,
     init_block,
+    is_count,
+    is_real,
     run_blocks,
     run_stack,
     run_steps,
@@ -61,12 +63,9 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     """Train one block per target column; returns (AggregateModel, traces).
 
     Each block gets a seed derived from (seed, target name), so results do
-    not depend on target order.  At fixed width the blocks train as stacks
-    (train_seeded); with dynamic_width, each block trains alone, holds out
-    a validation slice and probes neighboring hidden widths every
-    RESIZE_PERIOD iterations, the targets at the same time on forked
-    workers (workers.map_tasks).  A divergence raises Diverged naming the
-    first diverging target in column order.
+    not depend on target order.  The blocks train through train_seeded, at
+    fixed or dynamic width.  A divergence raises Diverged naming the first
+    diverging target in column order.
     """
     metas = list(metas)
     if len(metas) != train_data.n_targets:
@@ -75,15 +74,9 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     scaler, inputs = ds.prepare_features(
         train_data.features, [meta.degree for meta in metas], fit=standardize)
     names = train_data.target_names
-    targets = list(train_data.targets.T)
-
-    if dynamic_width:
-        outcomes = map_tasks(_train_dynamic, [
-            (meta, X, y, seed, tname, use_tau, gamma_jitter)
-            for meta, tname, X, y in zip(metas, names, inputs, targets)])
-    else:
-        outcomes = train_seeded(metas, inputs, targets, [seed] * len(metas),
-                                names, use_tau, gamma_jitter)
+    outcomes = train_seeded(metas, inputs, list(train_data.targets.T),
+                            [seed] * len(metas), names, use_tau, gamma_jitter,
+                            dynamic_width=dynamic_width)
     blocks, traces = zip(*(trained_block(out, tname)
                            for tname, out in zip(names, outcomes)))
     return AggregateModel(blocks=list(blocks), scaler=scaler,
@@ -91,15 +84,24 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
 
 
 def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
-                 gamma_jitter: bool = False, rule_for=None) -> list:
-    """Fixed-width blocks, the i-th one from metas[i], initialized from
+                 gamma_jitter: bool = False, rule_for=None,
+                 dynamic_width: bool = False) -> list:
+    """Blocks, the i-th one from metas[i], initialized from
     derive_seed(seeds[i], names[i]) and trained on inputs[i] against
-    targets[i], all through block.run_blocks; returns its outcomes.
+    targets[i]; returns their outcomes in order.
 
-    With gamma_jitter, block i draws its gamma noise from
-    derive_seed(seeds[i], names[i], "jitter").  rule_for is run_blocks'
-    update-rule factory.
+    At fixed width they train as stacks through block.run_blocks, whose
+    update-rule factory rule_for is.  With dynamic_width each block trains
+    alone with the reinforced rule (_train_dynamic), holding out a
+    validation slice and probing neighboring hidden widths every
+    RESIZE_PERIOD iterations, all of them at the same time on forked
+    workers (workers.map_tasks).  With gamma_jitter, block i draws its
+    gamma noise from derive_seed(seeds[i], names[i], "jitter").
     """
+    if dynamic_width:
+        return map_tasks(_train_dynamic, [
+            (meta, X, y, s, name, use_tau, gamma_jitter)
+            for meta, X, y, s, name in zip(metas, inputs, targets, seeds, names)])
     blocks = [init_block(meta, X.shape[1], derive_seed(s, name))
               for meta, X, s, name in zip(metas, inputs, seeds, names)]
     rngs = ([np.random.default_rng(derive_seed(s, name, "jitter"))
@@ -111,10 +113,11 @@ def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
 def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
     """One target's dynamic-width training, a map_tasks task: RESIZE_PERIOD
     iterations at a time, with width probes on a held-out validation slice
-    between them.  Returns (block, TrainingTrace), or the Diverged it ended
-    in, unraised, carrying the trace of every iteration before it."""
+    between them.  Returns (block, TrainingTrace), or the error it ended
+    in, unraised: TooFewRows, or a Diverged carrying the trace of every
+    iteration before it."""
     if y.size < 3:
-        raise TooFewRows("dynamic width needs at least 3 training rows")
+        return TooFewRows("dynamic width needs at least 3 training rows")
     names = [f"x{j}" for j in range(X.shape[1])]
     fit_ds, val_ds = ds.split(ds.Dataset(X, y[:, None], names, [tname]),
                               VAL_FRACTION, derive_seed(seed, tname, "val"))
@@ -226,14 +229,16 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
 def predict(model: AggregateModel, X_raw: np.ndarray) -> np.ndarray:
     """Estimates (n, N) for every target; column k comes from block k.
     Same-shape blocks go through block.stack_output as one stack, with one
-    buffer set per call for all n rows."""
+    buffer set per call for all n rows.  Where the arithmetic overflows,
+    the estimate is inf or nan, without a warning."""
     X_raw = np.asarray(X_raw, dtype=np.float64)
     if X_raw.ndim != 2 or X_raw.shape[1] != model.input_dim:
         raise DimensionMismatch(
             f"expected {model.input_dim} feature columns, got {X_raw.shape}")
-    _, inputs = ds.prepare_features(
-        X_raw, [blk.meta.degree for blk in model.blocks], model.scaler)
-    return np.column_stack(blocks_output(model.blocks, inputs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, inputs = ds.prepare_features(
+            X_raw, [blk.meta.degree for blk in model.blocks], model.scaler)
+        return np.column_stack(blocks_output(model.blocks, inputs))
 
 
 def _mat_to_doc(mat: np.ndarray) -> dict:
@@ -258,12 +263,19 @@ def _list(doc, key: str, where: str) -> list:
 
 
 def _floats(values, where: str) -> np.ndarray:
-    try:
+    """A list of finite numbers (block.is_real) as a float64 array, or a
+    FormatError naming the first value that is not one."""
+    if not isinstance(values, list):
+        raise FormatError(MODEL_FILE_VERSION, f"{where} is not a list")
+    try:  # is_real's test in bulk: a JSON number loads as an int or a float
         out = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(MODEL_FILE_VERSION, f"{where}: {exc}") from exc
-    if out.ndim != 1:
-        raise FormatError(MODEL_FILE_VERSION, f"{where} is not a flat list")
+        ok = {*map(type, values)} <= {int, float} and np.isfinite(out).all()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        i = next(i for i, v in enumerate(values) if not is_real(v))
+        raise FormatError(MODEL_FILE_VERSION, f"{where}[{i}] must be a finite "
+                                              f"number, got {values[i]!r}")
     return out
 
 
@@ -272,7 +284,7 @@ def _mat_from_doc(doc, where: str, rows=None, cols=None) -> np.ndarray:
     shape the block's meta-parameters imply (rows/cols None: unchecked)."""
     r, c = _get(doc, "rows", where), _get(doc, "cols", where)
     data = _floats(_get(doc, "data", where), f"{where}.data")
-    if not all(isinstance(v, int) and v >= 0 for v in (r, c)):
+    if not all(is_count(v) and v >= 0 for v in (r, c)):
         raise FormatError(MODEL_FILE_VERSION, f"{where} rows/cols are not counts")
     if data.size != r * c:
         raise FormatError(MODEL_FILE_VERSION,
@@ -308,7 +320,10 @@ def _block_from_doc(bdoc, where: str, width):
     hidden = [_mat_from_doc(h, f"{where}.hidden[{j}]", k + 1, k)
               for j, h in enumerate(hidden)]
     theta2 = _mat_from_doc(_get(bdoc, "theta2", where), f"{where}.theta2", k + 1, 1)
-    tau = _floats([_get(bdoc, "tau", where)], f"{where}.tau")[0]
+    tau = _get(bdoc, "tau", where)
+    if not is_real(tau):
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"{where}.tau must be a finite number, got {tau!r}")
     return RegressionBlock(theta1=theta1, theta2=theta2, hidden=hidden,
                            tau=float(tau), meta=meta), width
 
@@ -350,8 +365,9 @@ def load(path) -> AggregateModel:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(None, f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_FILE_VERSION:
-        raise FormatError(doc.get("version") if isinstance(doc, dict) else None)
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if not is_count(version) or version != MODEL_FILE_VERSION:
+        raise FormatError(version)
 
     scaler, width = None, None
     sdoc = _get(doc, "scaler", "model")
@@ -364,6 +380,9 @@ def load(path) -> AggregateModel:
             raise FormatError(MODEL_FILE_VERSION, f"scaler: {exc}") from exc
         width = len(means)
     targets = _list(doc, "targets", "model")
+    if not all(isinstance(t, str) for t in targets) or len(set(targets)) < len(targets):
+        raise FormatError(MODEL_FILE_VERSION,
+                          f"targets {targets!r} are not distinct strings")
     bdocs = _list(doc, "blocks", "model")
     if not targets or len(bdocs) != len(targets):
         raise FormatError(MODEL_FILE_VERSION,

@@ -29,6 +29,7 @@ from weldnet.errors import (
     EmptyDataset,
     IoError,
     MissingHeader,
+    NonFiniteInput,
     ParseError,
     SchemaMismatch,
     TooFewRows,
@@ -321,6 +322,16 @@ class TestStandardize:
         with pytest.raises(ConstantColumn) as err:
             standardize(data)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("column", [[1e200, -1e200, 3e200],
+                                        [1.7e308, 1.7e308, 1.0]])
+    def test_spread_beyond_float_range(self, column):
+        """A column whose squares or sum overflow has no finite std, which
+        a saved model could not hold."""
+        data = Dataset(np.column_stack([[1.0, 2.0, 4.0], column]),
+                       [[0.0], [0.0], [1.0]], ["a", "b"], ["t"])
+        with pytest.raises(NonFiniteInput, match="feature column 1"):
+            standardize(data)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invert_recovers_original(self, seed):

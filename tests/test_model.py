@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weldnet import block
+from weldnet import block, cli
 from weldnet.block import (
     OUTPUT_ROWS,
     BlockMetaParams,
@@ -375,6 +375,21 @@ class TestPersistence:
             load(p)
 
 
+# Any JSON value: what json.load can give for one leaf of a model file.
+JSON_VALUES = st.one_of(
+    st.booleans(), st.text(max_size=4), st.none(), st.integers(),
+    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+
+
+def put(doc, path, value):
+    """Set the value at path (a sequence of keys and indices) in doc."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 class TestLoadValidation:
     """Every malformed model file raises FormatError naming the problem."""
 
@@ -421,6 +436,45 @@ class TestLoadValidation:
         msg = self.load_edited(saved_doc, tmp_path, edit)
         assert "blocks[1].meta" in msg and "must be a finite number" in msg
 
+    # case -> (path of the value in the model doc, the value put there,
+    # text the FormatError must hold)
+    BAD_VALUES = {
+        "rows-true": (("blocks", 0, "theta1", "rows"), True,
+                      "blocks[0].theta1 rows/cols are not counts"),
+        "cols-true": (("blocks", 0, "hidden", 0, "cols"), True,
+                      "blocks[0].hidden[0] rows/cols are not counts"),
+        "data-str": (("blocks", 0, "theta1", "data", 1), "0.5",
+                     "blocks[0].theta1.data[1] must be a finite number"),
+        "data-true": (("blocks", 0, "hidden", 0, "data", 0), True,
+                      "blocks[0].hidden[0].data[0] must be a finite number"),
+        "data-inf": (("blocks", 1, "theta2", "data", 2), float("inf"),
+                     "blocks[1].theta2.data[2] must be a finite number"),
+        "data-huge-int": (("blocks", 1, "theta1", "data", 0), 10**400,
+                          "blocks[1].theta1.data[0] must be a finite number"),
+        "tau-nan": (("blocks", 1, "tau"), float("nan"),
+                    "blocks[1].tau must be a finite number"),
+        "tau-true": (("blocks", 0, "tau"), True,
+                     "blocks[0].tau must be a finite number"),
+        "means-inf": (("scaler", "means", 0), float("-inf"),
+                      "scaler.means[0] must be a finite number"),
+        "stds-nan": (("scaler", "stds", 1), float("nan"),
+                     "scaler.stds[1] must be a finite number"),
+        "stds-str": (("scaler", "stds", 2), "1", "scaler.stds[2] must be"),
+        "stds-not-a-list": (("scaler", "stds"), 1.0, "scaler.stds is not a list"),
+        "targets-ints": (("targets",), [1, 2], "are not distinct strings"),
+        "targets-repeated": (("targets",), ["width", "width"],
+                             "are not distinct strings"),
+        "version-true": (("version",), True, "version: True"),
+        "version-float": (("version",), 1.0, "version: 1.0"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_bad_value(self, saved_doc, tmp_path, case):
+        path, value, text = self.BAD_VALUES[case]
+        msg = self.load_edited(saved_doc, tmp_path,
+                               lambda d: put(d, path, value))
+        assert text in msg
+
     def test_missing_meta_key(self, saved_doc, tmp_path):
         msg = self.load_edited(saved_doc, tmp_path,
                                lambda d: d["blocks"][1]["meta"].pop("neurons"))
@@ -457,6 +511,42 @@ class TestLoadValidation:
         msg = self.load_edited(saved_doc, tmp_path,
                                lambda d: d["targets"].append("extra"))
         assert "2 blocks for 3 targets" in msg
+
+    @pytest.fixture(scope="class")
+    def eval_dir(self, weld_train, tmp_path_factory):
+        """A directory holding the CSV that eval reads."""
+        out = tmp_path_factory.mktemp("eval")
+        save_csv(weld_train, out / "data.csv")
+        return out
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_any_leaf_value_exits_cleanly(self, saved_doc, eval_dir, capsys,
+                                          data, value):
+        """One leaf of a saved model (or an empty list) replaced by any JSON
+        value: `weldnet eval` exits 0 with nothing on stderr, or 2 or 3
+        with one error line, and never raises."""
+        doc = copy.deepcopy(saved_doc)
+        node, path = doc, []
+        while isinstance(node, (dict, list)) and node:
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+            path.append(key)
+        put(doc, path, value)
+        (eval_dir / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["eval", "--model", str(eval_dir / "model.json"),
+                         "--data", str(eval_dir / "data.csv"),
+                         "--out-dir", str(eval_dir / "out")])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (2, 3)
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(("error:", "config error:"))
 
     def test_cli_eval_exit_code(self, saved_doc, weld_train, tmp_path):
         doc = copy.deepcopy(saved_doc)

@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,48 @@ def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
         range(1, got.value.iteration))
 
 
+def test_compare_at_dynamic_width_equals_train_all(three_targets, cpus):
+    """A dynamic-width compare trains nrn and ann on every (seed, target)
+    through one train_seeded call each, beside a fixed-width method: their
+    records equal train_all at dynamic width and predict on each seed's
+    split, one seed at a time."""
+    metas = [weld_meta(neurons=4, iterations=1100), weld_meta(depth=2),
+             weld_meta(neurons=3, degree=1, gamma=0.5)]
+    seeds = [0, 3]
+    records, _ = cli.run_comparison(three_targets, ["nrn", "nesterov", "ann"],
+                                    metas, seeds, 0.25, dynamic_width=True,
+                                    gamma_jitter=True)
+    want = []
+    for seed in seeds:
+        tr, te = ds.split(three_targets, 0.25, seed)
+        for method in ("nrn", "ann"):
+            model, _ = mdl.train_all(
+                metas if method == "nrn" else
+                [replace(m, gamma=1.0) for m in metas], tr, seed,
+                use_tau=method == "nrn", dynamic_width=True, gamma_jitter=True)
+            preds = mdl.predict(model, te.features)
+            want += [(seed, method, tname,
+                      *cli._scores(te.targets[:, k], preds[:, k]))
+                     for k, tname in enumerate(te.target_names)]
+    got = [tuple(r.values()) for r in records if r["method"] != "nesterov"]
+    assert got == want
+
+
+def test_compare_at_dynamic_width_raises_in_loop_order(weld40, cpus):
+    """Two training rows are too few for a width probe, and nrn's TooFewRows
+    is raised where the loop reaches nrn: after a divergence of a method
+    listed before it."""
+    three = weld40.take(np.arange(3))
+    metas = [weld_meta(), weld_meta()]
+    with pytest.raises(errors.TooFewRows):
+        cli.run_comparison(three, ["nrn", "ann"], metas, [0, 1], 0.2,
+                           dynamic_width=True)
+    with pytest.raises(Diverged):
+        cli.run_comparison(three, ["nesterov", "nrn"], metas, [0], 0.2,
+                           dynamic_width=True,
+                           opt_hyper={**OPT_HYPER, "eta": 1000.0})
+
+
 # --- every path that trains blocks raises a divergence with its context ---
 
 
@@ -247,8 +290,9 @@ def weld40():
 def first_diverged_alone(path, metas, data, seed, eta):
     """(target name, Diverged) of the first target in column order that
     diverges trained by itself the way path trains it, or None."""
-    if path == "dynamic":
-        outs = targets_alone(metas, data, seed, True, False)
+    if path in ("dynamic", "compare-dynamic"):
+        rows = data if path == "dynamic" else ds.split(data, 0.2, seed)[0]
+        outs = targets_alone(metas, rows, seed, True, False)
         return next(((t, o) for t, o in zip(data.target_names, outs)
                      if isinstance(o, Diverged)), None)
     if path == "fixed":
@@ -267,7 +311,8 @@ def first_diverged_alone(path, metas, data, seed, eta):
         if o is not None), None)
 
 
-@pytest.mark.parametrize("path", ["fixed", "dynamic", "nrn", "ann", "nesterov"])
+@pytest.mark.parametrize("path", ["fixed", "dynamic", "nrn", "ann", "nesterov",
+                                  "compare-dynamic"])
 @settings(max_examples=2, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
@@ -279,10 +324,11 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
     target gets a large eta): the path raises the Diverged of the first
     target in column order to diverge alone, at its iteration, with the
     trace of every iteration before it, naming the target where the path
-    names it (not for the optimizers).  At dynamic width the divergence
-    comes after a width probe."""
+    names it (not for the optimizers).  At dynamic width (train_all, and
+    nrn in compare) the divergence comes after a width probe."""
+    dynamic = path in ("dynamic", "compare-dynamic")
     metas = [weld_meta(), weld_meta()]
-    if path == "dynamic":
+    if dynamic:
         metas[k] = weld_meta(alpha=3.0 + 0.3 * scale, gamma=1.4, lam=0.0)
     else:
         metas[k] = weld_meta(alpha=6.0 + 30.0 * scale, gamma=1.4, lam=0.0)
@@ -290,15 +336,16 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
     first = first_diverged_alone(path, metas, weld40, seed, eta)
     assume(first is not None)
     tname, want = first
-    if path == "dynamic":
+    if dynamic:
         assume(want.iteration > mdl.RESIZE_PERIOD)
     with pytest.raises(Diverged) as got:
         if path in ("fixed", "dynamic"):
-            mdl.train_all(metas, weld40, seed, dynamic_width=path == "dynamic")
+            mdl.train_all(metas, weld40, seed, dynamic_width=dynamic)
         else:
-            cli.run_comparison(weld40, [path], metas, [seed], 0.2,
+            cli.run_comparison(weld40, ["nrn" if dynamic else path], metas,
+                               [seed], 0.2, dynamic_width=dynamic,
                                opt_hyper={**OPT_HYPER, "eta": eta})
-    named = tname if path in ("fixed", "dynamic", "nrn", "ann") else None
+    named = None if path == "nesterov" else tname
     assert got.value.iteration == want.iteration
     assert got.value.target == named
     assert str(got.value) == str(Diverged(want.iteration, target=named))
