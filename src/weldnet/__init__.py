@@ -1,68 +1,40 @@
-"""Block-wise neural regression for weld bead parameter estimation."""
+"""Block-wise neural regression for weld bead parameter estimation.
 
-from .baselines import (
-    McrParams,
-    OptimizerState,
-    linear_predict,
-    mcr_fit,
-    normal_equation_fit,
-    optimizer_step,
-    optimizer_train,
-    plain_ann_train,
-)
-from .block import (
-    BlockMetaParams,
-    RegressionBlock,
-    TrainingTrace,
-    backprop_step,
-    cost,
-    init_block,
-    sigmoid,
-    train,
-    weighted_estimate,
-)
-from .dataset import (
-    Dataset,
-    ScalerParams,
-    append_bias,
-    bead_surfaces,
-    combine,
-    load_csv,
-    prepare_features,
-    save_csv,
-    split,
-    standardize,
-    synthesize_weld,
-)
-from .metrics import (
-    confidence_interval,
-    kendall,
-    pe,
-    pearson,
-    rmse,
-    spearman,
-    zscore,
-)
-from .model import (
-    AggregateModel,
-    load,
-    predict,
-    resize_hidden,
-    save,
-    train_all,
-)
-from .search import SearchSpace, evaluate_point, grid_search
+The names in __all__ are looked up in their home modules on use (PEP 562),
+so importing the package, or one of its modules, loads only what that
+needs: a command such as `weldnet synth` never loads the training code.
+"""
 
-__all__ = [
-    "AggregateModel", "BlockMetaParams", "Dataset", "McrParams",
-    "OptimizerState", "RegressionBlock", "ScalerParams",
-    "SearchSpace", "TrainingTrace", "append_bias",
-    "backprop_step", "bead_surfaces", "combine",
-    "confidence_interval", "cost", "evaluate_point", "grid_search",
-    "init_block", "kendall", "linear_predict", "load", "load_csv", "mcr_fit",
-    "normal_equation_fit", "optimizer_step", "optimizer_train", "pe",
-    "pearson", "plain_ann_train", "predict", "prepare_features",
-    "resize_hidden", "rmse", "save", "save_csv", "sigmoid", "spearman",
-    "split", "standardize", "synthesize_weld", "train", "train_all",
-    "weighted_estimate", "zscore",
-]
+import importlib
+
+# Home module of every name in __all__.
+_HOMES = {
+    "baselines": ("McrParams", "OptimizerState", "linear_predict", "mcr_fit",
+                  "normal_equation_fit", "optimizer_train", "plain_ann_train"),
+    "block": ("BlockMetaParams", "RegressionBlock", "TrainingTrace",
+              "backprop_step", "cost", "init_block", "sigmoid", "train",
+              "weighted_estimate"),
+    "dataset": ("Dataset", "ScalerParams", "append_bias", "bead_surfaces",
+                "combine", "load_csv", "prepare_features", "save_csv", "split",
+                "standardize", "synthesize_weld"),
+    "metrics": ("confidence_interval", "kendall", "pe", "pearson", "rmse",
+                "spearman", "zscore"),
+    "model": ("AggregateModel", "load", "predict", "resize_hidden", "save",
+              "train_all"),
+    "search": ("SearchSpace", "evaluate_point", "grid_search"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # looked up on every use, not cached here, so that the package name
+    # follows whatever its home module binds
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

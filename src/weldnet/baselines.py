@@ -5,7 +5,7 @@ least-squares fitted by gradient descent.
 
 The plain ANN and the optimizer baselines train in block's one training
 loop with gamma = 1 and the shift off; each optimizer plugs in an
-OptimizerRule (optimizer_rules makes one per stack).
+OptimizerRule, which may share a stack with blocks of other rules.
 mcr_fit fits a linear multi-target model and keeps its own loop.
 """
 
@@ -21,22 +21,22 @@ from .block import (
     BlockMetaParams,
     check_fields,
     init_block,
-    param_views,
     run_blocks,
     train,
     trained_block,
 )
 from .dataset import MAX_DEGREE, MIN_DEGREE, Dataset, append_bias, expand_features
-from .errors import Diverged, ShapeMismatch
+from .errors import Diverged
 
 OPTIMIZER_KINDS = ("plain", "adagrad", "rmsprop", "nesterov")
 
 
 @dataclass
 class OptimizerState:
-    """Update rule plus per-matrix accumulator (squared-gradient sum, moving
-    average, or velocity, depending on kind).  One state per weight matrix;
-    the accumulator is created lazily on the first step."""
+    """An optimizer's kind and hyperparameters, and its accumulator
+    (squared-gradient sum, moving average, or velocity, depending on
+    kind), shaped like the weights it updates and created lazily on the
+    first step."""
 
     kind: str
     eta: float
@@ -59,47 +59,6 @@ class OptimizerState:
             raise ValueError("eps must be > 0")
 
 
-def optimizer_step(state: OptimizerState, weights: np.ndarray,
-                   gradient: np.ndarray):
-    """Apply one update; returns (new state, new weights).
-
-    plain:    w - eta * g
-    adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
-    rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
-    nesterov: v = mu*v - eta*g;           w + v   (g evaluated by the caller
-              at the look-ahead point, see lookahead())
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if weights.shape != gradient.shape:
-        raise ShapeMismatch(f"weights {weights.shape} vs gradient {gradient.shape}")
-    acc = state.accum
-    if acc is None:
-        acc = np.zeros_like(weights)
-    elif acc.shape != weights.shape:
-        raise ShapeMismatch(f"accumulator {acc.shape} vs weights {weights.shape}")
-
-    if state.kind == "plain":
-        return state, weights - state.eta * gradient
-    if state.kind == "adagrad":
-        acc = acc + gradient * gradient
-        new_w = weights - state.eta * gradient / (np.sqrt(acc) + state.eps)
-    elif state.kind == "rmsprop":
-        acc = state.rho * acc + (1.0 - state.rho) * gradient * gradient
-        new_w = weights - state.eta * gradient / (np.sqrt(acc) + state.eps)
-    else:  # nesterov
-        acc = state.momentum * acc - state.eta * gradient
-        new_w = weights + acc
-    return replace(state, accum=acc), new_w
-
-
-def lookahead(state: OptimizerState, weights: np.ndarray) -> np.ndarray:
-    """Point where the gradient should be evaluated for this state."""
-    if state.kind == "nesterov" and state.accum is not None:
-        return weights + state.momentum * state.accum
-    return weights
-
-
 def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
                     seed: int):
     """Block trained with gamma forced to 1 and the output shift disabled.
@@ -113,48 +72,57 @@ def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
 
 
 class OptimizerRule:
-    """Update rule of one OptimizerState for a whole stack, its accumulator
-    (B, P) like the stack's params and updated in place: gradients at the
-    look-ahead weights, then optimizer_step's arithmetic on the cost
-    gradient, op for op, written into the stack's params."""
+    """Update rule of one OptimizerState (its accumulator None) for a run
+    of a stack's blocks (block.Rows), the accumulator like their params
+    and updated in place: gradients at the look-ahead weights, then the
+    optimizer's arithmetic on the cost gradient, written into the params.
+
+    plain:    w - eta * g
+    adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
+    rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
+    nesterov: v = mu*v - eta*g;           w + v, with g taken at the
+              look-ahead weights w + mu*v (at w before the first step)
+    """
 
     def __init__(self, state: OptimizerState):
         self.state = state
-        self.tmp = None  # (B, P) scratch: the look-ahead weights, then the step's
+        self.tmp = None  # scratch like the params, for adagrad and rmsprop
 
-    def _tmp(self, params):
-        if self.tmp is None:
-            self.tmp = np.empty_like(params)
-        return self.tmp
+    def start(self):
+        return OptimizerRule(replace(self.state, accum=None))
 
-    def gradient_point(self, stack):
+    def look_ahead(self, rows) -> bool:
         st = self.state
         if st.kind != "nesterov" or st.accum is None:
-            return stack
-        ahead = np.multiply(st.momentum, st.accum, out=self._tmp(stack.params))
-        np.add(stack.params, ahead, out=ahead)
-        return replace(stack, params=ahead, mats=param_views(ahead, stack.mats))
+            return False
+        np.multiply(st.momentum, st.accum, out=rows.ahead)
+        np.add(rows.params, rows.ahead, out=rows.ahead)
+        return True
 
-    def update(self, stack, at, ws):
-        st, w, g = self.state, stack.params, ws.step
+    def update(self, rows) -> None:
+        st, w, g = self.state, rows.params, rows.step
+        at = rows.ahead if st.kind == "nesterov" and st.accum is not None else w
         # g = (-delta + lam * nobias) / m; decay's bias entries stay +0.0
-        np.multiply(stack.lam[:, None], at.params, out=ws.decay, where=ws.nonbias)
-        np.negative(ws.grad, out=g)
-        np.add(g, ws.decay, out=g)
-        np.divide(g, ws.m, out=g)
+        np.multiply(rows.lam, at, out=rows.decay, where=rows.nonbias)
+        np.negative(rows.grad, out=g)
+        np.add(g, rows.decay, out=g)
+        np.divide(g, rows.m, out=g)
         if st.kind == "plain":
             np.multiply(st.eta, g, out=g)
             np.subtract(w, g, out=w)
             return
         if st.accum is None:
             self.state = st = replace(st, accum=np.zeros_like(w))
-        acc, tmp = st.accum, self._tmp(w)
+        acc = st.accum
         if st.kind == "nesterov":
             np.multiply(st.momentum, acc, out=acc)
             np.multiply(st.eta, g, out=g)
             np.subtract(acc, g, out=acc)
             np.add(w, acc, out=w)
             return
+        if self.tmp is None:
+            self.tmp = np.empty_like(w)
+        tmp = self.tmp
         if st.kind == "adagrad":
             np.multiply(g, g, out=tmp)
         else:  # rmsprop
@@ -169,15 +137,6 @@ class OptimizerRule:
         np.subtract(w, g, out=w)
 
 
-def optimizer_rules(kind: str, eta: float, rho: float = 0.9,
-                    momentum: float = 0.9, eps: float = 1e-8):
-    """Update-rule factory for block.run_blocks: a fresh OptimizerRule, one
-    OptimizerState over the stack's params, for every stack."""
-    def rule_for(stack):
-        return OptimizerRule(OptimizerState(kind, eta, rho, momentum, eps))
-    return rule_for
-
-
 def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
                     y: np.ndarray, seed: int, eta: float, rho: float = 0.9,
                     momentum: float = 0.9, eps: float = 1e-8):
@@ -185,8 +144,8 @@ def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
     update; gamma is fixed to 1 and the output shift stays off, so the
     comparison isolates the rule itself.  Returns (block, trace)."""
     block = init_block(replace(meta, gamma=1.0), np.asarray(X).shape[1], seed)
-    (outcome,) = run_blocks([block], [X], [y], use_tau=False,
-                            rule_for=optimizer_rules(kind, eta, rho, momentum, eps))
+    (outcome,) = run_blocks([block], [X], [y], use_tau=False, rule=OptimizerRule(
+        OptimizerState(kind, eta, rho, momentum, eps)))
     return trained_block(outcome)
 
 

@@ -13,15 +13,18 @@ leading axis, (B, rows, cols), and trains them on inputs (B, m, d) against
 targets (B, m).  run_stack is the one training
 loop, every step writing into one Workspace made for the stack's shape;
 each backprop_step picks every block's shift tau from {-nu, 0, +nu}
-(nu: that block's previous mean error) and hands the gamma-scaled gradients
-to an update rule, which chooses where they are taken (gradient_point) and
-the new weights (update).  ReinforcedRule is the default; the plain ANN
-uses it with gamma = 1 and tau off, the optimizer baselines plug in their
-own rules.  A single block is a stack of one: run_steps and train are
-B = 1 calls of the same loop.  run_blocks trains any list of blocks, each
-on its own data, grouping those of one shape into stacks, and cuts a group
-of at least 2 * PART_BLOCKS blocks into sub-stacks that train at the same
-time, one per usable CPU, on forked workers (workers.map_tasks).
+(nu: that block's previous mean error), or 0 for a block with the shift
+off, and hands the gamma-scaled gradients to each block's update rule,
+which chooses where they are taken (look_ahead) and the new weights
+(update).  The shift and the rule are per block: a stack's blocks that
+share a rule are consecutive, and the rule works on their rows.
+ReinforcedRule is the default; the plain ANN uses it with gamma = 1 and
+tau off, the optimizer baselines plug in their own rules.  A single block
+is a stack of one: run_steps and train are B = 1 calls of the same loop.
+run_blocks trains any list of blocks, each on its own data, grouping those
+of one shape into stacks whatever their rules, and cuts a group of at
+least 2 * PART_BLOCKS blocks into sub-stacks that train at the same time,
+one per usable CPU, on forked workers (workers.map_tasks).
 stack_output (and blocks_output over any list of blocks) is the forward
 pass alone: tau-shifted outputs for any number of rows, through one buffer
 set per call, in OUTPUT_ROWS tiles with the bits of a single pass.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -354,11 +357,13 @@ class Workspace:
     writes: shift candidates and their residuals and costs, the squared
     weights and the regularizer, the shifted output, the backward deltas,
     the gradients (grad, laid out like stack.params, and deltas, its views
-    aligned with stack.mats), the update rule's scratch (step, and decay,
-    whose bias entries stay zero), the finite mask, nu, and row, the step's
-    trace values (6, B): cost, grad1_norm, grad2_norm, tau, nu,
-    cost_tau_zero.  nonbias marks the non-bias entries of a row of params;
-    spans gives each matrix's non-bias part as a (start, stop) slice.
+    aligned with stack.mats), the update rules' scratch (step, and decay,
+    whose bias entries stay zero), the look-ahead weights (ahead, laid out
+    like stack.params, and at, the stack over them), the finite mask, nu,
+    and row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
+    tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row of
+    params; spans gives each matrix's non-bias part as a (start, stop)
+    slice.
     """
 
     def __init__(self, stack: BlockStack, X, y):
@@ -404,6 +409,9 @@ class Workspace:
         self.norm = np.empty((B, 1, 1))
         self.step = np.empty((B, P))
         self.decay = np.zeros((B, P))
+        self.ahead = np.empty((B, P))
+        self.at = replace(stack, params=self.ahead,
+                          mats=param_views(self.ahead, stack.mats))
         self.ok = np.empty((B, P), dtype=bool)
         self.ok_part = np.empty(B, dtype=bool)
         self.finite = np.empty(B, dtype=bool)
@@ -502,19 +510,25 @@ def _shift_costs(ws: Workspace, taus: np.ndarray, lam_reg) -> np.ndarray:
     return np.multiply(0.5 / ws.m, costs, out=costs)
 
 
-def _pick_tau(ws: Workspace, nu, lam_reg, use_tau: bool) -> None:
+def _pick_tau(ws: Workspace, nu, lam_reg, use_tau) -> None:
     """Per block, the shift tau (ws.row[3]) that minimizes the regularized
     cost over {0, -nu, +nu}, or 0 without use_tau, its cost (ws.row[0])
-    and the cost at 0 (ws.row[5]).
+    and the cost at 0 (ws.row[5]).  use_tau is a bool for every block, or
+    a (B,) bool mask of the blocks that shift.
 
     Ties prefer 0, then -nu (the least perturbation first); a NaN cost is
-    never picked.
+    never picked, so a block the mask leaves out gets NaN candidates for
+    -nu and +nu.  Its cost at 0 is computed as for every block.
     """
     taus = ws.taus
-    if use_tau:
+    mask = use_tau if isinstance(use_tau, np.ndarray) else None
+    shifts = 3 if mask is not None or use_tau else 1
+    if shifts == 3:
         np.negative(nu, out=taus[:, 1])
         taus[:, 2] = nu
-    costs = _shift_costs(ws, taus[:, :3 if use_tau else 1], lam_reg)
+        if mask is not None:
+            taus[~mask, 1:] = np.nan
+    costs = _shift_costs(ws, taus[:, :shifts], lam_reg)
     best, tau = ws.row[0], ws.row[3]
     best[:] = costs[:, 0]
     ws.row[5] = best
@@ -572,46 +586,93 @@ def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
     return deltas
 
 
+class Rows:
+    """Row views of the blocks lo..hi-1 of a stack, made once per run_stack
+    for the update rule they share: the stack's params, alpha and lam (as
+    columns), and the workspace's look-ahead weights, gradients and update
+    scratch.  Row slices of a C-contiguous (B, P) buffer, so an elementwise
+    op on them gives every element the bits it gets on the whole buffer."""
+
+    def __init__(self, stack: BlockStack, ws: Workspace, lo: int, hi: int):
+        rows = slice(lo, hi)
+        self.params, self.ahead = stack.params[rows], ws.ahead[rows]
+        self.grad, self.step, self.decay = ws.grad[rows], ws.step[rows], ws.decay[rows]
+        self.alpha, self.lam = stack.alpha[rows, None], stack.lam[rows, None]
+        self.nonbias, self.m = ws.nonbias, ws.m
+
+
 class ReinforcedRule:
     """Default update rule: gradients at the current weights, then
-    theta <- theta + (alpha * delta - lam * theta_nobias) / m, in place."""
+    theta <- theta + (alpha * delta - lam * theta_nobias) / m, in place.
 
-    def gradient_point(self, stack: BlockStack) -> BlockStack:
-        return stack
+    The rule protocol: start() gives the rule for one run of blocks (a
+    rule with state starts it afresh); look_ahead(rows) says whether the
+    gradients are taken elsewhere than at rows.params, having written that
+    point into rows.ahead if so; update(rows) writes the new weights into
+    rows.params from the gradients in rows.grad."""
 
-    def update(self, stack: BlockStack, at: BlockStack, ws: Workspace) -> None:
-        """Update stack.params in place from the gradients in ws.grad."""
-        step, decay = ws.step, ws.decay
-        np.multiply(stack.alpha[:, None], ws.grad, out=step)
+    def start(self):
+        return self
+
+    def look_ahead(self, rows: Rows) -> bool:
+        return False
+
+    def update(self, rows: Rows) -> None:
+        step, decay = rows.step, rows.decay
+        np.multiply(rows.alpha, rows.grad, out=step)
         # bias entries of decay are never written, so they stay +0.0
-        np.multiply(stack.lam[:, None], stack.params, out=decay, where=ws.nonbias)
+        np.multiply(rows.lam, rows.params, out=decay, where=rows.nonbias)
         np.subtract(step, decay, out=step)
-        np.divide(step, ws.m, out=step)
-        np.add(stack.params, step, out=stack.params)
+        np.divide(step, rows.m, out=step)
+        np.add(rows.params, step, out=rows.params)
 
 
 REINFORCED = ReinforcedRule()
 
 
-def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
-                  gamma=None, rule=REINFORCED) -> np.ndarray:
+def start_rules(stack: BlockStack, ws: Workspace, rule=REINFORCED) -> list:
+    """(Rows, started rule) for every run of consecutive blocks that share
+    a rule object; rule is one rule for every block or a list of one per
+    block."""
+    each = per_block(rule, len(stack))
+    runs, lo = [], 0
+    for hi in range(1, len(stack) + 1):
+        if hi == len(stack) or each[hi] is not each[lo]:
+            runs.append((Rows(stack, ws, lo, hi), each[lo].start()))
+            lo = hi
+    return runs
+
+
+def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
+                  gamma=None, rules=None) -> np.ndarray:
     """One full-batch iteration of every block in a stack, in place.
 
-    ws is the stack's Workspace (made with targets); gamma, if given, is a
-    (B,) vector.  Order: forward pass at rule.gradient_point(stack), shift
-    selection against that pre-update cost, gradients of every matrix at
-    the same weights, then the new weights from rule.update.  The stack
-    then holds the new weights, the selected shift, and the nu for the next
-    iteration: the mean error of the shifted output emitted here.  The
-    step's trace values are in ws.row and its gradients in ws.deltas.
-    Returns the (B,) mask of the blocks whose cost and new weights are all
-    finite.  Overflow is divergence: run this under
-    np.errstate(over="ignore", invalid="ignore").
+    ws is the stack's Workspace (made with targets); use_tau is a bool or
+    a (B,) bool mask; gamma, if given, is a (B,) vector; rules are the
+    (Rows, rule) pairs of start_rules (default: the reinforced rule for
+    every block).  Order: forward pass at the gradient point (the stack's
+    weights, with the rows of a rule that looks ahead replaced by its
+    look-ahead point), shift selection against that pre-update cost,
+    gradients of every matrix at the same weights, then each rule's update
+    of its rows.  The stack then holds the new weights, the selected
+    shift, and the nu for the next iteration: the mean error of the
+    shifted output emitted here.  The step's trace values are in ws.row
+    and its gradients in ws.deltas.  Returns the (B,) mask of the blocks
+    whose cost and new weights are all finite.  Overflow is divergence:
+    run this under np.errstate(over="ignore", invalid="ignore").
     """
     m, row = ws.m, ws.row
     if gamma is None:
         gamma = stack.gamma
-    at = rule.gradient_point(stack)
+    if rules is None:
+        rules = start_rules(stack, ws)
+    ahead = [rule.look_ahead(rows) for rows, rule in rules]
+    at = stack
+    if any(ahead):
+        for (rows, _), looked in zip(rules, ahead):
+            if not looked:
+                np.copyto(rows.ahead, rows.params)
+        at = ws.at
     _forward_all(at, ws)
     if stack.nu is None:
         row[4] = np.mean(np.zeros_like(ws.y) - ws.y, axis=1)
@@ -623,7 +684,8 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
     for j, f in zip((1, 2), ws.norm_rows):
         np.matmul(f, f.swapaxes(1, 2), out=ws.norm)
         np.sqrt(ws.norm[:, 0, 0], out=row[j])
-    rule.update(stack, at, ws)
+    for rows, rule in rules:
+        rule.update(rows)
     stack.tau[:] = row[3]
 
     finite = ws.finite
@@ -639,14 +701,25 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau: bool = True,
     return finite
 
 
+def _tau_mask(use_tau, B: int):
+    """use_tau as _pick_tau takes it: a bool if it is the same for all B
+    blocks, else a (B,) bool mask."""
+    mask = np.broadcast_to(np.asarray(use_tau, dtype=bool), (B,))
+    return bool(mask[0]) if (mask == mask[0]).all() else mask.copy()
+
+
 def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
-              use_tau: bool = True, jitter_rngs=None, rule=REINFORCED) -> list:
+              use_tau=True, jitter_rngs=None, rule=REINFORCED) -> list:
     """Run n_steps backprop iterations of every block in the stack.
 
     This is the only loop that trains block weights; it trains the stack in
     place, every step writing into one Workspace.  X is (B, m, d) and y
-    (B, m); jitter_rngs, if given, holds one generator per block whose
-    standard-normal draw is added to that block's gamma every iteration.
+    (B, m); use_tau is a bool, or one per block; rule is an update rule, or
+    a list of one per block, each started afresh for every run of
+    consecutive blocks that share it (start_rules).  jitter_rngs, if given,
+    holds one generator per block, or None for a block without jitter,
+    whose standard-normal draw is added to that block's gamma every
+    iteration.
     Returns one outcome per block, in stack order: (block, TrainingTrace)
     of its n_steps iterations numbered from start_iteration, or the
     Diverged of a block whose cost or weights turned non-finite, carrying
@@ -655,6 +728,8 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     unchanged; the call returns once every block has diverged.
     """
     ws = Workspace(stack, X, y)
+    rules = start_rules(stack, ws, rule)
+    use_tau = _tau_mask(use_tau, len(stack))
     outcomes = [None] * len(stack)
     alive = np.ones(len(stack), dtype=bool)
     # per step and block: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero
@@ -664,8 +739,10 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
         for i in range(n_steps):
             gamma = None
             if jitter_rngs is not None:
-                gamma = stack.gamma + np.array([r.standard_normal() for r in jitter_rngs])
-            finite = backprop_step(stack, ws, use_tau, gamma, rule)
+                # gamma + 0.0 is gamma, bit for bit, as gamma > 0
+                gamma = stack.gamma + np.array([0.0 if r is None else r.standard_normal()
+                                                for r in jitter_rngs])
+            finite = backprop_step(stack, ws, use_tau, gamma, rules)
             cols[i] = ws.row
             if finite.all():
                 continue
@@ -688,15 +765,22 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
 STACK_ELEMENTS = 1 << 22
 
 
-def _stack_groups(blocks, inputs):
+def _stack_groups(blocks, inputs, rules=None):
     """Index lists of the blocks that can share a stack: same matrix shapes,
-    input rows and iteration count, in first-seen order, each list cut into
-    chunks under STACK_ELEMENTS."""
+    input rows and iteration count, in first-seen order, each list ordered
+    by rules[i] (in the order the rules first appear, so that blocks of one
+    rule are consecutive) if rules are given, and cut into chunks under
+    STACK_ELEMENTS."""
     groups = {}
     for i, (blk, X) in enumerate(zip(blocks, inputs)):
         shapes = tuple(th.shape for th in blk.matrices())
         groups.setdefault((shapes, len(X), blk.meta.iterations), []).append(i)
     for (shapes, m, iterations), idx in groups.items():
+        if rules is not None:
+            first = {}
+            for i in idx:
+                first.setdefault(id(rules[i]), len(first))
+            idx.sort(key=lambda i: first[id(rules[i])])
         per_block = 4 * m * sum(rows for rows, _ in shapes) + 6 * iterations
         size = max(1, STACK_ELEMENTS // per_block)
         for start in range(0, len(idx), size):
@@ -719,40 +803,48 @@ def _parts(idx, cpus: int) -> list:
     return [idx[k * len(idx) // n:(k + 1) * len(idx) // n] for k in range(n)]
 
 
-def _train_stack(blocks, inputs, targets, use_tau, jitter_rngs, rule_for):
+def _train_stack(blocks, inputs, targets, use_tau, jitter_rngs, rules):
     """run_stack outcomes of same-shape blocks trained as one stack."""
     stack = stack_blocks(blocks)
     return run_stack(stack, inputs, targets, stack.metas[0].iterations,
-                     use_tau=use_tau, jitter_rngs=jitter_rngs,
-                     rule=REINFORCED if rule_for is None else rule_for(stack))
+                     use_tau=use_tau, jitter_rngs=jitter_rngs, rule=rules)
 
 
-def run_blocks(blocks, inputs, targets, use_tau: bool = True,
-               jitter_rngs=None, rule_for=None) -> list:
+def per_block(value, n: int) -> list:
+    """value as a list of n, one per block: as it is if it is a list."""
+    return value if isinstance(value, list) else [value] * n
+
+
+def run_blocks(blocks, inputs, targets, use_tau=True, jitter_rngs=None,
+               rule=REINFORCED) -> list:
     """Train every block for its meta.iterations, each on its own inputs
     (m, d) and targets (m,), as few stacks as the shapes allow.
 
     Blocks with the same matrix shapes, rows and iteration count share a
-    stack; jitter_rngs, if given, holds one generator per block;
-    rule_for(stack) makes the update rule of each stack (default: the
-    reinforced rule), as a rule may hold state for one stack.  Returns one
-    run_stack outcome per block, in input order; as a block's training does
-    not depend on its stack, each equals the block trained alone.
+    stack, whatever their shift and update rule: use_tau is a bool or a
+    list of one per block, rule an update rule or a list of one per block
+    (blocks that share a rule object are put next to each other in their
+    stack, and each stack starts its own copy of it), and jitter_rngs, if
+    given, holds one generator or None per block.  Returns one run_stack
+    outcome per block, in input order; as a block's training does not
+    depend on its stack, each equals the block trained alone.
 
     A group of at least 2 * PART_BLOCKS blocks is cut into
     min(usable CPUs, len // PART_BLOCKS) near-equal sub-stacks, and then
-    every stack of the call trains on forked workers (workers.map_tasks),
-    each with its own rule_for(stack).  A generator of jitter_rngs used on
-    a worker does not advance in the caller, so pass fresh ones.  A call
-    with no group that large trains its stacks here, one after another.
+    every stack of the call trains on forked workers (workers.map_tasks).
+    A generator of jitter_rngs used on a worker does not advance in the
+    caller, so pass fresh ones.  A call with no group that large trains its
+    stacks here, one after another.
     """
-    groups = list(_stack_groups(blocks, inputs))
+    rules = per_block(rule, len(blocks))
+    use_tau = per_block(use_tau, len(blocks))
+    groups = list(_stack_groups(blocks, inputs, rules))
     cpus = workers.usable_cpus()
     parts = [part for idx in groups for part in _parts(idx, cpus)]
     tasks = [([blocks[i] for i in idx], [inputs[i] for i in idx],
-              [targets[i] for i in idx], use_tau,
+              [targets[i] for i in idx], [use_tau[i] for i in idx],
               None if jitter_rngs is None else [jitter_rngs[i] for i in idx],
-              rule_for) for idx in parts]
+              [rules[i] for i in idx]) for idx in parts]
     if len(parts) > len(groups):
         outs = workers.map_tasks(_train_stack, tasks)
     else:

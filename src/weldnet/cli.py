@@ -3,6 +3,8 @@ methods, and emit plot-ready traces.
 
 Commands: synth, train, eval, search, compare, stats.  Exit codes:
 0 success, 2 usage/config error, 3 runtime error (IO or divergence).
+Each command imports the modules it runs when it starts (before any
+worker is forked), so `synth` and `stats` load no training code.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, dataset as ds, metrics, model as mdl, search as srch
-from .block import BlockMetaParams, trained_block
-from .errors import ConfigError, WeldnetError
-from .rng import derive_seed
-from .workers import map_tasks
+from . import dataset as ds
+from .errors import ConfigError, NonFiniteInput, WeldnetError
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
-# Methods that train one block per target; compare trains each of them on
+# Methods that train one block per target; compare trains all of them on
 # every (seed, target) at once, through model.train_seeded.
 BLOCK_METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov")
 
@@ -251,6 +250,7 @@ def _json_object(doc, what: str) -> dict:
 
 def _metas_for(data: ds.Dataset, s) -> list:
     """One BlockMetaParams per target, keyed by target name."""
+    from .block import BlockMetaParams
     by_name = {**_json_object(s["metas"], "config 'metas'")}
     if s["params"]:
         doc = _json_object(_read_json(s["params"], "params"),
@@ -304,6 +304,7 @@ def _parse_seeds(seeds, seed: int) -> list:
 
 def _scores(y, yhat) -> tuple:
     """(rmse, pe_percent, pe_excluded) of one target's estimates."""
+    from . import metrics
     return (metrics.rmse(y, yhat), *metrics.pe(y, yhat))
 
 
@@ -329,6 +330,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import model as mdl
     s = _settings(args)
     out = _out_dir(s)
     data = _load_data(s)
@@ -349,6 +351,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import baselines, metrics, model as mdl
     s = _settings(args)
     if bool(args.model) == bool(args.ner_train):
         raise ConfigError("give exactly one of --model or --ner-train")
@@ -380,7 +383,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _space_from_doc(doc: dict) -> srch.SearchSpace:
+def _space_from_doc(doc: dict):
+    """The SearchSpace of a space document over DEFAULT_SPACE."""
+    from . import search as srch
     with _config("search space"):
         merged = {**DEFAULT_SPACE, **doc}
         return srch.SearchSpace(
@@ -391,6 +396,7 @@ def _space_from_doc(doc: dict) -> srch.SearchSpace:
 
 
 def cmd_search(args) -> int:
+    from . import search as srch
     s = _settings(args)
     doc = _read_json(args.space, "space") if args.space else s["search_space"]
     space = _space_from_doc(doc)
@@ -409,10 +415,10 @@ def cmd_search(args) -> int:
                                 [(tname,) for _, tname in targets])
 
     best_by_target = {}
-    for (k, tname), board_path in zip(targets, board_paths):
-        best, board = srch.grid_search(
-            space, data, k, folds=args.folds, seed=args.seed,
-            standardize=s["standardize"], max_points=args.max_points)
+    results = srch.grid_search_targets(
+        space, data, [k for k, _ in targets], folds=args.folds, seed=args.seed,
+        standardize=s["standardize"], max_points=args.max_points)
+    for (_, tname), board_path, (best, board) in zip(targets, board_paths, results):
         best_by_target[tname] = best.to_dict()
         srch.write_leaderboard_csv(board, board_path)
         print(f"{tname}: best {best.to_dict()} "
@@ -439,6 +445,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     opt_hyper: eta, rho, momentum and eps of the optimizer methods; a key
     left out takes its DEFAULT_OPT_HYPER value, as on the command line.
     """
+    from . import baselines, metrics
     methods = list(methods)
     if not methods:
         raise ConfigError("at least one method is required")
@@ -459,19 +466,18 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 
     splits = [ds.split(data, split_fraction, seed) for seed in seeds]
-    # every distinct block method, each on a worker
     block_methods = list(dict.fromkeys(m for m in methods if m in BLOCK_METHODS))
     feats = [_seed_features(tr, metas, standardize) if block_methods else None
              for tr, _ in splits]
-    trained = dict(zip(block_methods, map_tasks(_train_stacked, [
-        (method, data.target_names, splits, feats, seeds, metas, use_tau,
-         dynamic_width, gamma_jitter, opt_hyper) for method in block_methods])))
+    trained = _train_block_methods(block_methods, data.target_names, splits,
+                                   feats, seeds, metas, use_tau, dynamic_width,
+                                   gamma_jitter, opt_hyper)
 
     records = []
     for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):
         for method in methods:
-            if method in trained:
-                preds = _predict_stacked(method, trained[method].get(i),
+            if method in block_methods:
+                preds = _predict_stacked(method, trained.get((method, i)),
                                          feats[i], te)
             else:
                 preds = _fit_predict(method, tr, te, seed, standardize,
@@ -515,36 +521,50 @@ def _seed_features(tr: ds.Dataset, metas, standardize: bool):
         return exc
 
 
-def _train_stacked(method, names, splits, feats, seeds, metas, use_tau,
-                   dynamic_width, gamma_jitter, opt_hyper) -> dict:
-    """One block method trained on every (seed, target) at once through
-    model.train_seeded; returns, per seed index whose features could be
-    prepared, its outcomes in target order.
+def _train_block_methods(methods, names, splits, feats, seeds, metas,
+                         use_tau, dynamic_width, gamma_jitter, opt_hyper) -> dict:
+    """The blocks of every block method on every (seed, target) whose seed
+    could prepare its features, trained through model.train_seeded: those
+    at fixed width in one call, whatever their rule, so that they share
+    stacks, and with dynamic_width nrn's and ann's in one more, each block
+    on a worker.  Returns {(method, seed index): outcomes in target order}.
 
     nrn keeps the metas' gamma and the output shift; ann and the optimizers
     train with gamma 1 and no shift; dynamic width and gamma jitter apply
     to nrn and ann.
     """
+    from . import baselines, model as mdl
+    from .block import REINFORCED
     ok = [i for i, f in enumerate(feats) if not isinstance(f, WeldnetError)]
-    if method != "nrn":
-        metas = [replace(m, gamma=1.0) for m in metas]
-    outcomes = mdl.train_seeded(
-        metas * len(ok), [X for i in ok for X in feats[i][1]],
-        [y for i in ok for y in splits[i][0].targets.T],
-        [seeds[i] for i in ok for _ in names], list(names) * len(ok),
-        use_tau=use_tau and method == "nrn",
-        gamma_jitter=gamma_jitter and method in ("nrn", "ann"),
-        rule_for=(None if method in ("nrn", "ann")
-                  else baselines.optimizer_rules(method, **opt_hyper)),
-        dynamic_width=dynamic_width and method in ("nrn", "ann"))
-    n = len(names)
-    return {i: outcomes[j * n:(j + 1) * n] for j, i in enumerate(ok)}
+    rules = {m: REINFORCED if m in ("nrn", "ann") else
+             baselines.OptimizerRule(baselines.OptimizerState(m, **opt_hyper))
+             for m in methods}
+    n, trained = len(names), {}
+    for dynamic in (False, True):
+        keys = [(m, i) for m in methods
+                if dynamic == (dynamic_width and m in ("nrn", "ann")) for i in ok]
+        if not keys:
+            continue
+        each = [(m, i, meta) for m, i in keys for meta in metas]
+        outcomes = mdl.train_seeded(
+            [meta if m == "nrn" else replace(meta, gamma=1.0) for m, _, meta in each],
+            [X for _, i in keys for X in feats[i][1]],
+            [y for _, i in keys for y in splits[i][0].targets.T],
+            [seeds[i] for _, i, _ in each], list(names) * len(keys),
+            use_tau=[use_tau and m == "nrn" for m, _, _ in each],
+            gamma_jitter=[gamma_jitter and m in ("nrn", "ann") for m, _, _ in each],
+            rule=[rules[m] for m, _, _ in each], dynamic_width=dynamic)
+        trained.update((key, outcomes[j * n:(j + 1) * n])
+                       for j, key in enumerate(keys))
+    return trained
 
 
 def _predict_stacked(method, outcomes, feats, te):
     """Test estimates of one seed's trained blocks; raises the seed's
     feature error or its first error outcome in target order (the
     divergence of nrn and ann names the target)."""
+    from . import model as mdl
+    from .block import trained_block
     if isinstance(feats, WeldnetError):
         raise feats
     names = te.target_names
@@ -557,6 +577,8 @@ def _predict_stacked(method, outcomes, feats, te):
 
 def _fit_predict(method, tr, te, seed, standardize, ner_degree, mcr_params):
     """Test estimates of a method that trains no blocks: ner or mcr."""
+    from . import baselines
+    from .rng import derive_seed
     if method == "ner":
         theta = baselines.normal_equation_fit(tr, ner_degree)
         return baselines.linear_predict(theta, te.features, ner_degree)
@@ -570,6 +592,7 @@ def _fit_predict(method, tr, te, seed, standardize, ner_degree, mcr_params):
 
 
 def cmd_compare(args) -> int:
+    from . import baselines, metrics
     s = _settings(args)
     opt_hyper = {"eta": args.eta, "rho": args.rho,
                  "momentum": args.momentum, "eps": args.eps}
@@ -603,6 +626,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import metrics
     s = _settings(args)
     out = _out_dir(s)
     data = _load_data(s)
@@ -613,15 +637,19 @@ def cmd_stats(args) -> int:
     rows = []  # a, b, pearson r and p, spearman, kendall, slope, intercept
     for (a, b), fit_path in zip(pairs, fit_paths):
         x, y = data.targets[:, a], data.targets[:, b]
-        slope, intercept = np.polyfit(x, y, 1)
-        rows.append((names[a], names[b], *metrics.pearson(x, y),
-                     metrics.spearman(x, y), metrics.kendall(x, y),
-                     slope, intercept))
+        corr = (*metrics.pearson(x, y), metrics.spearman(x, y),
+                metrics.kendall(x, y))
+        slope, intercept = metrics.line_fit(x, y)
+        rows.append((names[a], names[b], *corr, slope, intercept))
         order = np.argsort(x)
         xs, ys = x[order], y[order]
-        ds.write_csv(
-            fit_path, [names[a], names[b], "fitted"],
-            np.column_stack([xs, ys, slope * xs + intercept]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fitted = slope * xs + intercept
+        if not np.isfinite(fitted).all():
+            raise NonFiniteInput(f"a fitted {names[b]} value is beyond the "
+                                 f"float range")
+        ds.write_csv(fit_path, [names[a], names[b], "fitted"],
+                     np.column_stack([xs, ys, fitted]))
 
     corr = ["pair", "pearson_r", "pearson_p", "spearman", "kendall"]
     text = (metrics.align_table(corr, [[f"{r[0]}~{r[1]}", *r[2:6]] for r in rows])

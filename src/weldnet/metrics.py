@@ -6,6 +6,7 @@ table the CLI reports them in.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -79,15 +80,63 @@ def _corr_pair(x, y, min_n=3):
     return x, y
 
 
+def _deviation_sums(dx, dy) -> tuple:
+    return float(np.dot(dx, dx)), float(np.dot(dy, dy)), float(np.dot(dx, dy))
+
+
+def _unit_deviations(v: np.ndarray) -> np.ndarray:
+    """Deviations from the mean of v divided by its largest absolute value,
+    themselves divided by their largest absolute value."""
+    peak = np.max(np.abs(v))
+    d = v / peak if peak > 0 else v
+    d = d - d.mean()
+    peak = np.max(np.abs(d))
+    return d / peak if peak > 0 else d
+
+
 def _pearson_r(x, y) -> float:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx2 = float(np.dot(dx, dx))
-    sy2 = float(np.dot(dy, dy))
+    """Product-moment correlation of finite x and y.  Where a sum of
+    squares or products, or their product, leaves the float range (values
+    near its ends), the sums are taken again over _unit_deviations, as r
+    does not change with scale; other inputs keep the plain sums' bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx2, sy2, sxy = _deviation_sums(x - x.mean(), y - y.mean())
+        if not (0.0 < sx2 * sy2 < math.inf and math.isfinite(sxy)):
+            sx2, sy2, sxy = _deviation_sums(_unit_deviations(x),
+                                            _unit_deviations(y))
     if sx2 == 0.0 or sy2 == 0.0:
         raise ConstantInput("correlation undefined for a constant vector")
-    r = float(np.dot(dx, dy)) / float(np.sqrt(sx2 * sy2))
+    r = sxy / float(np.sqrt(sx2 * sy2))
     return min(1.0, max(-1.0, r))
+
+
+def line_fit(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line through (x, y), as
+    np.polyfit(x, y, 1) gives it.  Where that overflows, divides by zero
+    or gives a value that is not finite (values near the ends of the float
+    range), the fit of x and y each divided by its largest absolute value,
+    scaled back.  A slope or intercept beyond the float range is
+    NonFiniteInput; no numpy warning is raised either way, a poorly
+    conditioned fit included."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                slope, intercept = np.polyfit(x, y, 1)
+            plain = np.isfinite(slope) and np.isfinite(intercept)
+        except FloatingPointError:
+            plain = False
+        if not plain:
+            sx, sy = (float(np.max(np.abs(v))) or 1.0 for v in (x, y))
+            with np.errstate(all="ignore"):
+                slope, intercept = np.polyfit(x / sx, y / sy, 1)
+                slope, intercept = slope * sy / sx, intercept * sy
+    if not (np.isfinite(slope) and np.isfinite(intercept)):
+        raise NonFiniteInput("the least-squares line has a slope or intercept "
+                             "beyond the float range")
+    return slope, intercept
 
 
 def pearson(x, y):

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import dataset as ds
 from .block import (
+    REINFORCED,
     BlockMetaParams,
     RegressionBlock,
     TrainingTrace,
@@ -19,6 +20,7 @@ from .block import (
     init_block,
     is_count,
     is_real,
+    per_block,
     run_blocks,
     run_stack,
     run_steps,
@@ -83,31 +85,35 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
                           target_names=list(names)), list(traces)
 
 
-def train_seeded(metas, inputs, targets, seeds, names, use_tau: bool = True,
-                 gamma_jitter: bool = False, rule_for=None,
+def train_seeded(metas, inputs, targets, seeds, names, use_tau=True,
+                 gamma_jitter=False, rule=REINFORCED,
                  dynamic_width: bool = False) -> list:
     """Blocks, the i-th one from metas[i], initialized from
     derive_seed(seeds[i], names[i]) and trained on inputs[i] against
-    targets[i]; returns their outcomes in order.
+    targets[i]; returns their outcomes in order.  use_tau and gamma_jitter
+    are bools, or lists of one per block.
 
-    At fixed width they train as stacks through block.run_blocks, whose
-    update-rule factory rule_for is.  With dynamic_width each block trains
-    alone with the reinforced rule (_train_dynamic), holding out a
-    validation slice and probing neighboring hidden widths every
-    RESIZE_PERIOD iterations, all of them at the same time on forked
-    workers (workers.map_tasks).  With gamma_jitter, block i draws its
-    gamma noise from derive_seed(seeds[i], names[i], "jitter").
+    At fixed width they train as stacks through one block.run_blocks call,
+    with the update rule rule (one, or a list of one per block).  With
+    dynamic_width each block trains alone with the reinforced rule
+    (_train_dynamic), holding out a validation slice and probing
+    neighboring hidden widths every RESIZE_PERIOD iterations, all of them
+    at the same time on forked workers (workers.map_tasks).  With gamma
+    jitter, block i draws its gamma noise from derive_seed(seeds[i],
+    names[i], "jitter").
     """
+    use_tau = per_block(use_tau, len(metas))
+    gamma_jitter = per_block(gamma_jitter, len(metas))
     if dynamic_width:
-        return map_tasks(_train_dynamic, [
-            (meta, X, y, s, name, use_tau, gamma_jitter)
-            for meta, X, y, s, name in zip(metas, inputs, targets, seeds, names)])
+        return map_tasks(_train_dynamic, list(zip(
+            metas, inputs, targets, seeds, names, use_tau, gamma_jitter)))
     blocks = [init_block(meta, X.shape[1], derive_seed(s, name))
               for meta, X, s, name in zip(metas, inputs, seeds, names)]
-    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter"))
-             for s, name in zip(seeds, names)] if gamma_jitter else None)
+    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter")) if jitter else None
+             for s, name, jitter in zip(seeds, names, gamma_jitter)]
+            if any(gamma_jitter) else None)
     return run_blocks(blocks, inputs, targets, use_tau=use_tau,
-                      jitter_rngs=rngs, rule_for=rule_for)
+                      jitter_rngs=rngs, rule=rule)
 
 
 def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
@@ -172,7 +178,8 @@ def _resize_width(block: RegressionBlock, width: int, rng) -> RegressionBlock:
         hidden = grown
         theta2 = np.vstack([theta2, rng.uniform(-0.01, 0.01, (1, 1))])
     elif width == k - 1:
-        j = int(np.argmin(np.linalg.norm(block.theta1, axis=0)))
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            j = int(np.argmin(np.linalg.norm(block.theta1, axis=0)))
         theta1 = np.delete(block.theta1, j, axis=1)
         hidden = [np.delete(np.delete(th, 1 + j, axis=0), j, axis=1)
                   for th in hidden]

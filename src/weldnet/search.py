@@ -1,13 +1,15 @@
 """Exhaustive grid search over block hyperparameters, scored by k-fold
-cross-validated RMSE on one target column.
+cross-validated RMSE on one target column, or on several at once.
 
-Every (grid point, fold) pair is one block.  block.run_blocks trains
-blocks of one shape (training rows, input width, neurons, depth,
-iterations) together as a stack, so a grid costs a few B-way loops rather
-than one loop per block, and cuts a group of 2 * block.PART_BLOCKS blocks
-or more into sub-stacks that train at the same time on forked workers,
-one per usable CPU.  Either way every score has the bits of its point
-trained alone.
+Every (target, grid point, fold) triple is one block.  Fold assignment,
+fold features and block seeds do not depend on the target, so one
+block.run_blocks call trains every target's blocks: it trains blocks of
+one shape (training rows, input width, neurons, depth, iterations)
+together as a stack, so a grid costs a few B-way loops rather than one
+loop per block, and cuts a group of 2 * block.PART_BLOCKS blocks or more
+into sub-stacks that train at the same time on forked workers, one per
+usable CPU.  Either way every score has the bits of its point trained
+alone, for its target alone.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ def fold_indices(m: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _fold_features(data: ds.Dataset, target_index: int, folds: int, seed: int,
-                   degrees, standardize: bool):
-    """Per fold: (training inputs by degree, training targets, validation
-    inputs by degree, validation targets)."""
+def _fold_features(data: ds.Dataset, folds: int, seed: int, degrees,
+                   standardize: bool):
+    """Per fold: (training inputs by degree, training targets (m, N),
+    validation inputs by degree, validation targets)."""
     out = []
     for val_idx in fold_indices(data.m, folds, seed):
         mask = np.ones(data.m, dtype=bool)
@@ -118,30 +120,35 @@ def _fold_features(data: ds.Dataset, target_index: int, folds: int, seed: int,
         va = data.take(val_idx)
         scaler, Xs = ds.prepare_features(tr.features, degrees, fit=standardize)
         _, Xvs = ds.prepare_features(va.features, degrees, scaler)
-        out.append((dict(zip(degrees, Xs)), tr.targets[:, target_index],
-                    dict(zip(degrees, Xvs)), va.targets[:, target_index]))
+        out.append((dict(zip(degrees, Xs)), tr.targets,
+                    dict(zip(degrees, Xvs)), va.targets))
     return out
 
 
-def _score_points(points, data, target_index, folds, seed, standardize):
-    """(mean, std) cross-validated RMSE of every point, in points order."""
-    fold_data = _fold_features(data, target_index, folds, seed,
+def _score_points(points, data, target_indices, folds, seed, standardize):
+    """Per target index, the (mean, std) cross-validated RMSE of every
+    point, in points order, from one run_blocks call."""
+    fold_data = _fold_features(data, folds, seed,
                                sorted({p.degree for p in points}), standardize)
-    jobs = [(meta, f) for meta in points for f in range(len(fold_data))]
-    train_X = [fold_data[f][0][meta.degree] for meta, f in jobs]
-    val_X = [fold_data[f][2][meta.degree] for meta, f in jobs]
+    jobs = [(t, meta, f) for t in target_indices for meta in points
+            for f in range(len(fold_data))]
+    train_X = [fold_data[f][0][meta.degree] for _, meta, f in jobs]
+    val_X = [fold_data[f][2][meta.degree] for _, meta, f in jobs]
     outcomes = run_blocks(
         [init_block(meta, X.shape[1], derive_seed(seed, "fold", f))
-         for (meta, f), X in zip(jobs, train_X)],
-        train_X, [fold_data[f][1] for _, f in jobs])
+         for (_, meta, f), X in zip(jobs, train_X)],
+        train_X, [fold_data[f][1][:, t] for t, _, f in jobs])
     done = [j for j, out in enumerate(outcomes) if not isinstance(out, Diverged)]
     est = blocks_output([outcomes[j][0] for j in done], [val_X[j] for j in done])
     scores = np.full(len(jobs), np.inf)
     for j, e in zip(done, est):
-        scores[j] = rmse(fold_data[jobs[j][1]][3], e)
-    return [(float(np.mean(row)), float(np.std(row, ddof=1)))
-            if np.all(np.isfinite(row)) else (np.inf, np.inf)
-            for row in scores.reshape(len(points), len(fold_data))]
+        t, _, f = jobs[j]
+        scores[j] = rmse(fold_data[f][3][:, t], e)
+    return [[(float(np.mean(row)), float(np.std(row, ddof=1)))
+             if np.all(np.isfinite(row)) else (np.inf, np.inf)
+             for row in per_target]
+            for per_target in scores.reshape(len(target_indices), len(points),
+                                             len(fold_data))]
 
 
 def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
@@ -153,8 +160,8 @@ def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
     a block's training does not depend on what it is stacked with, so
     rerunning a single point reproduces its search-time score.
     """
-    return _score_points([meta], data, target_index, folds, seed,
-                         standardize)[0]
+    return _score_points([meta], data, [target_index], folds, seed,
+                         standardize)[0][0]
 
 
 def check_grid_args(folds: int, max_points: int | None) -> None:
@@ -176,10 +183,22 @@ def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
     the row count; max_points triggers seeded uniform subsampling of the
     grid.
     """
+    return grid_search_targets(space, data, [target_index], folds, seed,
+                               standardize, max_points)[0]
+
+
+def grid_search_targets(space: SearchSpace, data: ds.Dataset, target_indices,
+                        folds: int = 5, seed: int = 0, standardize: bool = True,
+                        max_points: int | None = None) -> list:
+    """grid_search of every target index, in order, training all their
+    blocks at once; each (best meta, leaderboard) equals grid_search of
+    its target alone."""
     check_grid_args(folds, max_points)
     folds = min(folds, data.m)
-    if not (0 <= target_index < data.n_targets):
-        raise ValueError(f"target_index {target_index} out of range")
+    target_indices = list(target_indices)
+    for t in target_indices:
+        if not (0 <= t < data.n_targets):
+            raise ValueError(f"target_index {t} out of range")
 
     points = list(space.points())
     if max_points is not None and len(points) > max_points:
@@ -187,12 +206,15 @@ def grid_search(space: SearchSpace, data: ds.Dataset, target_index: int,
         keep = np.sort(rng.choice(len(points), size=max_points, replace=False))
         points = [points[i] for i in keep]
 
-    entries = [LeaderboardEntry(meta, *score) for meta, score in zip(
-        points, _score_points(points, data, target_index, folds, seed,
-                              standardize))]
-    entries.sort(key=lambda e: (e.mean_rmse, e.meta.neurons,
-                                e.meta.iterations, e.meta.gamma))
-    return entries[0].meta, entries
+    out = []
+    for scores in _score_points(points, data, target_indices, folds, seed,
+                                standardize):
+        entries = [LeaderboardEntry(meta, *score)
+                   for meta, score in zip(points, scores)]
+        entries.sort(key=lambda e: (e.mean_rmse, e.meta.neurons,
+                                    e.meta.iterations, e.meta.gamma))
+        out.append((entries[0].meta, entries))
+    return out
 
 
 def write_leaderboard_csv(entries, path) -> None:

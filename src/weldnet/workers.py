@@ -8,12 +8,11 @@ min(tasks, CPUs) of them, which it joins before it returns.  The workers
 inherit fn and the tasks from the fork, so only task indices go to them
 and only results (or the exception a task raised) come back, pickled.
 Where fork is not available, or with one task or one CPU, the tasks run
-inline.  A worker counts one usable CPU, so a map_tasks call made inside
-a task runs inline there rather than forking onto CPUs its siblings are
-already using.  Each task computes what it would compute inline, so
-results do not depend on where it ran; a failing map raises the exception
-of the first failing task in task order, and WorkerDied if a worker ended
-without handing back its result.
+inline.  No task of the package calls map_tasks itself: each command
+makes its map_tasks calls one after another.  Each task computes what it
+would compute inline, so results do not depend on where it ran; a failing
+map raises the exception of the first failing task in task order, and
+WorkerDied if a worker ended without handing back its result.
 """
 
 from __future__ import annotations
@@ -27,22 +26,14 @@ _CALL = None
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on (1 where the platform does not say,
-    and in a map_tasks worker)."""
+    """CPUs this process may run on (1 where the platform does not say)."""
     affinity = getattr(os, "sched_getaffinity", None)
     return 1 if affinity is None else len(affinity(0))
 
 
-def _one_cpu() -> int:
-    return 1
-
-
 def _inherit(fn, tasks) -> None:
-    global _CALL, usable_cpus
+    global _CALL
     _CALL = fn, tasks
-    # rebound, not tested in usable_cpus, so that it also replaces a
-    # usable_cpus the parent had patched
-    usable_cpus = _one_cpu
 
 
 def _run(i: int):

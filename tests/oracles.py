@@ -13,9 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from weldnet.baselines import lookahead, optimizer_step
 from weldnet.block import (
-    REINFORCED,
     TrainingTrace,
     Workspace,
     _forward_all,
@@ -23,7 +21,13 @@ from weldnet.block import (
     stack_blocks,
     unstack,
 )
-from weldnet.errors import ConstantInput, Diverged, LengthMismatch, ParseError
+from weldnet.errors import (
+    ConstantInput,
+    Diverged,
+    LengthMismatch,
+    ParseError,
+    ShapeMismatch,
+)
 
 
 @dataclass
@@ -126,7 +130,7 @@ def forward_one(block, X):
     return [a[0] for a in ws.acts], ws.raw[0]
 
 
-def step_one(block, X, y, use_tau=True, gamma=None, rule=REINFORCED):
+def step_one(block, X, y, use_tau=True, gamma=None):
     """One backprop_step of one block (a stack of one) on X (m, d), y (m,),
     through a workspace made for this step alone.
 
@@ -139,8 +143,7 @@ def step_one(block, X, y, use_tau=True, gamma=None, rule=REINFORCED):
     if gamma is not None:
         gamma = np.array([gamma], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = backprop_step(stack, ws, use_tau=use_tau, gamma=gamma,
-                               rule=rule)
+        finite = backprop_step(stack, ws, use_tau=use_tau, gamma=gamma)
     if not finite[0]:
         raise Diverged(iteration=None)
     (updated,) = unstack(stack)
@@ -254,6 +257,47 @@ class RefReinforced:
 
     def take(self, keep):
         return self
+
+
+def optimizer_step(state, weights: np.ndarray, gradient: np.ndarray):
+    """Apply one update of a baselines.OptimizerState to one weight matrix,
+    into new arrays; returns (new state, new weights).
+
+    plain:    w - eta * g
+    adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
+    rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
+    nesterov: v = mu*v - eta*g;           w + v   (g evaluated by the caller
+              at the look-ahead point, see lookahead())
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    gradient = np.asarray(gradient, dtype=np.float64)
+    if weights.shape != gradient.shape:
+        raise ShapeMismatch(f"weights {weights.shape} vs gradient {gradient.shape}")
+    acc = state.accum
+    if acc is None:
+        acc = np.zeros_like(weights)
+    elif acc.shape != weights.shape:
+        raise ShapeMismatch(f"accumulator {acc.shape} vs weights {weights.shape}")
+
+    if state.kind == "plain":
+        return state, weights - state.eta * gradient
+    if state.kind == "adagrad":
+        acc = acc + gradient * gradient
+        new_w = weights - state.eta * gradient / (np.sqrt(acc) + state.eps)
+    elif state.kind == "rmsprop":
+        acc = state.rho * acc + (1.0 - state.rho) * gradient * gradient
+        new_w = weights - state.eta * gradient / (np.sqrt(acc) + state.eps)
+    else:  # nesterov
+        acc = state.momentum * acc - state.eta * gradient
+        new_w = weights + acc
+    return replace(state, accum=acc), new_w
+
+
+def lookahead(state, weights: np.ndarray) -> np.ndarray:
+    """Point where the gradient should be evaluated for this state."""
+    if state.kind == "nesterov" and state.accum is not None:
+        return weights + state.momentum * state.accum
+    return weights
 
 
 class RefOptimizer:

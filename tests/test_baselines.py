@@ -3,15 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import step_one
+from oracles import lookahead, optimizer_step, step_one
 from weldnet.baselines import (
     McrParams,
     OptimizerState,
     linear_predict,
-    lookahead,
     mcr_fit,
     normal_equation_fit,
-    optimizer_step,
     optimizer_train,
     plain_ann_train,
 )

@@ -35,3 +35,15 @@ def test_step_reaches_its_traced_parts_through_module_globals():
     for part in parts:
         assert sum(s.name == f"block.{part}" and s.parent in steps
                    for s in tracer.spans) == 2, part
+
+
+def test_package_names_follow_the_tracer():
+    """weldnet looks its names up in their home modules on every use, so a
+    name reads the tracer's wrapper while it is installed and the original
+    after."""
+    import weldnet
+    from weldnet import dataset
+    original = dataset.load_csv
+    with TRACING["Tracer"]():
+        assert weldnet.load_csv is dataset.load_csv is not original
+    assert weldnet.load_csv is dataset.load_csv is original

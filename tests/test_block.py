@@ -218,6 +218,30 @@ class TestSelectTau:
         assert costs[tau] <= min(costs.values())
 
 
+def test_tau_mask_keeps_the_shift_zero_cost():
+    """A block the tau mask leaves out gets shift 0 and the cost at 0 it
+    gets with the shift off for every block, bit for bit, though a shift
+    would have won; the others get what they get with the shift on."""
+    rng = np.random.default_rng(4)
+    stack = stack_blocks([make_block(seed=s, lam=0.01) for s in range(3)])
+    X, y = rng.normal(size=(3, 8, 3)), rng.normal(size=(3, 8)) + 2.0
+    ws = Workspace(stack, X, y)
+    _forward_all(stack, ws)
+    nu = np.mean(np.zeros_like(y) - y, axis=1)
+    lam_reg = stack.lam * _reg_sum(stack, ws)
+
+    def picked(use_tau):  # rows cost, tau, cost at 0
+        _pick_tau(ws, nu, lam_reg, use_tau)
+        return ws.row[[0, 3, 5]].copy()
+
+    on, off, mixed = map(picked, (True, False, np.array([True, False, True])))
+    assert np.all(on[1] != 0.0)  # a shift wins for every block
+    assert mixed[:, 1].tobytes() == off[:, 1].tobytes()
+    for b in (0, 2):
+        assert mixed[:, b].tobytes() == on[:, b].tobytes()
+    assert mixed[2].tobytes() == on[2].tobytes() == off[2].tobytes()
+
+
 class TestCost:
     def test_perfect_fit_zero(self):
         block = make_block()

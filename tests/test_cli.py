@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,39 @@ def test_stats_leaves_scipy_unloaded(synth_csv, tmp_path):
     assert (tmp_path / "stats.csv").exists()
 
 
+def test_every_package_name_resolves_in_its_home_module():
+    import importlib
+    for name in wn.__all__:
+        home = importlib.import_module(f"weldnet.{wn._HOME[name]}")
+        assert getattr(wn, name) is getattr(home, name), name
+    assert set(wn.__all__) <= set(dir(wn))
+    assert not set(wn.__all__) & set(vars(wn))  # looked up, never cached
+    with pytest.raises(AttributeError):
+        wn.no_such_name
+
+
+# Modules only the training commands need.
+TRAINING_MODULES = {"weldnet.block", "weldnet.model", "weldnet.search",
+                    "weldnet.baselines", "weldnet.workers"}
+
+
+@pytest.mark.parametrize("command", ["synth", "stats"])
+def test_command_loads_no_training_code(command, synth_csv, tmp_path):
+    argv = (["synth", "--rows", "20", "--out", str(tmp_path / "s.csv")]
+            if command == "synth" else ["stats", "--data", str(synth_csv)])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from weldnet import cli; "
+         f"code = cli.main({argv + ['--out-dir', str(tmp_path)]!r}); "
+         "print(code, *sorted(m for m in sys.modules if m.startswith('weldnet')))"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "weldnet.dataset" in loaded
+    assert not TRAINING_MODULES & set(loaded)
+
+
 class TestSearch:
     def test_artifacts(self, synth_csv, tmp_path):
         space = tmp_path / "space.json"
@@ -448,6 +482,63 @@ class TestStats:
         assert "slope" in rows[0] and "intercept" in rows[0]
         fit = (out / "fit_p_vs_p2.csv").read_text().splitlines()
         assert len(fit) == 26
+
+    @pytest.fixture
+    def scaled_csv(self, tmp_path):
+        """Write the 40-row synth data with its penetration column times
+        scale; returns the path."""
+        def write(scale):
+            data = wn.synthesize_weld(40, 0.05, seed=0)
+            targets = data.targets * [scale, 1.0]
+            path = tmp_path / f"x{scale:g}.csv"
+            wn.save_csv(wn.Dataset(data.features, targets, data.feature_names,
+                                   data.target_names), path)
+            return path
+        return write
+
+    def test_extreme_magnitude_keeps_the_correlation(self, scaled_csv,
+                                                     tmp_path, capsys):
+        """Penetration times 1e200: the sums of squares overflow, yet r and
+        the fit are those of the unscaled data, the slope scaled, with no
+        numpy warning."""
+        got = {}
+        for scale in (1.0, 1e200):
+            out = tmp_path / f"out{scale:g}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["stats", "--data", str(scaled_csv(scale)),
+                                 "--out-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            (got[scale],) = read_csv(out / "stats.csv")
+        plain, big = got[1.0], got[1e200]
+        for key in ("pearson_r", "pearson_p", "intercept"):
+            assert float(big[key]) == pytest.approx(float(plain[key]), rel=1e-12)
+        assert big["spearman"] == plain["spearman"]
+        assert big["kendall"] == plain["kendall"]
+        assert float(big["slope"]) == pytest.approx(
+            float(plain["slope"]) * 1e-200, rel=1e-12)
+        assert float(plain["pearson_r"]) > 0.8
+
+    @pytest.mark.parametrize("case, message", [
+        ("tiny", "the least-squares line has a slope or intercept beyond"),
+        ("huge", "a fitted w value is beyond the float range")])
+    def test_unrepresentable_fit_exits_3(self, scaled_csv, tmp_path, capsys,
+                                         case, message):
+        """Penetration times 1e-310: r is found, but the slope is beyond
+        the float range.  w near the top of the float range: np.polyfit
+        gives an infinite slope, the scaled fit a finite line, but the line
+        at p = 3 (2.04e308) is beyond the float range."""
+        path = tmp_path / "huge.csv"
+        path.write_text("iwp:f,dwp:p,dwp:w\n1,0,0\n"
+                        + "".join(f"{i + 2},{i + 1},1.7e308\n" for i in range(3)))
+        data = scaled_csv(1e-310) if case == "tiny" else path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["stats", "--data", str(data),
+                             "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_stats_on_synth(self, synth_csv, tmp_path):
         out = tmp_path / "run"

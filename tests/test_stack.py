@@ -20,6 +20,7 @@ from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
     REINFORCED,
     BlockMetaParams,
+    Rows,
     Workspace,
     init_block,
     run_stack,
@@ -167,6 +168,44 @@ def test_exploding_member_leaves_alone(case, data, use_tau, jitter, kind):
         assert isinstance(want[b], Diverged)
         assert 1 <= want[b].iteration <= 40
         assert len(want[b].trace) == want[b].iteration - 1
+    for g, w in zip(got, want):
+        assert_same_outcome(g, w)
+
+
+@PROPERTY
+@given(case=stacks(), data=st.data(), n_steps=st.integers(1, 25))
+def test_mixed_rule_stack_equals_blocks_alone(case, data, n_steps):
+    """Blocks each with its own update rule, shift and jitter, in one
+    stack, in any order (a rule's blocks need not be consecutive), one of
+    them maybe blown up: every outcome equals the block trained alone."""
+    blocks, X, y = case
+    B = len(blocks)
+    rules = {kind: REINFORCED if kind is None else
+             OptimizerRule(OptimizerState(kind, eta=0.01)) for kind in RULE_KINDS}
+    kinds = data.draw(st.lists(st.sampled_from(RULE_KINDS), min_size=B,
+                               max_size=B), label="rules")
+    taus = data.draw(st.lists(st.booleans(), min_size=B, max_size=B), label="tau")
+    jitter = data.draw(st.lists(st.booleans(), min_size=B, max_size=B),
+                       label="jitter")
+    if data.draw(st.booleans(), label="blow up"):
+        bad = data.draw(st.integers(0, B - 1), label="bad")
+        X[bad] *= 50.0
+        y[bad] *= 1e3
+        blocks[bad].meta = replace(blocks[bad].meta, alpha=1e6, gamma=1e308)
+
+    def rngs():
+        return [np.random.default_rng(100 + i) if j else None
+                for i, j in enumerate(jitter)]
+
+    want = []
+    for i, (blk, kind, rng) in enumerate(zip(blocks, kinds, rngs())):
+        try:
+            want.append(run_steps(blk, X[i], y[i], n_steps, use_tau=taus[i],
+                                  jitter_rng=rng, rule=rules[kind]))
+        except Diverged as exc:
+            want.append(exc)
+    got = run_stack(stack_blocks(blocks), X, y, n_steps, use_tau=taus,
+                    jitter_rngs=rngs(), rule=[rules[k] for k in kinds])
     for g, w in zip(got, want):
         assert_same_outcome(g, w)
 
@@ -361,7 +400,7 @@ def test_negative_zero_bias_keeps_its_bits(kind):
     else:
         rule = OptimizerRule(OptimizerState(kind, eta=0.01))
         ref = RefOptimizer([OptimizerState(kind, eta=0.01) for _ in mats])
-    rule.update(stack, stack, ws)
+    rule.update(Rows(stack, ws, 0, len(stack)))
     want = ref(mats, mats, deltas, stack.alpha, stack.lam, ws.m)
     for th, w in zip(stack.mats, want):
         assert bits(th) == bits(w)

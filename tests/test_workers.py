@@ -1,9 +1,9 @@
 """Independent tasks on forked workers (workers.map_tasks): results equal
-the tasks run inline, errors come back intact, a dead worker ends in a
-WeldnetError, and a task runs any map_tasks of its own inline.  The
-dynamic-width targets of train_all run this way, and so do the sub-stacks
-run_blocks cuts a large same-shape group into; each equals its block or
-target trained alone, bit for bit, with one CPU or with two."""
+the tasks run inline, errors come back intact, and a dead worker ends in a
+WeldnetError.  The dynamic-width targets of train_all run this way, and so
+do the sub-stacks run_blocks cuts a large same-shape group into; each
+equals its block or target trained alone, bit for bit, with one CPU or
+with two, and so does every file the commands that train write."""
 
 import inspect
 import json
@@ -140,22 +140,6 @@ def test_dead_worker_is_a_weldnet_error(monkeypatch):
 
     with pytest.raises(WorkerDied):
         workers.map_tasks(dies_in_worker, [(1,), (2,)])
-
-
-def _inner_pids(x):
-    """A task that maps tasks of its own: its pid, the CPUs it counts and
-    the pids its inner tasks ran in."""
-    inner = workers.map_tasks(_pid_and_square, [(y,) for y in range(x + 2)])
-    return os.getpid(), workers.usable_cpus(), [pid for pid, _ in inner]
-
-
-def test_task_runs_its_own_map_inline(monkeypatch):
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    got = workers.map_tasks(_inner_pids, [(x,) for x in range(3)])
-    assert os.getpid() not in {pid for pid, _, _ in got}
-    for x, (pid, cpus, inner) in enumerate(got):
-        assert cpus == 1
-        assert inner == [pid] * (x + 2)
 
 
 def test_dead_worker_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
@@ -358,7 +342,8 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
 
 
 def spy_map_tasks(monkeypatch) -> list:
-    """The task count of every map_tasks call run_blocks makes from now on."""
+    """The task count of every map_tasks call run_blocks and train_seeded
+    make from now on."""
     calls = []
     real = workers.map_tasks
 
@@ -368,6 +353,7 @@ def spy_map_tasks(monkeypatch) -> list:
         return real(fn, tasks)
 
     monkeypatch.setattr(workers, "map_tasks", spy)
+    monkeypatch.setattr(mdl, "map_tasks", spy)
     return calls
 
 
@@ -395,7 +381,7 @@ def jitter_rngs(n):
     return [np.random.default_rng(100 + i) for i in range(n)]
 
 
-def groups_whole(case, counts, jitter=False, rule_for=None):
+def groups_whole(case, counts, jitter=False, rule=block.REINFORCED):
     """run_stack outcomes of case's blocks trained in one stack per group
     of counts consecutive blocks, in this process: run_blocks as it was
     before it cut groups (and, by tests/test_stack.py, every block trained
@@ -409,8 +395,7 @@ def groups_whole(case, counts, jitter=False, rule_for=None):
         out += run_stack(stack, inputs[part], targets[part],
                          blocks[start].meta.iterations,
                          jitter_rngs=None if rngs is None else rngs[part],
-                         rule=(block.REINFORCED if rule_for is None
-                               else rule_for(stack)))
+                         rule=rule)
         start += count
     return out
 
@@ -436,31 +421,63 @@ RUN_BLOCKS_CASES = {
 
 @pytest.fixture(scope="module")
 def whole_outcomes():
-    """Per RUN_BLOCKS_CASES name: (blocks, inputs, targets, rule_for, the
+    """Per RUN_BLOCKS_CASES name: (blocks, inputs, targets, rule, the
     outcomes of every group trained as one stack)."""
     out = {}
     for name, (shapes, bad, jitter, kind, _) in RUN_BLOCKS_CASES.items():
         case = blocks_case(shapes, bad=bad)
-        rule_for = (None if kind is None
-                    else baselines.optimizer_rules(kind, eta=0.01))
-        out[name] = (*case, rule_for, groups_whole(
-            case, [count for count, _, _ in shapes], jitter, rule_for))
+        rule = (block.REINFORCED if kind is None else
+                baselines.OptimizerRule(baselines.OptimizerState(kind, eta=0.01)))
+        out[name] = (*case, rule, groups_whole(
+            case, [count for count, _, _ in shapes], jitter, rule))
     return out
 
 
 @pytest.mark.parametrize("name", RUN_BLOCKS_CASES)
 def test_run_blocks_equals_groups_whole(name, whole_outcomes, cpus,
                                         monkeypatch):
-    blocks, inputs, targets, rule_for, want = whole_outcomes[name]
+    blocks, inputs, targets, rule, want = whole_outcomes[name]
     _, bad, jitter, _, cut = RUN_BLOCKS_CASES[name]
     calls = spy_map_tasks(monkeypatch)
     got = run_blocks(blocks, inputs, targets,
                      jitter_rngs=jitter_rngs(len(blocks)) if jitter else None,
-                     rule_for=rule_for)
+                     rule=rule)
     assert calls == (cut if cpus == 2 else [])
     if bad is not None:
         assert isinstance(want[bad], Diverged)
         assert 1 < want[bad].iteration < 1000
+    assert_same_outcomes(got, want)
+
+
+def test_run_blocks_mixes_rules_in_one_stack(cpus, monkeypatch):
+    """Blocks of every rule, with and without the shift and jitter, listed
+    with their rules interleaved: run_blocks puts them in one group, cut
+    in two at 2 CPUs, and every outcome equals the block trained alone."""
+    blocks, inputs, targets = blocks_case([(10, 3, 16)], bad=3)
+    kinds = [None, "adagrad", "nesterov", None, "rmsprop", "plain", None,
+             "nesterov", "adagrad", None]
+    rules = {k: block.REINFORCED if k is None else
+             baselines.OptimizerRule(baselines.OptimizerState(k, eta=0.01))
+             for k in kinds}
+    taus = [k is None and i % 6 == 0 for i, k in enumerate(kinds)]
+
+    def rngs():
+        return [np.random.default_rng(100 + i) if i % 3 else None
+                for i in range(10)]
+
+    want = []
+    for i, (blk, kind, rng) in enumerate(zip(blocks, kinds, rngs())):
+        try:
+            want.append(block.run_steps(blk, inputs[i], targets[i], 1000,
+                                        use_tau=taus[i], jitter_rng=rng,
+                                        rule=rules[kind]))
+        except Diverged as exc:
+            want.append(exc)
+    assert isinstance(want[3], Diverged)
+    calls = spy_map_tasks(monkeypatch)
+    got = run_blocks(blocks, inputs, targets, use_tau=taus, jitter_rngs=rngs(),
+                     rule=[rules[k] for k in kinds])
+    assert calls == ([2] if cpus == 2 else [])
     assert_same_outcomes(got, want)
 
 
@@ -505,10 +522,43 @@ def test_search_outputs_equal_at_one_and_two_cpus(tmp_path, monkeypatch,
     one = search_outputs(tmp_path, monkeypatch, capsys, 1)
     assert calls == []
     two = search_outputs(tmp_path, monkeypatch, capsys, 2)
-    assert calls == [4, 4]  # per target, 2 sub-stacks of each group
+    assert calls == [4]  # both targets at once, 2 sub-stacks of each group
     assert one == two
     board = one[0]["leaderboard_penetration.csv"].decode().splitlines()
     assert len(board) == 5 and board[-1].endswith(",inf,inf")
+
+
+def command_outputs(tmp_path, monkeypatch, capsys, n_cpus, argv):
+    """Every file a command writes, and its stdout, with n_cpus usable
+    CPUs."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n_cpus)
+    out = tmp_path / f"{n_cpus}cpus"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return files, capsys.readouterr().out.replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("flags, dynamic", [
+    ([], []), (["--gamma-jitter"], []), (["--dynamic-width"], [8])],
+    ids=["fixed", "jitter", "dynamic"])
+def test_compare_outputs_equal_at_one_and_two_cpus(tmp_path, monkeypatch,
+                                                   capsys, flags, dynamic):
+    """compare with all seven methods over two seeds: the block methods'
+    (seed, target) blocks at fixed width train in one run_blocks call (20
+    blocks, or at dynamic width the optimizers' 12, cut in two at 2 CPUs),
+    nrn's and ann's at dynamic width in one map_tasks call of a block
+    each."""
+    ds.save_csv(ds.synthesize_weld(40, 0.02, seed=2), tmp_path / "weld.csv")
+    argv = ["compare", "--data", str(tmp_path / "weld.csv"), "--methods",
+            ",".join(cli.METHODS), "--seeds", "3,4", *flags]
+    calls = spy_map_tasks(monkeypatch)
+    one = command_outputs(tmp_path, monkeypatch, capsys, 1, argv)
+    assert calls == dynamic
+    calls.clear()
+    two = command_outputs(tmp_path, monkeypatch, capsys, 2, argv)
+    assert calls == [2, *dynamic]
+    assert one == two
+    assert len(one[0]["compare_raw.csv"].decode().splitlines()) == 1 + 2 * 7 * 2
 
 
 def test_dead_worker_in_search_exits_3(monkeypatch, tmp_path, capsys):
