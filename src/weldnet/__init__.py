@@ -12,8 +12,7 @@ _HOMES = {
     "baselines": ("McrParams", "OptimizerState", "linear_predict", "mcr_fit",
                   "normal_equation_fit", "optimizer_train", "plain_ann_train"),
     "block": ("BlockMetaParams", "RegressionBlock", "TrainingTrace",
-              "backprop_step", "cost", "init_block", "sigmoid", "train",
-              "weighted_estimate"),
+              "backprop_step", "cost", "init_block", "train"),
     "dataset": ("Dataset", "ScalerParams", "append_bias", "bead_surfaces",
                 "combine", "load_csv", "prepare_features", "save_csv", "split",
                 "standardize", "synthesize_weld"),

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .block import (
-    MAX_ITERATIONS,
-    MIN_ITERATIONS,
     BlockMetaParams,
     check_fields,
     init_block,
@@ -25,7 +23,7 @@ from .block import (
     train,
     trained_block,
 )
-from .dataset import MAX_DEGREE, MIN_DEGREE, Dataset, append_bias, expand_features
+from .dataset import Dataset, append_bias, expand_features
 from .errors import Diverged
 
 OPTIMIZER_KINDS = ("plain", "adagrad", "rmsprop", "nesterov")
@@ -48,15 +46,7 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        check_fields(self, reals=("eta", "rho", "momentum", "eps"))
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must be in (0, 1)")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        check_fields(self)
 
 
 def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
@@ -173,16 +163,7 @@ class McrParams:
     iterations: int
 
     def __post_init__(self):
-        check_fields(self, ("degree", "iterations"), ("alpha", "lam"))
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not (MIN_DEGREE <= self.degree <= MAX_DEGREE):
-            raise ValueError(f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
-        if not (MIN_ITERATIONS <= self.iterations <= MAX_ITERATIONS):
-            raise ValueError(
-                f"iterations must be in [{MIN_ITERATIONS}, {MAX_ITERATIONS}]")
+        check_fields(self)
 
 
 def mcr_fit(params: McrParams, train_data: Dataset, seed: int) -> np.ndarray:

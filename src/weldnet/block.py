@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,11 +47,22 @@ from . import workers
 from .dataset import MAX_DEGREE, MIN_DEGREE, write_csv
 from .errors import DimensionMismatch, Diverged
 
-MIN_NEURONS, MAX_NEURONS = 2, 100
-MIN_DEPTH, MAX_DEPTH = 1, 4
-MIN_ITERATIONS, MAX_ITERATIONS = 1000, 12000
-# BlockMetaParams fields that count something: an int, not a float or bool.
-INTEGER_FIELDS = ("neurons", "depth", "degree", "iterations")
+# Every hyperparameter's kind and interval: name -> (integer or not, low,
+# high, ends), ends holding the interval's brackets, "(" or ")" where an end
+# is open.  violation checks a value against it.
+RANGES = {
+    "neurons": (True, 2, 100, "[]"),
+    "depth": (True, 1, 4, "[]"),
+    "degree": (True, MIN_DEGREE, MAX_DEGREE, "[]"),
+    "iterations": (True, 1000, 12000, "[]"),
+    "alpha": (False, 0, math.inf, "()"),
+    "gamma": (False, 0, math.inf, "()"),
+    "lam": (False, 0, math.inf, "[)"),
+    "eta": (False, 0, math.inf, "()"),
+    "rho": (False, 0, 1, "()"),
+    "momentum": (False, 0, 1, "[)"),
+    "eps": (False, 0, math.inf, "()"),
+}
 
 # Rows stack_output passes through each hidden matmul at a time, reusing one
 # buffer set, where one pass over 10^5 rows would allocate tens of MB per
@@ -86,14 +97,25 @@ def is_real(value) -> bool:
         return False
 
 
-def check_fields(obj, counts=(), reals=()) -> None:
-    """ValueError unless every field of obj named in counts is an integer
-    (is_count) and every one named in reals a finite number (is_real)."""
-    for names, ok, kind in ((counts, is_count, "an integer"),
-                            (reals, is_real, "a finite number")):
-        for name in names:
-            if not ok(getattr(obj, name)):
-                raise ValueError(f"{name} must be {kind}, got {getattr(obj, name)!r}")
+def violation(name: str, value):
+    """What value fails to be as the hyperparameter name of RANGES: "an
+    integer", "a finite number" or "in" its interval; None if it fits."""
+    count, lo, hi, ends = RANGES[name]
+    if not (is_count(value) if count else is_real(value)):
+        return "an integer" if count else "a finite number"
+    above = lo < value if ends[0] == "(" else lo <= value
+    below = value < hi if ends[1] == ")" else value <= hi
+    return None if above and below else f"in {ends[0]}{lo}, {hi}{ends[1]}"
+
+
+def check_fields(obj) -> None:
+    """ValueError naming the first field of the dataclass obj that RANGES
+    has and whose value violates it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        what = f.name in RANGES and violation(f.name, value)
+        if what:
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,22 +136,7 @@ class BlockMetaParams:
     degree: int = 0
 
     def __post_init__(self):
-        check_fields(self, INTEGER_FIELDS, ("alpha", "gamma", "lam"))
-        if not (MIN_NEURONS <= self.neurons <= MAX_NEURONS):
-            raise ValueError(f"neurons must be in [{MIN_NEURONS}, {MAX_NEURONS}]")
-        if not (MIN_DEPTH <= self.depth <= MAX_DEPTH):
-            raise ValueError(f"depth must be in [{MIN_DEPTH}, {MAX_DEPTH}]")
-        if not (MIN_DEGREE <= self.degree <= MAX_DEGREE):
-            raise ValueError(f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not (MIN_ITERATIONS <= self.iterations <= MAX_ITERATIONS):
-            raise ValueError(
-                f"iterations must be in [{MIN_ITERATIONS}, {MAX_ITERATIONS}]")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return {"neurons": self.neurons, "depth": self.depth, "degree": self.degree,
@@ -295,20 +302,14 @@ def unstack(stack: BlockStack) -> list:
         for b, meta in enumerate(stack.metas)]
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic function, branch-free.
+def _sigmoid_into(z, mask, out):
+    """Numerically stable logistic function of z written into out, with z
+    and mask (bool) as scratch; branch-free.
 
     e = exp(-|z|) never overflows (taken as exp(min(z, -z)), which keeps a
     NaN's sign); as 0 <= e <= 1, max(e, z >= 0) is 1 where z >= 0 and e
     elsewhere, so this is 1 / (1 + e) or e / (1 + e), bit for bit.
     """
-    z = np.array(z, dtype=np.float64)  # a copy: _sigmoid_into overwrites it
-    return _sigmoid_into(z, np.empty(z.shape, dtype=bool),
-                         np.empty_like(z) if out is None else out)
-
-
-def _sigmoid_into(z, mask, out):
-    """sigmoid(z) written into out, with z and mask (bool) as scratch."""
     np.greater_equal(z, 0.0, out=mask)
     np.negative(z, out=out)
     np.minimum(z, out, out=z)
@@ -476,13 +477,7 @@ def stack_output(stack: BlockStack, X) -> np.ndarray:
                 s = min(SIGMOID_ROWS, t - r)
                 _sigmoid_into(z[:, r:r + s], mask[:, :s], act[:, :s])
                 a_in[:, r:r + s, 1:] = act[:, :s]
-    return weighted_estimate(np.matmul(last, out_mat)[:, :, 0],
-                             stack.tau[:, None])
-
-
-def weighted_estimate(raw: np.ndarray, tau: float) -> np.ndarray:
-    """Raw block output shifted by the scalar tau."""
-    return np.asarray(raw, dtype=np.float64) + tau
+    return np.matmul(last, out_mat)[:, :, 0] + stack.tau[:, None]
 
 
 def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:

@@ -171,9 +171,19 @@ def _config(what: str):
 
 
 def _check_degree(degree: int, flag: str) -> None:
-    if not (ds.MIN_DEGREE <= degree <= ds.MAX_DEGREE):
-        raise ConfigError(f"{flag} must be in [{ds.MIN_DEGREE}, "
-                          f"{ds.MAX_DEGREE}], got {degree}")
+    from .block import violation
+    what = violation("degree", degree)
+    if what:
+        raise ConfigError(f"{flag} must be {what}, got {degree!r}")
+
+
+def _check_keys(doc: dict, known, what: str, where: str = "") -> None:
+    """ConfigError naming the first key of doc, in sorted order, that known
+    lacks, and listing the known keys."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}{where} "
+                          f"(known: {', '.join(known)})")
 
 
 # The forms a config value may take; json.load gives bool, int, float, str,
@@ -214,10 +224,7 @@ def _settings(args) -> dict:
     config key, or a value not of its key's form, is a config error."""
     cfg = (_json_object(_read_json(args.config, "config"), "config root")
            if args.config else {})
-    unknown = sorted(set(cfg) - set(SETTINGS))
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r} "
-                          f"(known: {', '.join(SETTINGS)})")
+    _check_keys(cfg, SETTINGS, "config key")
     resolved = {}
     for key, (form, default) in SETTINGS.items():
         value = cfg.get(key)
@@ -261,10 +268,7 @@ def _metas_for(data: ds.Dataset, s) -> list:
     for name in data.target_names:
         raw = _json_object(by_name.get(name, DEFAULT_META),
                            f"meta-parameters for {name!r}")
-        unknown = sorted(set(raw) - set(DEFAULT_META))
-        if unknown:
-            raise ConfigError(f"unknown meta-parameter {unknown[0]!r} for "
-                              f"{name!r} (known: {', '.join(DEFAULT_META)})")
+        _check_keys(raw, DEFAULT_META, "meta-parameter", f" for {name!r}")
         with _config(f"meta-parameters for {name!r}"):
             metas.append(BlockMetaParams.from_dict({**DEFAULT_META, **raw}))
     return metas
@@ -386,6 +390,8 @@ def cmd_eval(args) -> int:
 def _space_from_doc(doc: dict):
     """The SearchSpace of a space document over DEFAULT_SPACE."""
     from . import search as srch
+    _check_keys(_json_object(doc, "search space"), DEFAULT_SPACE,
+                "search space key")
     with _config("search space"):
         merged = {**DEFAULT_SPACE, **doc}
         return srch.SearchSpace(

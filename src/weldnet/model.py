@@ -26,6 +26,7 @@ from .block import (
     run_steps,
     stack_blocks,
     trained_block,
+    violation,
 )
 from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
 from .rng import derive_seed
@@ -148,8 +149,7 @@ def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
 
 
 def _candidate_widths(k: int) -> list:
-    from .block import MAX_NEURONS, MIN_NEURONS
-    return sorted(w for w in {k - 1, k, k + 1} if MIN_NEURONS <= w <= MAX_NEURONS)
+    return sorted(w for w in {k - 1, k, k + 1} if violation("neurons", w) is None)
 
 
 def _resize_width(block: RegressionBlock, width: int, rng) -> RegressionBlock:

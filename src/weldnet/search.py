@@ -15,44 +15,15 @@ alone, for its target alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dataset as ds
-from .block import (
-    INTEGER_FIELDS,
-    MAX_DEPTH,
-    MAX_ITERATIONS,
-    MAX_NEURONS,
-    MIN_DEPTH,
-    MIN_ITERATIONS,
-    MIN_NEURONS,
-    BlockMetaParams,
-    blocks_output,
-    init_block,
-    is_count,
-    is_real,
-    run_blocks,
-)
-from .dataset import MAX_DEGREE, MIN_DEGREE
-from .errors import Diverged
+from .block import BlockMetaParams, blocks_output, init_block, run_blocks, violation
+from .errors import Diverged, TooFewRows
 from .metrics import rmse
 from .rng import derive_seed
-
-
-def _check_range(name, values, lo, hi):
-    values = tuple(values)
-    if not values:
-        raise ValueError(f"{name} list must be non-empty")
-    ok, kind = ((is_count, "an integer") if name in INTEGER_FIELDS
-                else (is_real, "a finite number"))
-    for v in values:
-        if not ok(v):
-            raise ValueError(f"{name} value {v!r} is not {kind}")
-        if not (lo <= v <= hi):
-            raise ValueError(f"{name} value {v} outside [{lo}, {hi}]")
-    return values
 
 
 @dataclass(frozen=True)
@@ -68,18 +39,17 @@ class SearchSpace:
     degree: tuple = (0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "neurons",
-                           _check_range("neurons", self.neurons, MIN_NEURONS, MAX_NEURONS))
-        object.__setattr__(self, "depth",
-                           _check_range("depth", self.depth, MIN_DEPTH, MAX_DEPTH))
-        object.__setattr__(self, "degree",
-                           _check_range("degree", self.degree, MIN_DEGREE, MAX_DEGREE))
-        object.__setattr__(self, "iterations",
-                           _check_range("iterations", self.iterations,
-                                        MIN_ITERATIONS, MAX_ITERATIONS))
-        object.__setattr__(self, "alpha", _check_range("alpha", self.alpha, 1e-12, np.inf))
-        object.__setattr__(self, "gamma", _check_range("gamma", self.gamma, 1e-12, np.inf))
-        object.__setattr__(self, "lam", _check_range("lam", self.lam, 0.0, np.inf))
+        for f in fields(self):
+            values = tuple(getattr(self, f.name))
+            if not values:
+                raise ValueError(f"{f.name} list must be non-empty")
+            for v in values:
+                what = violation(f.name, v)
+                if what and what.startswith("in "):
+                    raise ValueError(f"{f.name} must be {what}, got {v!r}")
+                if what:
+                    raise ValueError(f"{f.name} value {v!r} is not {what}")
+            object.__setattr__(self, f.name, values)
 
     def points(self):
         """Grid points in deterministic product order."""
@@ -127,7 +97,12 @@ def _fold_features(data: ds.Dataset, folds: int, seed: int, degrees,
 
 def _score_points(points, data, target_indices, folds, seed, standardize):
     """Per target index, the (mean, std) cross-validated RMSE of every
-    point, in points order, from one run_blocks call."""
+    point, in points order, from one run_blocks call; folds is clamped to
+    the row count."""
+    check_grid_args(folds, None)
+    if data.m < 2:
+        raise TooFewRows(f"cross-validation needs at least 2 rows, got {data.m}")
+    folds = min(folds, data.m)
     fold_data = _fold_features(data, folds, seed,
                                sorted({p.degree for p in points}), standardize)
     jobs = [(t, meta, f) for t in target_indices for meta in points
@@ -156,9 +131,10 @@ def evaluate_point(meta: BlockMetaParams, data: ds.Dataset, target_index: int,
     """Mean/std cross-validated RMSE for one grid point.
 
     A fold that diverges scores the whole point as infinite.  Fold
-    assignment and per-fold block seeds depend only on (seed, folds, m), and
-    a block's training does not depend on what it is stacked with, so
-    rerunning a single point reproduces its search-time score.
+    assignment and per-fold block seeds depend only on (seed, folds, m),
+    folds clamped to m as grid_search clamps it, and a block's training
+    does not depend on what it is stacked with, so rerunning a single
+    point reproduces its search-time score.
     """
     return _score_points([meta], data, [target_index], folds, seed,
                          standardize)[0][0]
@@ -194,7 +170,6 @@ def grid_search_targets(space: SearchSpace, data: ds.Dataset, target_indices,
     blocks at once; each (best meta, leaderboard) equals grid_search of
     its target alone."""
     check_grid_args(folds, max_points)
-    folds = min(folds, data.m)
     target_indices = list(target_indices)
     for t in target_indices:
         if not (0 <= t < data.n_targets):

@@ -1,4 +1,5 @@
 import csv
+import math
 import pickle
 from dataclasses import replace
 
@@ -14,22 +15,26 @@ from oracles import (
     max_rel_error,
     step_one,
 )
+from weldnet.baselines import McrParams, OptimizerState
 from weldnet.block import (
+    RANGES,
     BlockMetaParams,
     TrainingTrace,
     Workspace,
     _forward_all,
     _pick_tau,
     _reg_sum,
+    _sigmoid_into,
     cost,
     init_block,
     run_steps,
-    sigmoid,
     stack_blocks,
+    stack_output,
     train,
-    weighted_estimate,
+    violation,
 )
 from weldnet.errors import DimensionMismatch, Diverged, LengthMismatch
+from weldnet.search import SearchSpace
 
 
 def make_block(seed=0, d=3, k=4, depth=1, alpha=0.5, gamma=1.0, lam=0.0,
@@ -42,6 +47,12 @@ def make_block(seed=0, d=3, k=4, depth=1, alpha=0.5, gamma=1.0, lam=0.0,
 def make_data(seed=0, m=8, d=3):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(m, d)), rng.normal(size=m)
+
+
+def sigmoid(z):
+    """_sigmoid_into on a copy of z, into a fresh array."""
+    return _sigmoid_into(z.copy(), np.empty(z.shape, dtype=bool),
+                         np.empty_like(z))
 
 
 class TestMetaParams:
@@ -78,6 +89,51 @@ class TestMetaParams:
         meta = BlockMetaParams(neurons=7, alpha=0.3, gamma=2.0, lam=0.01,
                                iterations=2000, depth=3, degree=2)
         assert BlockMetaParams.from_dict(meta.to_dict()) == meta
+
+
+# Each record that holds hyperparameters, with values it accepts; a
+# SearchSpace holds a list of each.
+HOLDERS = {
+    BlockMetaParams: dict(neurons=4, alpha=0.5, gamma=1.0, lam=0.0,
+                          iterations=1000, depth=1, degree=0),
+    McrParams: dict(alpha=0.3, lam=0.0, degree=0, iterations=1000),
+    OptimizerState: dict(kind="adagrad", eta=0.1, rho=0.9, momentum=0.9,
+                         eps=1e-8),
+    SearchSpace: dict(neurons=(4,), alpha=(0.5,), gamma=(1.0,), lam=(0.0,),
+                      iterations=(1000,), depth=(1,), degree=(0,)),
+}
+
+
+def hyper_values(name):
+    """Any value, and the corners of the hyperparameter name's interval:
+    each finite end, one ulp and one unit either side, as int and float."""
+    corners = []
+    for end in RANGES[name][1:3]:
+        if math.isfinite(end):
+            corners += [end, end - 1, end + 1, float(end),
+                        math.nextafter(end, -math.inf),
+                        math.nextafter(end, math.inf)]
+    return (st.none() | st.booleans() | st.text(max_size=3) | st.integers()
+            | st.floats() | st.sampled_from(
+                [2**1100, -2**1100, math.inf, -math.inf, math.nan, 1e-13,
+                 -1e-13, 0.0, -0.0, *corners]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(RANGES)), data=st.data())
+def test_every_holder_of_a_hyperparameter_agrees(name, data):
+    """BlockMetaParams, McrParams, OptimizerState and a one-value
+    SearchSpace list accept or reject a value alike, as violation says."""
+    value = data.draw(hyper_values(name), label="value")
+    verdicts = {}
+    for cls, good in HOLDERS.items():
+        if name in good:
+            try:
+                cls(**{**good, name: (value,) if cls is SearchSpace else value})
+                verdicts[cls.__name__] = True
+            except ValueError:
+                verdicts[cls.__name__] = False
+    assert set(verdicts.values()) == {violation(name, value) is None}, verdicts
 
 
 class TestForward:
@@ -133,7 +189,7 @@ class TestForward:
         assert np.array_equal(got, want, equal_nan=True)
         assert got.tobytes() == want.tobytes()  # NaN and zero signs too
         out = np.empty((2, z.size))
-        sigmoid(z, out=out[1])
+        _sigmoid_into(z.copy(), np.empty(z.shape, dtype=bool), out[1])
         assert np.array_equal(out[1], want, equal_nan=True)
 
     def test_sigmoid_open_interval(self):
@@ -146,19 +202,37 @@ class TestForward:
 
 
 class TestWeightedEstimate:
+    """stack_output adds each block's shift tau to its raw output."""
+
+    @staticmethod
+    def shifted(blocks, X, tau):
+        for blk in blocks:
+            blk.tau = tau
+        return stack_output(stack_blocks(blocks), np.stack([X] * len(blocks)))
+
     def test_zero_shift_identity(self):
-        raw = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(weighted_estimate(raw, 0.0), raw)
+        block = make_block(seed=2, depth=2)
+        X, _ = make_data(seed=3, m=6)
+        np.testing.assert_array_equal(self.shifted([block], X, 0.0)[0],
+                                      forward_one(block, X)[1])
 
     def test_forced_arithmetic(self):
-        np.testing.assert_array_equal(
-            weighted_estimate(np.array([1.0, 2.0]), -0.5), [0.5, 1.5])
+        blocks = [make_block(seed=s) for s in (0, 1)]
+        for blk, bias in zip(blocks, (1.0, 2.0)):
+            for th in blk.matrices():
+                th[:] = 0.0
+            blk.theta2[0, 0] = bias
+        X, _ = make_data(m=3)
+        np.testing.assert_array_equal(self.shifted(blocks, X, -0.5),
+                                      [[0.5] * 3, [1.5] * 3])
 
     def test_mean_shift_property(self):
-        rng = np.random.default_rng(1)
-        raw = rng.normal(size=50)
+        block = make_block(seed=1)
+        X, _ = make_data(seed=1, m=50)
+        raw = forward_one(block, X)[1]
         tau = 0.37
-        assert abs(weighted_estimate(raw, tau).mean() - raw.mean() - tau) < 1e-12
+        est = self.shifted([block], X, tau)[0]
+        assert abs(est.mean() - raw.mean() - tau) < 1e-12
 
 
 class TestComputeNu:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weldnet as wn
@@ -368,6 +369,33 @@ class TestSearch:
         for tname in ("penetration", "width"):
             meta = wn.BlockMetaParams.from_dict(best["targets"][tname])
             assert 2 <= meta.neurons <= 100
+
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
+    def test_one_row_is_runtime_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "one.csv"
+        path.write_text("iwp:a,iwp:b,dwp:y\n1,2,3\n")
+        out = tmp_path / "out"
+        assert cli.main(["search", "--data", str(path), "--out-dir", str(out),
+                         *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 2 rows" in err
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("via", ["space", "config"])
+    def test_unknown_space_key_is_config_error(self, synth_csv, tmp_path,
+                                               capsys, via):
+        doc = {"neuron": [3], "alpha": [1.0]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc if via == "space"
+                                   else {"search_space": doc}))
+        out = tmp_path / "out"
+        assert cli.main(["search", "--data", str(synth_csv), f"--{via}",
+                         str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown search space key 'neuron'")
+        assert "neurons" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCompare:
@@ -915,3 +943,71 @@ def test_any_config_resolves_to_forms_or_config_error(tmp_path_factory, doc):
         else:
             assert json.dumps(s[key]) == json.dumps(doc[key])
             assert form is None or cli._FORMS[form](s[key])
+
+
+# Leaf values that a run can take, or that make it diverge.
+LEAVES = st.sampled_from([-1, 0, 1, 2, 4, 6, 1e-13, 0.5, 1.0, 1e6])
+
+
+class TestInputFileFuzz:
+    """One leaf of a --space file of search, or of a --params file of
+    train, replaced by any JSON value: the run exits 0, or 2 or 3 with one
+    error line, with no traceback and no warning."""
+
+    SPACE = {"neurons": [2, 3], "alpha": [0.5], "gamma": [1.0],
+             "lambda": [0.0], "iterations": [1000], "depth": [1],
+             "degree": [0]}
+
+    @pytest.fixture(scope="class")
+    def twelve_rows(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz")
+        data = wn.synthesize_weld(12, 0.05, seed=3)
+        wn.save_csv(data, out / "data.csv")
+        return out, data.target_names
+
+    @staticmethod
+    def run_edited(doc, data, path, argv):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        parent[key] = data.draw(JSON | LEAVES, label="value")
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.main(argv)
+
+    @staticmethod
+    def assert_clean_exit(code, err):
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (2, 3)
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(("error:", "config error:"))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_space_file(self, twelve_rows, capsys, data):
+        out, _ = twelve_rows
+        space = out / "space.json"
+        code = self.run_edited(
+            copy.deepcopy(self.SPACE), data, space,
+            ["search", "--data", str(out / "data.csv"), "--space", str(space),
+             "--max-points", "1", "--folds", "2", "--out-dir", str(out / "s")])
+        self.assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_params_file(self, twelve_rows, capsys, data):
+        out, names = twelve_rows
+        params = out / "params.json"
+        doc = {"targets": {name: dict(META) for name in names}}
+        code = self.run_edited(
+            doc, data, params,
+            ["train", "--data", str(out / "data.csv"), "--params", str(params),
+             "--out-dir", str(out / "t")])
+        self.assert_clean_exit(code, capsys.readouterr().err)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weldnet.dataset import synthesize_weld
+from weldnet.errors import TooFewRows
 from weldnet.search import (
     SearchSpace,
     evaluate_point,
@@ -109,6 +110,25 @@ class TestGridSearch:
         _, board = grid_search(tiny_space(), data, 0, folds=50, seed=0)
         assert len(board) == 1
 
+    def test_rerun_with_more_folds_than_rows(self):
+        """evaluate_point clamps folds to the row count as grid_search does,
+        so it reproduces the search-time score."""
+        data = synthesize_weld(3, 0.0, seed=1)
+        _, board = grid_search(tiny_space(), data, 0, folds=5, seed=3,
+                               standardize=False)
+        assert evaluate_point(board[0].meta, data, 0, folds=5, seed=3,
+                              standardize=False) == \
+            (board[0].mean_rmse, board[0].std_rmse)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_one_row_is_too_few(self, standardize):
+        data = synthesize_weld(1, 0.0, seed=1)
+        with pytest.raises(TooFewRows, match="at least 2 rows"):
+            grid_search(tiny_space(), data, 0, folds=5, standardize=standardize)
+        with pytest.raises(TooFewRows, match="at least 2 rows"):
+            evaluate_point(next(tiny_space().points()), data, 0, folds=5,
+                           seed=0, standardize=standardize)
+
     def test_leaderboard_csv(self, weld_small, tmp_path):
         space = tiny_space(gamma=(0.5, 1.0))
         _, board = grid_search(space, weld_small, 0, folds=2, seed=2)
@@ -141,6 +161,9 @@ class TestGridSearch:
             grid_search(tiny_space(), weld_small, 0, folds=1)
         with pytest.raises(ValueError, match="max_points must be >= 1"):
             grid_search(tiny_space(), weld_small, 0, folds=2, max_points=0)
+        meta = next(tiny_space().points())
+        with pytest.raises(ValueError, match="folds"):
+            evaluate_point(meta, weld_small, 0, folds=1, seed=0)
 
 
 class TestStackedScoring:
