@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .errors import ConfigError, NonFiniteInput, WeldnetError
+from .errors import ConfigError, NonFiniteInput, TooFewRows, WeldnetError
 
 METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov", "ner", "mcr")
 # Methods that train one block per target; compare trains all of them on
-# every (seed, target) at once, through model.train_seeded.
+# every (seed, target) at once, through model.train_models.
 BLOCK_METHODS = ("nrn", "ann", "adagrad", "rmsprop", "nesterov")
 
 # Columns of compare_raw.csv (also the keys of each comparison record) and
@@ -451,7 +451,8 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     opt_hyper: eta, rho, momentum and eps of the optimizer methods; a key
     left out takes its DEFAULT_OPT_HYPER value, as on the command line.
     """
-    from . import baselines, metrics
+    from . import baselines, metrics, model as mdl
+    from .block import REINFORCED
     methods = list(methods)
     if not methods:
         raise ConfigError("at least one method is required")
@@ -461,30 +462,43 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("at least one seed is required")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is listed more than once")
     if not (0.0 < split_fraction < 1.0):
         raise ConfigError("split fraction must be in (0, 1)")
     _check_degree(ner_degree, "--ner-degree")
     metas = list(metas)
-    if set(methods) & set(BLOCK_METHODS) and len(metas) != data.n_targets:
-        raise ValueError(f"need {data.n_targets} meta sets, got {len(metas)}")
     opt_hyper = {**DEFAULT_OPT_HYPER, **(opt_hyper or {})}
     mcr_params = mcr_params or baselines.McrParams(
         alpha=0.3, lam=0.0, degree=0, iterations=1000)
 
     splits = [ds.split(data, split_fraction, seed) for seed in seeds]
-    block_methods = list(dict.fromkeys(m for m in methods if m in BLOCK_METHODS))
-    feats = [_seed_features(tr, metas, standardize) if block_methods else None
-             for tr, _ in splits]
-    trained = _train_block_methods(block_methods, data.target_names, splits,
-                                   feats, seeds, metas, use_tau, dynamic_width,
-                                   gamma_jitter, opt_hyper)
+    # One model per (block method, seed): nrn keeps the metas' gamma and
+    # the output shift; ann and the optimizers train with gamma 1 and no
+    # shift; dynamic width and gamma jitter apply to nrn and ann.
+    rules = {m: REINFORCED if m in ("nrn", "ann") else
+             baselines.OptimizerRule(baselines.OptimizerState(m, **opt_hyper))
+             for m in dict.fromkeys(methods) if m in BLOCK_METHODS}
+    keys = [(m, i) for m in rules for i in range(len(seeds))]
+    trained = dict(zip(keys, mdl.train_models(
+        [([meta if m == "nrn" else replace(meta, gamma=1.0) for meta in metas],
+          splits[i][0], seeds[i], use_tau and m == "nrn",
+          gamma_jitter and m in ("nrn", "ann"),
+          dynamic_width and m in ("nrn", "ann"), rules[m]) for m, i in keys],
+        standardize)))
 
     records = []
     for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):
         for method in methods:
-            if method in block_methods:
-                preds = _predict_stacked(method, trained.get((method, i)),
-                                         feats[i], te)
+            if standardize and method != "ner" and tr.m < 2:
+                raise TooFewRows(f"the training split of seed {seed} has "
+                                 f"{tr.m} row; standardize needs at least 2 rows")
+            if method in BLOCK_METHODS:
+                model = trained[(method, i)]
+                if isinstance(model, WeldnetError):
+                    raise model
+                preds = mdl.predict(model[0], te.features)
             else:
                 preds = _fit_predict(method, tr, te, seed, standardize,
                                      ner_degree, mcr_params)
@@ -514,71 +528,6 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                 for m, z in zip(methods, metrics.zscore(means)):
                     summary[(m, tname)]["zscore"] = float(z)
     return records, summary
-
-
-def _seed_features(tr: ds.Dataset, metas, standardize: bool):
-    """(scaler, one block input per meta) of a seed's training split, or
-    the WeldnetError that preparing them raised; it is raised where the
-    first block method of that seed needs them."""
-    try:
-        return ds.prepare_features(tr.features, [m.degree for m in metas],
-                                   fit=standardize)
-    except WeldnetError as exc:
-        return exc
-
-
-def _train_block_methods(methods, names, splits, feats, seeds, metas,
-                         use_tau, dynamic_width, gamma_jitter, opt_hyper) -> dict:
-    """The blocks of every block method on every (seed, target) whose seed
-    could prepare its features, trained through model.train_seeded: those
-    at fixed width in one call, whatever their rule, so that they share
-    stacks, and with dynamic_width nrn's and ann's in one more, each block
-    on a worker.  Returns {(method, seed index): outcomes in target order}.
-
-    nrn keeps the metas' gamma and the output shift; ann and the optimizers
-    train with gamma 1 and no shift; dynamic width and gamma jitter apply
-    to nrn and ann.
-    """
-    from . import baselines, model as mdl
-    from .block import REINFORCED
-    ok = [i for i, f in enumerate(feats) if not isinstance(f, WeldnetError)]
-    rules = {m: REINFORCED if m in ("nrn", "ann") else
-             baselines.OptimizerRule(baselines.OptimizerState(m, **opt_hyper))
-             for m in methods}
-    n, trained = len(names), {}
-    for dynamic in (False, True):
-        keys = [(m, i) for m in methods
-                if dynamic == (dynamic_width and m in ("nrn", "ann")) for i in ok]
-        if not keys:
-            continue
-        each = [(m, i, meta) for m, i in keys for meta in metas]
-        outcomes = mdl.train_seeded(
-            [meta if m == "nrn" else replace(meta, gamma=1.0) for m, _, meta in each],
-            [X for _, i in keys for X in feats[i][1]],
-            [y for _, i in keys for y in splits[i][0].targets.T],
-            [seeds[i] for _, i, _ in each], list(names) * len(keys),
-            use_tau=[use_tau and m == "nrn" for m, _, _ in each],
-            gamma_jitter=[gamma_jitter and m in ("nrn", "ann") for m, _, _ in each],
-            rule=[rules[m] for m, _, _ in each], dynamic_width=dynamic)
-        trained.update((key, outcomes[j * n:(j + 1) * n])
-                       for j, key in enumerate(keys))
-    return trained
-
-
-def _predict_stacked(method, outcomes, feats, te):
-    """Test estimates of one seed's trained blocks; raises the seed's
-    feature error or its first error outcome in target order (the
-    divergence of nrn and ann names the target)."""
-    from . import model as mdl
-    from .block import trained_block
-    if isinstance(feats, WeldnetError):
-        raise feats
-    names = te.target_names
-    blocks = [trained_block(out, tname if method in ("nrn", "ann") else None)[0]
-              for tname, out in zip(names, outcomes)]
-    return mdl.predict(mdl.AggregateModel(blocks=blocks, scaler=feats[0],
-                                          target_names=list(names)),
-                       te.features)
 
 
 def _fit_predict(method, tr, te, seed, standardize, ner_degree, mcr_params):

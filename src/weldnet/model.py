@@ -20,7 +20,6 @@ from .block import (
     init_block,
     is_count,
     is_real,
-    per_block,
     run_blocks,
     run_stack,
     run_steps,
@@ -28,7 +27,14 @@ from .block import (
     trained_block,
     violation,
 )
-from .errors import DimensionMismatch, Diverged, FormatError, IoError, TooFewRows
+from .errors import (
+    DimensionMismatch,
+    Diverged,
+    FormatError,
+    IoError,
+    TooFewRows,
+    WeldnetError,
+)
 from .rng import derive_seed
 from .workers import map_tasks
 
@@ -66,55 +72,81 @@ def train_all(metas, train_data: ds.Dataset, seed: int, standardize: bool = True
     """Train one block per target column; returns (AggregateModel, traces).
 
     Each block gets a seed derived from (seed, target name), so results do
-    not depend on target order.  The blocks train through train_seeded, at
-    fixed or dynamic width.  A divergence raises Diverged naming the first
-    diverging target in column order.
+    not depend on target order.  A run of train_models: a divergence raises
+    Diverged naming the first diverging target in column order.
     """
-    metas = list(metas)
-    if len(metas) != train_data.n_targets:
-        raise ValueError(f"need {train_data.n_targets} meta sets, got {len(metas)}")
-
-    scaler, inputs = ds.prepare_features(
-        train_data.features, [meta.degree for meta in metas], fit=standardize)
-    names = train_data.target_names
-    outcomes = train_seeded(metas, inputs, list(train_data.targets.T),
-                            [seed] * len(metas), names, use_tau, gamma_jitter,
-                            dynamic_width=dynamic_width)
-    blocks, traces = zip(*(trained_block(out, tname)
-                           for tname, out in zip(names, outcomes)))
-    return AggregateModel(blocks=list(blocks), scaler=scaler,
-                          target_names=list(names)), list(traces)
+    (out,) = train_models([(metas, train_data, seed, use_tau,
+                            gamma_jitter, dynamic_width, REINFORCED)],
+                          standardize)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
-def train_seeded(metas, inputs, targets, seeds, names, use_tau=True,
-                 gamma_jitter=False, rule=REINFORCED,
-                 dynamic_width: bool = False) -> list:
-    """Blocks, the i-th one from metas[i], initialized from
-    derive_seed(seeds[i], names[i]) and trained on inputs[i] against
-    targets[i]; returns their outcomes in order.  use_tau and gamma_jitter
-    are bools, or lists of one per block.
+def train_models(runs, standardize: bool = True) -> list:
+    """Train many models at once.  Each run is (metas, data, seed, use_tau,
+    gamma_jitter, dynamic_width, rule) and trains one block per target
+    column of data, the k-th from metas[k], initialized from
+    derive_seed(seed, target name), on data's features prepared (fitting
+    the scaler if standardize) for its degree.  Returns per run
+    (AggregateModel, traces), or the error it ended in, unraised: the
+    WeldnetError preparing its features raised, or its first error outcome
+    in target order, a Diverged naming its target.  Runs with the same
+    data object and degrees share one preparation.
 
-    At fixed width they train as stacks through one block.run_blocks call,
-    with the update rule rule (one, or a list of one per block).  With
-    dynamic_width each block trains alone with the reinforced rule
-    (_train_dynamic), holding out a validation slice and probing
-    neighboring hidden widths every RESIZE_PERIOD iterations, all of them
-    at the same time on forked workers (workers.map_tasks).  With gamma
-    jitter, block i draws its gamma noise from derive_seed(seeds[i],
-    names[i], "jitter").
+    At fixed width the blocks of every run train as stacks through one
+    block.run_blocks call, with the run's update rule.  With dynamic_width
+    a run's blocks train with the reinforced rule alone (_train_dynamic),
+    holding out a validation slice and probing neighboring hidden widths
+    every RESIZE_PERIOD iterations, all such blocks of the call at the same
+    time on forked workers (workers.map_tasks).  With gamma_jitter, a block
+    draws its gamma noise from derive_seed(seed, target name, "jitter").
     """
-    use_tau = per_block(use_tau, len(metas))
-    gamma_jitter = per_block(gamma_jitter, len(metas))
-    if dynamic_width:
-        return map_tasks(_train_dynamic, list(zip(
-            metas, inputs, targets, seeds, names, use_tau, gamma_jitter)))
-    blocks = [init_block(meta, X.shape[1], derive_seed(s, name))
-              for meta, X, s, name in zip(metas, inputs, seeds, names)]
-    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter")) if jitter else None
-             for s, name, jitter in zip(seeds, names, gamma_jitter)]
-            if any(gamma_jitter) else None)
-    return run_blocks(blocks, inputs, targets, use_tau=use_tau,
-                      jitter_rngs=rngs, rule=rule)
+    runs = [(list(metas), *rest) for metas, *rest in runs]
+    prepared, feats, jobs = {}, [], ([], [])
+    for r, (metas, data, seed, tau_on, jitter_on, dynamic, rule) in enumerate(runs):
+        if len(metas) != data.n_targets:
+            raise ValueError(f"need {data.n_targets} meta sets, got {len(metas)}")
+        key = id(data), tuple(meta.degree for meta in metas)
+        if key not in prepared:
+            try:
+                prepared[key] = ds.prepare_features(data.features, key[1],
+                                                    fit=standardize)
+            except WeldnetError as exc:
+                prepared[key] = exc
+        feats.append(prepared[key])
+        if not isinstance(feats[-1], WeldnetError):
+            # _train_dynamic's arguments, after the run index and rule
+            jobs[bool(dynamic)].extend(
+                (r, rule, meta, X, y, seed, name, tau_on, jitter_on)
+                for meta, X, y, name in zip(metas, feats[-1][1], data.targets.T,
+                                            data.target_names))
+    fixed, dynamic = jobs
+    _, rules, metas, inputs, targets, seeds, names, use_tau, jitter = map(
+        list, zip(*fixed) if fixed else [()] * 9)
+    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter")) if on else None
+             for s, name, on in zip(seeds, names, jitter)] if any(jitter) else None)
+    outcomes = run_blocks(
+        [init_block(meta, X.shape[1], derive_seed(s, name))
+         for meta, X, s, name in zip(metas, inputs, seeds, names)],
+        inputs, targets, use_tau=use_tau, jitter_rngs=rngs, rule=rules)
+    if dynamic:
+        outcomes += map_tasks(_train_dynamic, [job[2:] for job in dynamic])
+    by_run = [[] for _ in runs]
+    for job, out in zip(fixed + dynamic, outcomes):
+        by_run[job[0]].append(out)
+    results = []
+    for (_, data, *_), result, outs in zip(runs, feats, by_run):
+        if not isinstance(result, WeldnetError):
+            try:
+                blocks, traces = zip(*(trained_block(out, name) for name, out
+                                       in zip(data.target_names, outs)))
+                result = (AggregateModel(list(blocks), result[0],
+                                         list(data.target_names)), list(traces))
+            except WeldnetError as exc:
+                result = exc
+        results.append(result)
+    return results
 
 
 def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):

@@ -83,11 +83,14 @@ def _fold_features(data: ds.Dataset, folds: int, seed: int, degrees,
     """Per fold: (training inputs by degree, training targets (m, N),
     validation inputs by degree, validation targets)."""
     out = []
-    for val_idx in fold_indices(data.m, folds, seed):
+    for f, val_idx in enumerate(fold_indices(data.m, folds, seed), 1):
         mask = np.ones(data.m, dtype=bool)
         mask[val_idx] = False
         tr = data.take(np.flatnonzero(mask))
         va = data.take(val_idx)
+        if standardize and tr.m < 2:
+            raise TooFewRows(f"the training part of fold {f} of {folds} has "
+                             f"{tr.m} row; standardize needs at least 2 rows")
         scaler, Xs = ds.prepare_features(tr.features, degrees, fit=standardize)
         _, Xvs = ds.prepare_features(va.features, degrees, scaler)
         out.append((dict(zip(degrees, Xs)), tr.targets,

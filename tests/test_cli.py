@@ -382,6 +382,20 @@ class TestSearch:
         assert err.count("\n") == 1
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("rows, folds, part", [
+        (2, [], "the training part of fold 1 of 2 has 1 row"),
+        (3, ["--folds", "2"], "the training part of fold 1 of 2 has 1 row")])
+    def test_one_row_fold_names_its_part(self, tmp_path, capsys, rows, folds,
+                                         part):
+        path = tmp_path / "few.csv"
+        path.write_text("iwp:a,iwp:b,dwp:y\n" + "".join(
+            f"{i},{i * i % 5},{i + 1}\n" for i in range(rows)))
+        out = tmp_path / "out"
+        assert cli.main(["search", "--data", str(path), "--out-dir", str(out),
+                         *folds]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {part}; standardize needs at least 2 rows\n"
+
     @pytest.mark.parametrize("via", ["space", "config"])
     def test_unknown_space_key_is_config_error(self, synth_csv, tmp_path,
                                                capsys, via):
@@ -469,6 +483,30 @@ class TestCompare:
         assert names == sorted(f.name for f in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_one_row_split_names_its_seed(self, tmp_path, capsys):
+        path = tmp_path / "twelve.csv"
+        wn.save_csv(wn.synthesize_weld(12, 0.05, seed=3), path)
+        assert cli.main(["compare", "--data", str(path), "--split", "0.99",
+                         "--seeds", "4,5", "--methods", "ner,mcr,nrn",
+                         "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: the training split of seed 4 has 1 row; standardize "
+            "needs at least 2 rows\n")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_repeated_seed_is_config_error(self, synth_csv, tmp_path, capsys,
+                                           via):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [1, 3, 2, 3]}))
+        argv = (["--seeds", "1,3,2,3"] if via == "flag"
+                else ["--config", str(cfg)])
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--data", str(synth_csv), "--methods",
+                         "ner", "--out-dir", str(out), *argv]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seed 3 is listed more than once\n")
+        assert not list(out.iterdir())
 
     def test_table_shape_and_zscores(self, synth_csv, tmp_path):
         out = tmp_path / "run"
@@ -949,10 +987,20 @@ def test_any_config_resolves_to_forms_or_config_error(tmp_path_factory, doc):
 LEAVES = st.sampled_from([-1, 0, 1, 2, 4, 6, 1e-13, 0.5, 1.0, 1e6])
 
 
+# Cell text that is no number, or a finite number of extreme size.
+CELLS = (st.sampled_from(["", " ", "x", "nan", "inf", "-inf", "1e999", "0x1",
+                          "1,2", '"', "1e300", "-1e300", "1e-300", "-1e-300"])
+         | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+         | st.text(max_size=4))
+
+
 class TestInputFileFuzz:
     """One leaf of a --space file of search, or of a --params file of
-    train, replaced by any JSON value: the run exits 0, or 2 or 3 with one
-    error line, with no traceback and no warning."""
+    train or compare, replaced by any JSON value, or one cell of the CSV
+    that train or compare reads replaced by any text: the run exits 0, or
+    2 or 3 with one error line, with no traceback and no warning."""
+
+    COMPARE = ["compare", "--methods", ",".join(cli.METHODS), "--seeds", "0,1"]
 
     SPACE = {"neurons": [2, 3], "alpha": [0.5], "gamma": [1.0],
              "lambda": [0.0], "iterations": [1000], "depth": [1],
@@ -1010,4 +1058,38 @@ class TestInputFileFuzz:
             doc, data, params,
             ["train", "--data", str(out / "data.csv"), "--params", str(params),
              "--out-dir", str(out / "t")])
+        self.assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_compare_params_file(self, twelve_rows, capsys, data):
+        out, names = twelve_rows
+        params = out / "compare_params.json"
+        doc = {"targets": {name: dict(META) for name in names}}
+        code = self.run_edited(
+            doc, data, params,
+            [*self.COMPARE, "--data", str(out / "data.csv"), "--params",
+             str(params), "--out-dir", str(out / "c")])
+        self.assert_clean_exit(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_csv_cell(self, twelve_rows, capsys, command, data):
+        out, _ = twelve_rows
+        lines = (out / "data.csv").read_text().splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1), label="row")
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="column")] = \
+            data.draw(CELLS, label="cell")
+        lines[row] = ",".join(cells)
+        path = out / f"{command}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["train"] if command == "train" else self.COMPARE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*argv, "--data", str(path),
+                             "--out-dir", str(out / command)])
         self.assert_clean_exit(code, capsys.readouterr().err)

@@ -545,8 +545,7 @@ def test_compare_raises_first_divergence_in_loop_order(weld60, methods):
     assert len(alone) >= 3
     assert alone[0][3].iteration > min(o[3].iteration for o in alone)
     seed, method, tname, exc = alone[0]
-    want = Diverged(exc.iteration,
-                    target=tname if method in ("nrn", "ann") else None)
+    want = Diverged(exc.iteration, target=tname)
     with pytest.raises(Diverged) as got:
         run_comparison(weld60, methods, metas, seeds, 0.2, opt_hyper=hyper)
     assert str(got.value) == str(want)

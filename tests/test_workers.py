@@ -20,6 +20,7 @@ from test_stack import (
     OPT_HYPER,
     assert_same_block,
     assert_same_outcome,
+    bits,
     outcomes_alone,
     train_alone,
     weld_meta,
@@ -223,7 +224,7 @@ def test_dynamic_width_raises_first_divergence_in_column_order(three_targets,
 
 def test_compare_at_dynamic_width_equals_train_all(three_targets, cpus):
     """A dynamic-width compare trains nrn and ann on every (seed, target)
-    through one train_seeded call each, beside a fixed-width method: their
+    in the same train_models call as a fixed-width method: their
     records equal train_all at dynamic width and predict on each seed's
     split, one seed at a time."""
     metas = [weld_meta(neurons=4, iterations=1100), weld_meta(depth=2),
@@ -307,9 +308,9 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
     """Target k gets an alpha that makes it diverge (for nesterov, every
     target gets a large eta): the path raises the Diverged of the first
     target in column order to diverge alone, at its iteration, with the
-    trace of every iteration before it, naming the target where the path
-    names it (not for the optimizers).  At dynamic width (train_all, and
-    nrn in compare) the divergence comes after a width probe."""
+    trace of every iteration before it, naming the target.  At dynamic
+    width (train_all, and nrn in compare) the divergence comes after a
+    width probe."""
     dynamic = path in ("dynamic", "compare-dynamic")
     metas = [weld_meta(), weld_meta()]
     if dynamic:
@@ -329,10 +330,9 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
             cli.run_comparison(weld40, ["nrn" if dynamic else path], metas,
                                [seed], 0.2, dynamic_width=dynamic,
                                opt_hyper={**OPT_HYPER, "eta": eta})
-    named = None if path == "nesterov" else tname
     assert got.value.iteration == want.iteration
-    assert got.value.target == named
-    assert str(got.value) == str(Diverged(want.iteration, target=named))
+    assert got.value.target == tname
+    assert str(got.value) == str(Diverged(want.iteration, target=tname))
     assert got.value.trace == want.trace
     assert len(got.value.trace) == got.value.iteration - 1
     assert got.value.trace.start == 1
@@ -342,7 +342,7 @@ def test_divergence_carries_iteration_and_trace(weld40, cpus, path, k, seed,
 
 
 def spy_map_tasks(monkeypatch) -> list:
-    """The task count of every map_tasks call run_blocks and train_seeded
+    """The task count of every map_tasks call run_blocks and train_models
     make from now on."""
     calls = []
     real = workers.map_tasks
@@ -584,3 +584,84 @@ def test_dead_worker_in_search_exits_3(monkeypatch, tmp_path, capsys):
     assert err.count("error:") == 1 and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out/*"))
+
+
+# --- model.train_models: a run trained with others equals it alone ---
+
+
+RUN_RULES = {kind: block.REINFORCED if kind in ("nrn", "ann") else
+             baselines.OptimizerRule(baselines.OptimizerState(kind, **OPT_HYPER))
+             for kind in ("nrn", "ann", "adagrad", "rmsprop", "nesterov")}
+EXPLODING = baselines.OptimizerRule(
+    baselines.OptimizerState("nesterov", **{**OPT_HYPER, "eta": 1000.0}))
+
+
+@pytest.fixture(scope="module")
+def run_data():
+    """Two datasets of 20 rows, the second with a constant feature."""
+    weld = ds.synthesize_weld(20, 0.02, seed=6)
+    flat = weld.features.copy()
+    flat[:, 1] = 2.0
+    return weld, ds.Dataset(flat, weld.targets, weld.feature_names,
+                            weld.target_names)
+
+
+@st.composite
+def model_runs(draw, weld, flat):
+    """Runs of train_models, in a drawn order: one or two of a drawn rule,
+    with jitter on or off, one at dynamic width, one whose features fail
+    (ConstantColumn) and one that diverges (nrn with a large alpha, or
+    nesterov with a large eta)."""
+    def metas(**kw):
+        return [weld_meta(degree=draw(st.integers(0, 1)), **kw)
+                for _ in weld.target_names]
+
+    def seed():
+        return draw(st.integers(0, 2**16))
+
+    runs = [(metas(), weld, seed(), kind in ("nrn", "ann") and draw(st.booleans()),
+             draw(st.booleans()), False, RUN_RULES[kind])
+            for kind in draw(st.lists(st.sampled_from(sorted(RUN_RULES)),
+                                      min_size=1, max_size=2))]
+    runs.append((metas(neurons=3), weld, seed(), True, draw(st.booleans()),
+                 True, block.REINFORCED))
+    runs.append((metas(), flat, seed(), True, False, False, block.REINFORCED))
+    runs.append((metas(alpha=20.0, gamma=4.0, lam=0.0), weld, seed(), True,
+                 False, False, block.REINFORCED) if draw(st.booleans()) else
+                (metas(gamma=1.0), weld, seed(), False, False, False, EXPLODING))
+    return draw(st.permutations(runs))
+
+
+def assert_same_result(got, want):
+    """train_models results of one run: the same error (type, text, and a
+    Diverged's iteration, target and trace), or bit-equal models and
+    traces."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, Diverged):
+            assert got.iteration == want.iteration
+            assert got.target == want.target
+            assert got.trace == want.trace
+        return
+    (got_model, got_traces), (want_model, want_traces) = got, want
+    assert got_model.target_names == want_model.target_names
+    assert bits(got_model.scaler.means) == bits(want_model.scaler.means)
+    assert bits(got_model.scaler.stds) == bits(want_model.scaler.stds)
+    for g, w in zip(got_model.blocks, want_model.blocks, strict=True):
+        assert_same_block(g, w)
+        assert g.meta == w.meta
+    assert got_traces == want_traces
+
+
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_models_run_equals_it_alone(run_data, cpus, data):
+    runs = data.draw(model_runs(*run_data))
+    got = mdl.train_models(runs)
+    want = [mdl.train_models([run])[0] for run in runs]
+    kinds = {type(w) for w in want}
+    assert errors.ConstantColumn in kinds and Diverged in kinds
+    for g, w in zip(got, want, strict=True):
+        assert_same_result(g, w)
