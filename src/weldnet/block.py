@@ -310,13 +310,13 @@ def _sigmoid_into(z, mask, out):
     NaN's sign); as 0 <= e <= 1, max(e, z >= 0) is 1 where z >= 0 and e
     elsewhere, so this is 1 / (1 + e) or e / (1 + e), bit for bit.
     """
-    np.greater_equal(z, 0.0, out=mask)
-    np.negative(z, out=out)
+    np.greater_equal(z, 0.0, mask)
+    np.negative(z, out)
     np.minimum(z, out, out=z)
-    np.exp(z, out=z)
+    np.exp(z, z)
     np.maximum(z, mask, out=out)
-    np.add(z, 1.0, out=z)
-    return np.divide(out, z, out=out)
+    np.add(z, 1.0, z)
+    return np.divide(out, z, out)
 
 
 def init_block(meta: BlockMetaParams, input_dim: int, seed: int) -> RegressionBlock:
@@ -348,7 +348,8 @@ def _with_bias(B: int, rows: int, cols: int) -> np.ndarray:
 
 class Workspace:
     """Every array a stack's training steps write, made once for the
-    stack's shape, rows X (B, m, d) and targets y (B, m).
+    stack's shape, rows X (B, m, d) and targets y (B, m), with every view
+    of them a step reads, so that a step makes none.
 
     The forward part: inputs, the bias-augmented input of every weight
     matrix (column 0 all ones, the first filled with X here, the others
@@ -363,8 +364,7 @@ class Workspace:
     like stack.params, and at, the stack over them), the finite mask, nu,
     and row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
     tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row of
-    params; spans gives each matrix's non-bias part as a (start, stop)
-    slice.
+    params.
     """
 
     def __init__(self, stack: BlockStack, X, y):
@@ -378,6 +378,9 @@ class Workspace:
         self.z = np.empty((B, m, k))
         self.mask = np.empty((B, m, k), dtype=bool)
         self.acts = [np.empty((B, m, k)) for _ in shapes[1:]]
+        # per hidden layer: input, activations, next input's non-bias columns
+        self.layers = [(a, h, nxt[:, :, 1:]) for a, h, nxt
+                       in zip(self.inputs, self.acts, self.inputs[1:])]
         self.raw_col = np.empty((B, m, 1))
         self.raw = self.raw_col[:, :, 0]
         y = np.asarray(y, dtype=np.float64)
@@ -385,39 +388,61 @@ class Workspace:
             raise DimensionMismatch(f"targets {y.shape} vs {(B, m)} blocks x samples")
         self.y = y
         self.taus = np.zeros((B, 3))        # shifts 0, -nu, +nu
-        self.resid = np.empty((B, 3, m))
-        self.sq = np.empty((B, 3, 1, 1))
+        resid, sq = np.empty((B, 3, m)), np.empty((B, 3, 1, 1))
         self.costs = np.empty((B, 3))
+        self.lam_reg = np.empty(B)
+        self.shift_views = {n: (
+            resid[:, :n], self.raw[:, None, :], self.taus[:, :n, None],
+            y[:, None, :], resid[:, :n, None, :], resid[:, :n, :, None],
+            sq[:, :n], sq[:, :n, 0, 0], self.lam_reg[:, None],
+            self.costs[:, :n]) for n in (1, 3)}
+        self.tau_cols, self.cost_cols = list(self.taus.T), list(self.costs.T)
         self.better = np.empty(B, dtype=bool)
         P = stack.params.shape[1]
-        self.nonbias = np.zeros(P, dtype=bool)
-        self.spans, start = [], 0
-        for rows, cols in shapes:
-            span = (start + cols, start + rows * cols)
-            self.nonbias[span[0]:span[1]] = True
-            self.spans.append(span)
-            start = span[1]
+        self.nonbias = np.ones(P, dtype=bool)
+        for th in param_views(self.nonbias[None], stack.mats):
+            th[:, 0] = False
         self.squares = np.empty((B, P))
-        self.reg = np.empty(B)
-        self.reg_part = np.empty(B)
-        self.lam_reg = np.empty(B)
+        self.square_parts = [th[:, 1:].reshape(B, -1)
+                             for th in param_views(self.squares, stack.mats)]
+        self.reg, self.reg_part = np.empty(B), np.empty(B)
         self.shifted = np.empty((B, m))
         self.d_out = np.empty((B, m, 1))
+        self.err = self.d_out[:, :, 0]
         self.back = [np.empty((B, m, k)) for _ in range(min(2, len(shapes) - 1))]
         self.grad = np.empty((B, P))
         self.deltas = param_views(self.grad, stack.mats)
-        self.norm_rows = [d.reshape(B, 1, -1) for d in (self.deltas[0], self.deltas[-1])]
-        self.norm = np.empty((B, 1, 1))
+        self.last_T = self.inputs[-1].swapaxes(1, 2)
+        norm_rows = [d.reshape(B, 1, -1) for d in (self.deltas[0], self.deltas[-1])]
+        norm = np.empty((2, B, 1, 1))
+        self.norm_parts = [(f, f.swapaxes(1, 2), out) for f, out in zip(norm_rows, norm)]
+        self.norm_sq = norm[:, :, 0, 0]
         self.step = np.empty((B, P))
         self.decay = np.zeros((B, P))
         self.ahead = np.empty((B, P))
         self.at = replace(stack, params=self.ahead,
                           mats=param_views(self.ahead, stack.mats))
+        self.gamma_col = stack.gamma[:, None]
+        self.backward, self.at_backward = (self._backward(s.mats) for s in (stack, self.at))
         self.ok = np.empty((B, P), dtype=bool)
         self.ok_part = np.empty(B, dtype=bool)
         self.finite = np.empty(B, dtype=bool)
         self.nu = np.empty(B)
         self.row = np.empty((6, B))
+        self.cost, self.norms, self.tau, self.nu_in, self.cost0 = (
+            self.row[0], self.row[1:3], self.row[3], self.row[4], self.row[5])
+        self.tau_col = self.tau[:, None]
+
+    def _backward(self, mats) -> list:
+        """block_gradients' views for each matrix i below the output one,
+        top first: acts[i], delta scratch, mats[i + 1]'s non-bias rows
+        transposed (a vector for the output one), inputs[i].T, deltas[i]."""
+        L = len(mats)
+        return [(self.acts[i], self.back[(L - 2 - i) % 2],
+                 mats[i + 1][:, 1:, 0] if i == L - 2
+                 else mats[i + 1][:, 1:].swapaxes(1, 2),
+                 self.inputs[i].swapaxes(1, 2), self.deltas[i])
+                for i in range(L - 2, -1, -1)]
 
 
 def _block_rows(stack: BlockStack, X) -> np.ndarray:
@@ -434,10 +459,10 @@ def _forward_all(stack: BlockStack, ws: Workspace) -> None:
     """Forward pass at the stack's weights: every hidden activation into
     ws.acts, copied into the non-bias columns of the next layer input, and
     the raw (unshifted) outputs into ws.raw."""
-    for th, a_in, act, a_next in zip(stack.mats, ws.inputs, ws.acts, ws.inputs[1:]):
-        _sigmoid_into(np.matmul(a_in, th, out=ws.z), ws.mask, act)
-        a_next[:, :, 1:] = act
-    np.matmul(ws.inputs[-1], stack.mats[-1], out=ws.raw_col)
+    for th, (a_in, act, a_next) in zip(stack.mats, ws.layers):
+        _sigmoid_into(np.matmul(a_in, th, ws.z), ws.mask, act)
+        np.copyto(a_next, act)
+    np.matmul(ws.inputs[-1], stack.mats[-1], ws.raw_col)
 
 
 def stack_output(stack: BlockStack, X) -> np.ndarray:
@@ -483,26 +508,23 @@ def stack_output(stack: BlockStack, X) -> np.ndarray:
 def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:
     """Per block, the sum of squared non-bias weights over all matrices,
     matrix by matrix, into ws.reg."""
-    sq = np.square(stack.params, out=ws.squares)
-    for i, (lo, hi) in enumerate(ws.spans):
-        np.add.reduce(sq[:, lo:hi], axis=1, out=ws.reg_part if i else ws.reg)
+    np.square(stack.params, ws.squares)
+    for i, part in enumerate(ws.square_parts):
+        np.add.reduce(part, 1, None, ws.reg_part if i else ws.reg)
         if i:
-            np.add(ws.reg, ws.reg_part, out=ws.reg)
+            np.add(ws.reg, ws.reg_part, ws.reg)
     return ws.reg
 
 
-def _shift_costs(ws: Workspace, taus: np.ndarray, lam_reg) -> np.ndarray:
-    """Regularized cost (B, n) of every shift in taus (B, n): (1/2m) [sum of
-    squared residuals against the shifted output + lam * reg]."""
-    n = taus.shape[1]
-    resid = ws.resid[:, :n]
-    np.add(ws.raw[:, None, :], taus[:, :, None], out=resid)
-    np.subtract(ws.y[:, None, :], resid, out=resid)
-    sq = ws.sq[:, :n]
-    np.matmul(resid[:, :, None, :], resid[:, :, :, None], out=sq)
-    costs = ws.costs[:, :n]
-    np.add(sq[:, :, 0, 0], lam_reg[:, None], out=costs)
-    return np.multiply(0.5 / ws.m, costs, out=costs)
+def _shift_costs(ws: Workspace, n: int) -> np.ndarray:
+    """Regularized cost (B, n) of the first n shifts of ws.taus: (1/2m)
+    [sum of squared residuals against the shifted output + ws.lam_reg]."""
+    resid, raw, taus, y, left, right, sq, sq_sum, lam_reg, costs = ws.shift_views[n]
+    np.add(raw, taus, resid)
+    np.subtract(y, resid, resid)
+    np.matmul(left, right, sq)
+    np.add(sq_sum, lam_reg, costs)
+    return np.multiply(0.5 / ws.m, costs, costs)
 
 
 def _pick_tau(ws: Workspace, nu, lam_reg, use_tau) -> None:
@@ -515,23 +537,25 @@ def _pick_tau(ws: Workspace, nu, lam_reg, use_tau) -> None:
     never picked, so a block the mask leaves out gets NaN candidates for
     -nu and +nu.  Its cost at 0 is computed as for every block.
     """
-    taus = ws.taus
+    taus, costs = ws.tau_cols, ws.cost_cols
     mask = use_tau if isinstance(use_tau, np.ndarray) else None
     shifts = 3 if mask is not None or use_tau else 1
     if shifts == 3:
-        np.negative(nu, out=taus[:, 1])
-        taus[:, 2] = nu
+        np.negative(nu, taus[1])
+        np.copyto(taus[2], nu)
         if mask is not None:
-            taus[~mask, 1:] = np.nan
-    costs = _shift_costs(ws, taus[:, :shifts], lam_reg)
-    best, tau = ws.row[0], ws.row[3]
-    best[:] = costs[:, 0]
-    ws.row[5] = best
-    tau[:] = 0.0
-    for c in range(1, costs.shape[1]):
-        np.less(costs[:, c], best, out=ws.better)
-        np.copyto(tau, taus[:, c], where=ws.better)
-        np.copyto(best, costs[:, c], where=ws.better)
+            ws.taus[~mask, 1:] = np.nan
+    if lam_reg is not ws.lam_reg:
+        np.copyto(ws.lam_reg, lam_reg)
+    _shift_costs(ws, shifts)
+    best, tau = ws.cost, ws.tau
+    np.copyto(best, costs[0])
+    np.copyto(ws.cost0, best)
+    tau.fill(0.0)
+    for c in range(1, shifts):
+        np.less(costs[c], best, ws.better)
+        np.copyto(tau, taus[c], where=ws.better)
+        np.copyto(best, costs[c], where=ws.better)
 
 
 def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
@@ -541,44 +565,42 @@ def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
     stack = stack_blocks([block])
     ws = Workspace(stack, np.asarray(X, dtype=np.float64)[None],
                    np.asarray(y, dtype=np.float64)[None])
+    ws.taus[:, 0] = stack.tau  # this workspace only takes the cost
     with np.errstate(over="ignore", invalid="ignore"):
         _forward_all(stack, ws)
-        lam_reg = stack.lam * _reg_sum(stack, ws)
-        return float(_shift_costs(ws, stack.tau[:, None], lam_reg)[0, 0])
+        np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
+        return float(_shift_costs(ws, 1)[0, 0])
 
 
 def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
     """Gamma-scaled gradient matrices into ws.deltas, (B, rows, cols) each,
-    aligned with stack.mats (views of ws.grad).
+    aligned with stack.mats (views of ws.grad); stack is the workspace's
+    stack or its look-ahead ws.at, gamma a (B, 1) column.
 
     Each delta equals -m * dJ_data/dtheta * gamma at the stack's weights,
     with J_data the squared-error half-mean against the output shifted by
     ws.row[3]; ws holds what _forward_all produced at those weights.
     """
-    mats, inputs, deltas = stack.mats, ws.inputs, ws.deltas
-    np.add(ws.raw, ws.row[3][:, None], out=ws.shifted)
-    d = ws.d_out
-    np.subtract(ws.y, ws.shifted, out=d[:, :, 0])
-    np.matmul(inputs[-1].swapaxes(1, 2), d, out=deltas[-1])
-    for i in range(len(mats) - 1, 0, -1):
-        h, d_in = ws.acts[i - 1], ws.back[(len(mats) - 1 - i) % 2]
-        w = mats[i][:, 1:].swapaxes(1, 2)
-        if i == len(mats) - 1:
+    np.add(ws.raw, ws.tau_col, ws.shifted)
+    np.subtract(ws.y, ws.shifted, ws.err)
+    np.matmul(ws.last_T, ws.d_out, ws.deltas[-1])
+    d, s = None, ws.z
+    for h, d_in, w, a_T, delta in ws.at_backward if stack is ws.at else ws.backward:
+        if d is None:
             # theta2 has one column, so each element of d @ w is the single
             # product 0 + d * w: einsum's outer product forms the same bits
             # without a K = 1 matmul
-            np.einsum("bj,bl->bjl", d[:, :, 0], w[:, 0], out=d_in)
+            np.einsum("bj,bl->bjl", ws.err, w, out=d_in)
         else:
-            np.matmul(d, w, out=d_in)
-        s = ws.z
-        np.subtract(1.0, h, out=s)
-        np.multiply(h, s, out=s)
-        np.multiply(d_in, s, out=d_in)
-        np.matmul(inputs[i - 1].swapaxes(1, 2), d_in, out=deltas[i - 1])
+            np.matmul(d, w, d_in)
+        np.subtract(1.0, h, s)
+        np.multiply(h, s, s)
+        np.multiply(d_in, s, d_in)
+        np.matmul(a_T, d_in, delta)
         d = d_in
     # the backward pass reads no delta, so all are scaled at once
-    np.multiply(ws.grad, gamma[:, None], out=ws.grad)
-    return deltas
+    np.multiply(ws.grad, gamma, ws.grad)
+    return ws.deltas
 
 
 class Rows:
@@ -603,39 +625,39 @@ class ReinforcedRule:
     The rule protocol: start() gives the rule for one run of blocks (a
     rule with state starts it afresh); look_ahead(rows) says whether the
     gradients are taken elsewhere than at rows.params, having written that
-    point into rows.ahead if so; update(rows) writes the new weights into
-    rows.params from the gradients in rows.grad."""
+    point into rows.ahead if so, and is None on a rule that never looks
+    ahead; update(rows) writes the new weights into rows.params from the
+    gradients in rows.grad."""
+
+    look_ahead = None
 
     def start(self):
         return self
 
-    def look_ahead(self, rows: Rows) -> bool:
-        return False
-
     def update(self, rows: Rows) -> None:
         step, decay = rows.step, rows.decay
-        np.multiply(rows.alpha, rows.grad, out=step)
+        np.multiply(rows.alpha, rows.grad, step)
         # bias entries of decay are never written, so they stay +0.0
         np.multiply(rows.lam, rows.params, out=decay, where=rows.nonbias)
-        np.subtract(step, decay, out=step)
-        np.divide(step, rows.m, out=step)
-        np.add(rows.params, step, out=rows.params)
+        np.subtract(step, decay, step)
+        np.divide(step, rows.m, step)
+        np.add(rows.params, step, rows.params)
 
 
 REINFORCED = ReinforcedRule()
 
 
-def start_rules(stack: BlockStack, ws: Workspace, rule=REINFORCED) -> list:
+def start_rules(stack: BlockStack, ws: Workspace, rule=REINFORCED) -> tuple:
     """(Rows, started rule) for every run of consecutive blocks that share
-    a rule object; rule is one rule for every block or a list of one per
-    block."""
+    a rule object, and whether any of those rules may look ahead; rule is
+    one rule for every block or a list of one per block."""
     each = per_block(rule, len(stack))
     runs, lo = [], 0
     for hi in range(1, len(stack) + 1):
         if hi == len(stack) or each[hi] is not each[lo]:
             runs.append((Rows(stack, ws, lo, hi), each[lo].start()))
             lo = hi
-    return runs
+    return runs, any(rule.look_ahead is not None for _, rule in runs)
 
 
 def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
@@ -643,56 +665,48 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
     """One full-batch iteration of every block in a stack, in place.
 
     ws is the stack's Workspace (made with targets); use_tau is a bool or
-    a (B,) bool mask; gamma, if given, is a (B,) vector; rules are the
-    (Rows, rule) pairs of start_rules (default: the reinforced rule for
-    every block).  Order: forward pass at the gradient point (the stack's
-    weights, with the rows of a rule that looks ahead replaced by its
-    look-ahead point), shift selection against that pre-update cost,
-    gradients of every matrix at the same weights, then each rule's update
-    of its rows.  The stack then holds the new weights, the selected
-    shift, and the nu for the next iteration: the mean error of the
-    shifted output emitted here.  The step's trace values are in ws.row
-    and its gradients in ws.deltas.  Returns the (B,) mask of the blocks
-    whose cost and new weights are all finite.  Overflow is divergence:
-    run this under np.errstate(over="ignore", invalid="ignore").
+    a (B,) bool mask; gamma, if given, is a (B,) vector; rules are what
+    start_rules gives (default: the reinforced rule for every block).
+    Order: forward pass at the gradient point (the stack's weights, with
+    the rows of a rule that looks ahead replaced by its look-ahead point),
+    shift selection against that pre-update cost, gradients of every
+    matrix at the same weights, then each rule's update of its rows.  The
+    stack then holds the new weights, the selected shift, and the nu for
+    the next iteration: the mean error of the shifted output emitted here.
+    The step's trace values are in ws.row and its gradients in ws.deltas.
+    Returns the (B,) mask of the blocks whose cost and new weights are all
+    finite.  Overflow is divergence: run this under
+    np.errstate(over="ignore", invalid="ignore").
     """
-    m, row = ws.m, ws.row
-    if gamma is None:
-        gamma = stack.gamma
-    if rules is None:
-        rules = start_rules(stack, ws)
-    ahead = [rule.look_ahead(rows) for rows, rule in rules]
-    at = stack
-    if any(ahead):
-        for (rows, _), looked in zip(rules, ahead):
-            if not looked:
-                np.copyto(rows.ahead, rows.params)
-        at = ws.at
+    runs, looks = start_rules(stack, ws) if rules is None else rules
+    at = ws.at if looks else stack
+    for rows, rule in runs if looks else ():
+        if rule.look_ahead is None or not rule.look_ahead(rows):
+            np.copyto(rows.ahead, rows.params)
     _forward_all(at, ws)
     if stack.nu is None:
-        row[4] = np.mean(np.zeros_like(ws.y) - ws.y, axis=1)
+        ws.nu_in[:] = np.mean(np.zeros_like(ws.y) - ws.y, axis=1)
     else:
-        row[4] = stack.nu
-    np.multiply(at.lam, _reg_sum(at, ws), out=ws.lam_reg)
-    _pick_tau(ws, row[4], ws.lam_reg, use_tau)
-    block_gradients(at, ws, gamma)
-    for j, f in zip((1, 2), ws.norm_rows):
-        np.matmul(f, f.swapaxes(1, 2), out=ws.norm)
-        np.sqrt(ws.norm[:, 0, 0], out=row[j])
-    for rows, rule in rules:
+        np.copyto(ws.nu_in, stack.nu)
+    np.multiply(at.lam, _reg_sum(at, ws), ws.lam_reg)
+    _pick_tau(ws, ws.nu_in, ws.lam_reg, use_tau)
+    block_gradients(at, ws, ws.gamma_col if gamma is None else gamma[:, None])
+    for f, f_T, out in ws.norm_parts:
+        np.matmul(f, f_T, out)
+    np.sqrt(ws.norm_sq, ws.norms)
+    for rows, rule in runs:
         rule.update(rows)
-    stack.tau[:] = row[3]
+    np.copyto(stack.tau, ws.tau)
 
-    finite = ws.finite
-    np.isfinite(row[0], out=finite)
-    np.isfinite(stack.params, out=ws.ok)
-    np.logical_and.reduce(ws.ok, axis=1, out=ws.ok_part)
-    finite &= ws.ok_part
+    finite = np.isfinite(ws.cost, ws.finite)
+    np.isfinite(stack.params, ws.ok)
+    np.logical_and.reduce(ws.ok, 1, None, ws.ok_part)
+    np.logical_and(finite, ws.ok_part, finite)
     # nu = np.mean(shifted output - y) in np.mean's own steps: a sum along
     # each row, then a division by m (block_gradients left raw + tau here)
-    np.subtract(ws.shifted, ws.y, out=ws.shifted)
-    np.add.reduce(ws.shifted, axis=1, out=ws.nu)
-    stack.nu = np.divide(ws.nu, m, out=ws.nu)
+    np.subtract(ws.shifted, ws.y, ws.shifted)
+    np.add.reduce(ws.shifted, 1, None, ws.nu)
+    stack.nu = np.divide(ws.nu, ws.m, ws.nu)
     return finite
 
 
@@ -783,11 +797,11 @@ def _stack_groups(blocks, inputs, rules=None):
 
 
 # Fewest blocks in a sub-stack when run_blocks cuts a group across CPUs.
-# At m=160, d=3, k=8 and 1000 steps a stack step costs ~105 us of call
-# overhead plus ~17 us per block, and one map_tasks call ~12 ms, so on 2
-# CPUs two half-stacks beat the whole stack from B=8 on (-14%, faster in
-# 13 of 15 alternating pairs; B=10: -18%, 15 of 15) but not at B=4 (-1%,
-# 8 of 15).
+# At m=160, d=3, k=8 and 1000 steps a stack step cost ~105 us of call
+# overhead plus ~17 us per block, and one map_tasks call ~12 ms (~5 ms
+# since it forks without a pool), so on 2 CPUs two half-stacks beat the
+# whole stack from B=8 on (-14%, faster in 13 of 15 alternating pairs;
+# B=10: -18%, 15 of 15) but not at B=4 (-1%, 8 of 15).
 PART_BLOCKS = 4
 
 

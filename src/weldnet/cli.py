@@ -355,7 +355,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import baselines, metrics, model as mdl
+    from . import metrics, model as mdl
     s = _settings(args)
     if bool(args.model) == bool(args.ner_train):
         raise ConfigError("give exactly one of --model or --ner-train")
@@ -371,6 +371,7 @@ def cmd_eval(args) -> int:
                 f"data targets {test.target_names}")
         preds = mdl.predict(model, test.features)
     else:
+        from . import baselines
         fit_data = ds.combine([ds.load_csv(p) for p in args.ner_train.split(",")])
         theta = baselines.normal_equation_fit(fit_data, args.degree)
         preds = baselines.linear_predict(theta, test.features, args.degree)

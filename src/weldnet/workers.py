@@ -1,28 +1,23 @@
-"""Independent tasks run at the same time, one forked worker process per
-usable CPU.
+"""Independent tasks run at the same time on forked worker processes.
 
 map_tasks(fn, tasks) returns [fn(*task) for task in tasks], in task order.
-With more than one task and more than one CPU in this process's affinity
-mask, the tasks run on a ProcessPoolExecutor of fork-started workers,
-min(tasks, CPUs) of them, which it joins before it returns.  The workers
-inherit fn and the tasks from the fork, so only task indices go to them
-and only results (or the exception a task raised) come back, pickled.
-Where fork is not available, or with one task or one CPU, the tasks run
-inline.  No task of the package calls map_tasks itself: each command
-makes its map_tasks calls one after another.  Each task computes what it
-would compute inline, so results do not depend on where it ran; a failing
-map raises the exception of the first failing task in task order, and
-WorkerDied if a worker ended without handing back its result.
+With n = min(tasks, CPUs in this process's affinity mask) above 1, it
+forks n workers; worker w runs tasks w, w + n, ... on what it inherits
+from the fork and pickles each result or exception back through its own
+pipe.  The caller reads every pipe to its end before it reaps the
+workers, so that none waits on a full pipe; a worker leaves through
+os._exit alone, running none of the caller's cleanup.  With one task or
+one CPU, or without fork, the tasks run inline.  Results do not depend on
+where a task ran; a failing map raises the first failing task's exception
+in task order, and WorkerDied if a worker ended without its results.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 
 from .errors import WorkerDied
-
-# In a worker: the (fn, tasks) of the map_tasks call that forked it.
-_CALL = None
 
 
 def usable_cpus() -> int:
@@ -31,38 +26,68 @@ def usable_cpus() -> int:
     return 1 if affinity is None else len(affinity(0))
 
 
-def _inherit(fn, tasks) -> None:
-    global _CALL
-    _CALL = fn, tasks
-
-
-def _run(i: int):
-    fn, tasks = _CALL
-    return fn(*tasks[i])
+def _work(fn, tasks, fd, reads) -> None:
+    """A worker: (True, result) or (False, the exception raised) of each
+    task, pickled into the pipe fd, then exit.  It first closes the read
+    ends it inherited, so that a write fails once the caller closes its."""
+    code = 1
+    try:
+        for read in reads:
+            os.close(read)
+        outs = []
+        for task in tasks:
+            try:
+                outs.append((True, fn(*task)))
+            except Exception as exc:
+                outs.append((False, exc))
+        with open(fd, "wb") as pipe:
+            pickle.dump(outs, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def map_tasks(fn, tasks) -> list:
     """fn(*task) for every task, in task order, on forked workers when
     there is more than one task and more than one usable CPU."""
     tasks = list(tasks)
-    workers = min(len(tasks), usable_cpus())
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers <= 1:
+    n = min(len(tasks), usable_cpus())
+    if n <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
 
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    import selectors
+    pids, chunks = [], {}
     try:
-        # fork passes the initializer's arguments to the worker unpickled
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_inherit, initargs=(fn, tasks)) as pool:
-            futures = [pool.submit(_run, i) for i in range(len(tasks))]
-            return [future.result() for future in futures]
-    except BrokenProcessPool as exc:
+        for w in range(n):
+            read, write = os.pipe()
+            chunks[read] = []
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, tasks[w::n], write, chunks)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        with selectors.DefaultSelector() as sel:
+            for fd in chunks:
+                sel.register(fd, selectors.EVENT_READ)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    data = os.read(key.fd, 1 << 20)
+                    chunks[key.fd].append(data)
+                    if not data:
+                        sel.unregister(key.fd)
+    finally:
+        for fd in chunks:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
         raise WorkerDied(f"a worker process died before returning its "
-                         f"result ({exc})") from exc
+                         f"result (exit code {os.waitstatus_to_exitcode(max(statuses))})")
+    outs = [None] * len(tasks)
+    for w, data in enumerate(chunks.values()):
+        outs[w::n] = pickle.loads(b"".join(data))
+    for ok, value in outs:
+        if not ok:
+            raise value
+    return [value for _, value in outs]

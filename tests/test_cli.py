@@ -336,10 +336,20 @@ TRAINING_MODULES = {"weldnet.block", "weldnet.model", "weldnet.search",
                     "weldnet.baselines", "weldnet.workers"}
 
 
-@pytest.mark.parametrize("command", ["synth", "stats"])
-def test_command_loads_no_training_code(command, synth_csv, tmp_path):
-    argv = (["synth", "--rows", "20", "--out", str(tmp_path / "s.csv")]
-            if command == "synth" else ["stats", "--data", str(synth_csv)])
+@pytest.mark.parametrize("command, unloaded", [
+    ("synth", TRAINING_MODULES), ("stats", TRAINING_MODULES),
+    ("eval", {"weldnet.baselines", "weldnet.search"})],
+    ids=["synth", "stats", "eval"])
+def test_command_loads_no_training_code(command, unloaded, synth_csv, tmp_path):
+    if command == "eval":
+        meta = wn.BlockMetaParams(neurons=3, alpha=0.5, gamma=1.0, lam=0.0,
+                                  iterations=1000)
+        model, _ = wn.train_all([meta, meta], wn.load_csv(synth_csv), seed=1)
+        wn.save(model, tmp_path / "model.json")
+    argv = {"synth": ["synth", "--rows", "20", "--out", str(tmp_path / "s.csv")],
+            "stats": ["stats", "--data", str(synth_csv)],
+            "eval": ["eval", "--model", str(tmp_path / "model.json"),
+                     "--data", str(synth_csv)]}[command]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from weldnet import cli; "
@@ -350,7 +360,7 @@ def test_command_loads_no_training_code(command, synth_csv, tmp_path):
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
     assert "weldnet.dataset" in loaded
-    assert not TRAINING_MODULES & set(loaded)
+    assert not unloaded & set(loaded)
 
 
 class TestSearch:

@@ -9,6 +9,9 @@ import inspect
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +166,71 @@ def test_dead_worker_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: a worker process died")
     assert "Traceback" not in err
     assert not (tmp_path / "model.json").exists()
+
+
+def _noise(seed, n):
+    return np.random.default_rng(seed).normal(size=n)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("map_tasks did not return within 60 s")
+
+
+def test_results_larger_than_a_pipe_come_back_whole(cpus):
+    """Each worker hands back 4 MB, far more than a pipe holds, while the
+    other is still writing: both arrive whole, in task order (and a map
+    that waited on its workers before reading them fails, not hangs)."""
+    handler = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        got = workers.map_tasks(_noise, [(seed, 1 << 18) for seed in range(4)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    for seed, arr in enumerate(got):
+        assert bits(arr) == bits(_noise(seed, 1 << 18))
+
+
+def _unpicklable(x):
+    return lambda: x
+
+
+def test_unpicklable_result_is_a_dead_worker(monkeypatch):
+    """A result pickle cannot carry ends its worker without a result: the
+    map raises WorkerDied, and the fixture checks that no child is left."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    with pytest.raises(WorkerDied, match="^a worker process died"):
+        workers.map_tasks(_unpicklable, [(1,), (2,)])
+
+
+def test_worker_runs_none_of_the_callers_cleanup(tmp_path):
+    """A worker leaves through os._exit: it runs no finally block and no
+    atexit handler of the caller's, not even when its task raises
+    SystemExit, and it flushes none of the caller's buffered output."""
+    from test_cli import CHILD_ENV
+    script = (
+        "import atexit, os, sys\n"
+        "from weldnet import workers\n"
+        "workers.usable_cpus = lambda: 2\n"
+        "parent = os.getpid()\n"
+        "def task(x):\n"
+        "    if x == 1:\n"
+        "        sys.exit(5)\n"
+        "    return x\n"
+        "atexit.register(lambda: print('atexit', os.getpid() == parent))\n"
+        "print('buffered', flush=False)\n"
+        "try:\n"
+        "    print(workers.map_tasks(task, [(0,), (2,)]))\n"
+        "    workers.map_tasks(task, [(0,), (1,)])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "finally:\n"
+        "    print('finally', os.getpid() == parent)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["buffered", "[0, 2]", "WorkerDied",
+                                        "finally True", "atexit True"]
 
 
 # --- dynamic-width train_all against its targets trained alone ---
