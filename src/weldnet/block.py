@@ -812,13 +812,6 @@ def _parts(idx, cpus: int) -> list:
     return [idx[k * len(idx) // n:(k + 1) * len(idx) // n] for k in range(n)]
 
 
-def _train_stack(blocks, inputs, targets, use_tau, jitter_rngs, rules):
-    """run_stack outcomes of same-shape blocks trained as one stack."""
-    stack = stack_blocks(blocks)
-    return run_stack(stack, inputs, targets, stack.metas[0].iterations,
-                     use_tau=use_tau, jitter_rngs=jitter_rngs, rule=rules)
-
-
 def per_block(value, n: int) -> list:
     """value as a list of n, one per block: as it is if it is a list."""
     return value if isinstance(value, list) else [value] * n
@@ -840,7 +833,8 @@ def run_blocks(blocks, inputs, targets, use_tau=True, jitter_rngs=None,
 
     A group of at least 2 * PART_BLOCKS blocks is cut into
     min(usable CPUs, len // PART_BLOCKS) near-equal sub-stacks, and then
-    every stack of the call trains on forked workers (workers.map_tasks).
+    every stack of the call trains on forked workers (workers.map_tasks),
+    each task a list of block indices into the lists the workers inherit.
     A generator of jitter_rngs used on a worker does not advance in the
     caller, so pass fresh ones.  A call with no group that large trains its
     stacks here, one after another.
@@ -850,14 +844,17 @@ def run_blocks(blocks, inputs, targets, use_tau=True, jitter_rngs=None,
     groups = list(_stack_groups(blocks, inputs, rules))
     cpus = workers.usable_cpus()
     parts = [part for idx in groups for part in _parts(idx, cpus)]
-    tasks = [([blocks[i] for i in idx], [inputs[i] for i in idx],
-              [targets[i] for i in idx], [use_tau[i] for i in idx],
-              None if jitter_rngs is None else [jitter_rngs[i] for i in idx],
-              [rules[i] for i in idx]) for idx in parts]
-    if len(parts) > len(groups):
-        outs = workers.map_tasks(_train_stack, tasks)
-    else:
-        outs = [_train_stack(*task) for task in tasks]
+
+    def train_part(idx):
+        stack = stack_blocks(blocks[i] for i in idx)
+        return run_stack(stack, [inputs[i] for i in idx], [targets[i] for i in idx],
+                         stack.metas[0].iterations, use_tau=[use_tau[i] for i in idx],
+                         jitter_rngs=None if jitter_rngs is None
+                         else [jitter_rngs[i] for i in idx],
+                         rule=[rules[i] for i in idx])
+
+    outs = (workers.map_tasks(train_part, [(idx,) for idx in parts])
+            if len(parts) > len(groups) else [train_part(idx) for idx in parts])
     outcomes = [None] * len(blocks)
     for idx, part_outs in zip(parts, outs):
         for i, out in zip(idx, part_outs):

@@ -156,7 +156,7 @@ def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 

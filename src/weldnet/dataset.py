@@ -108,12 +108,12 @@ def load_csv(path) -> Dataset:
     Header columns must start with ``iwp:`` or ``dwp:``; features take all
     iwp columns in header order, targets all dwp columns.  Body cells must
     all parse as finite decimal numbers.  LF and CRLF line endings are
-    accepted.
+    accepted; a file that is not UTF-8 text is an IoError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     lines = [ln.rstrip("\r") for ln in lines]
     while lines and lines[-1] == "":

@@ -118,18 +118,17 @@ def train_models(runs, standardize: bool = True) -> list:
         if not isinstance(feats[-1], WeldnetError):
             # _train_dynamic's arguments, after the run index and rule
             jobs[bool(dynamic)].extend(
-                (r, rule, meta, X, y, seed, name, tau_on, jitter_on)
+                (r, rule, init_block(meta, X.shape[1], derive_seed(seed, name)),
+                 X, y, tau_on, np.random.default_rng(
+                     derive_seed(seed, name, "jitter")) if jitter_on else None,
+                 seed, name)
                 for meta, X, y, name in zip(metas, feats[-1][1], data.targets.T,
                                             data.target_names))
     fixed, dynamic = jobs
-    _, rules, metas, inputs, targets, seeds, names, use_tau, jitter = map(
+    _, rules, blocks, inputs, targets, use_tau, rngs, _, _ = map(
         list, zip(*fixed) if fixed else [()] * 9)
-    rngs = ([np.random.default_rng(derive_seed(s, name, "jitter")) if on else None
-             for s, name, on in zip(seeds, names, jitter)] if any(jitter) else None)
-    outcomes = run_blocks(
-        [init_block(meta, X.shape[1], derive_seed(s, name))
-         for meta, X, s, name in zip(metas, inputs, seeds, names)],
-        inputs, targets, use_tau=use_tau, jitter_rngs=rngs, rule=rules)
+    outcomes = run_blocks(blocks, inputs, targets, use_tau=use_tau, rule=rules,
+                          jitter_rngs=rngs if any(rngs) else None)
     if dynamic:
         outcomes += map_tasks(_train_dynamic, [job[2:] for job in dynamic])
     by_run = [[] for _ in runs]
@@ -149,11 +148,12 @@ def train_models(runs, standardize: bool = True) -> list:
     return results
 
 
-def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
-    """One target's dynamic-width training, a map_tasks task: RESIZE_PERIOD
-    iterations at a time, with width probes on a held-out validation slice
-    between them.  Returns (block, TrainingTrace), or the error it ended
-    in, unraised: TooFewRows, or a Diverged carrying the trace of every
+def _train_dynamic(block, X, y, use_tau, jitter_rng, seed, tname):
+    """One target's dynamic-width training of block, a map_tasks task:
+    RESIZE_PERIOD iterations at a time, with width probes on a held-out
+    validation slice between them; seed and tname seed the slice and the
+    probes.  Returns (block, TrainingTrace), or the error it ended in,
+    unraised: TooFewRows, or a Diverged carrying the trace of every
     iteration before it."""
     if y.size < 3:
         return TooFewRows("dynamic width needs at least 3 training rows")
@@ -161,15 +161,13 @@ def _train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter):
     fit_ds, val_ds = ds.split(ds.Dataset(X, y[:, None], names, [tname]),
                               VAL_FRACTION, derive_seed(seed, tname, "val"))
     X_fit, y_fit = fit_ds.features[None], fit_ds.targets[:, 0][None]
-    jitter_rngs = ([np.random.default_rng(derive_seed(seed, tname, "jitter"))]
-                   if gamma_jitter else None)
-    block = init_block(meta, X.shape[1], derive_seed(seed, tname))
+    meta = block.meta
     trace = TrainingTrace(np.empty((6, 0)))
     while len(trace) < meta.iterations:
         n = min(RESIZE_PERIOD, meta.iterations - len(trace))
         (out,) = run_stack(stack_blocks([block]), X_fit, y_fit, n,
                            start_iteration=len(trace) + 1, use_tau=use_tau,
-                           jitter_rngs=jitter_rngs)
+                           jitter_rngs=None if jitter_rng is None else [jitter_rng])
         if isinstance(out, Diverged):
             return Diverged(iteration=out.iteration, trace=trace.then(out.trace))
         block, trace = out[0], trace.then(out[1])
@@ -187,39 +185,35 @@ def _candidate_widths(k: int) -> list:
 def _resize_width(block: RegressionBlock, width: int, rng) -> RegressionBlock:
     """Copy of the block grown or shrunk to the given hidden width.
 
-    Growth appends a unit with uniform(-0.01, 0.01) weights and zero bias to
-    every layer; shrinkage drops the unit whose theta1 column has the least
-    norm, removing the matching row/column in every deeper matrix.
+    Growth gives the new unit uniform(-0.01, 0.01) weights and zero bias:
+    in each matrix, input side first, a column where the unit is an output,
+    then a row where it is an input.  Shrinkage drops the unit whose theta1
+    column has the least norm: its column and row in every matrix.
     """
     k = block.width
     if width == k:
         return block
-    theta1, theta2 = block.theta1, block.theta2
-    hidden = list(block.hidden)
-    if width == k + 1:
-        new_col = np.zeros((theta1.shape[0], 1))
-        new_col[1:, 0] = rng.uniform(-0.01, 0.01, theta1.shape[0] - 1)
-        theta1 = np.hstack([theta1, new_col])
-        grown = []
-        for th in hidden:
-            mat = np.zeros((k + 2, k + 1))
-            mat[:k + 1, :k] = th
-            mat[1:, k] = rng.uniform(-0.01, 0.01, k + 1)
-            mat[k + 1, :k] = rng.uniform(-0.01, 0.01, k)
-            grown.append(mat)
-        hidden = grown
-        theta2 = np.vstack([theta2, rng.uniform(-0.01, 0.01, (1, 1))])
-    elif width == k - 1:
+    if abs(width - k) != 1:
+        raise ValueError(f"can only resize by one unit, got {k} -> {width}")
+    if width < k:
         with np.errstate(over="ignore"):  # a norm beyond the float range is inf
             j = int(np.argmin(np.linalg.norm(block.theta1, axis=0)))
-        theta1 = np.delete(block.theta1, j, axis=1)
-        hidden = [np.delete(np.delete(th, 1 + j, axis=0), j, axis=1)
-                  for th in hidden]
-        theta2 = np.delete(block.theta2, 1 + j, axis=0)
-    else:
-        raise ValueError(f"can only resize by one unit, got {k} -> {width}")
-    meta = replace(block.meta, neurons=width)
-    return replace(block, theta1=theta1, theta2=theta2, hidden=hidden, meta=meta)
+    mats = block.matrices()
+    for i, th in enumerate(mats):
+        is_out, is_in = i < len(mats) - 1, i > 0  # the unit's roles in th
+        if width < k:
+            th = np.delete(th, j, axis=1) if is_out else th
+            mats[i] = np.delete(th, 1 + j, axis=0) if is_in else th
+            continue
+        rows, cols = th.shape
+        mats[i] = np.zeros((rows + is_in, cols + is_out))
+        mats[i][:rows, :cols] = th
+        if is_out:
+            mats[i][1:, cols] = rng.uniform(-0.01, 0.01, rows - 1 + is_in)
+        if is_in:
+            mats[i][rows, :cols] = rng.uniform(-0.01, 0.01, cols)
+    return replace(block, theta1=mats[0], hidden=mats[1:-1], theta2=mats[-1],
+                   meta=replace(block.meta, neurons=width))
 
 
 def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
@@ -227,10 +221,11 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
     """Probe widths {k-1, k, k+1} and adopt a better one, else stay put.
 
     Every candidate (current width included) is probe-trained for
-    PROBE_ITERATIONS from the current weights; a new width is adopted only
-    if its validation cost beats the probed current width by RESIZE_MARGIN
-    relative and does not exceed the block's entry validation cost.  With
-    no adoption the original block is returned untouched.
+    PROBE_ITERATIONS from the current weights.  The other width of least
+    finite validation cost (the smaller on a tie) is adopted only if that
+    cost beats the probed current width by RESIZE_MARGIN relative and does
+    not exceed the block's entry validation cost.  With no adoption the
+    original block is returned untouched.
     """
     if train.n_targets != 1 or val.n_targets != 1:
         raise DimensionMismatch("resize_hidden expects single-target datasets")
@@ -249,18 +244,11 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
         except Diverged:
             probed[w] = (None, np.inf)
 
-    k = block.width
-    entry_cost = cost(block, Xv, yv)
-    current_cost = probed[k][1]
-    best_w, best_cost = None, np.inf
-    for w in sorted(probed):
-        if w == k:
-            continue
-        if probed[w][1] < best_cost:
-            best_w, best_cost = w, probed[w][1]
-    if (best_w is not None and probed[best_w][0] is not None
-            and best_cost < current_cost * (1.0 - RESIZE_MARGIN)
-            and best_cost <= entry_cost):
+    best_cost, best_w = min(((c, w) for w, (_, c) in probed.items()
+                             if w != block.width and np.isfinite(c)),
+                            default=(np.inf, None))
+    if (best_cost < probed[block.width][1] * (1.0 - RESIZE_MARGIN)
+            and best_cost <= cost(block, Xv, yv)):
         return probed[best_w][0]
     return block
 
@@ -402,7 +390,7 @@ def load(path) -> AggregateModel:
             doc = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or too deep
         raise FormatError(None, f"not valid JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if not is_count(version) or version != MODEL_FILE_VERSION:

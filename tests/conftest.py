@@ -3,6 +3,15 @@ import os
 
 import pytest
 
+from weldnet import workers
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count map_tasks sees: 1 runs tasks inline, 2 on workers."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: request.param)
+    return request.param
+
 
 @pytest.fixture(autouse=True)
 def no_leaked_processes():

@@ -3,8 +3,9 @@
 Everything here recomputes quantities through a different route than the
 library (finite differences, explicit loops, naive summation, the
 allocating step maths the workspace step replaced, Kendall's tau over
-all pairs at once, or CSV cells read and written one at a time) so the
-tests do not just compare the implementation with itself.
+all pairs at once, CSV cells read and written one at a time, or a block
+resized matrix by matrix) so the tests do not just compare the
+implementation with itself.
 """
 
 import csv
@@ -383,3 +384,37 @@ def reference_run(blocks, X, y, n_steps, use_tau=True, jitter_rngs=None,
     for b, blk in zip(active, unstack(stack)):
         outcomes[b] = (blk, TrainingTrace(cols[:, :, b]))
     return outcomes
+
+
+def resize_width(block, width: int, rng):
+    """model._resize_width as it was written matrix by matrix: theta1, the
+    hidden matrices, then theta2, each grown or shrunk by its own rule."""
+    k = block.width
+    if width == k:
+        return block
+    theta1, theta2 = block.theta1, block.theta2
+    hidden = list(block.hidden)
+    if width == k + 1:
+        new_col = np.zeros((theta1.shape[0], 1))
+        new_col[1:, 0] = rng.uniform(-0.01, 0.01, theta1.shape[0] - 1)
+        theta1 = np.hstack([theta1, new_col])
+        grown = []
+        for th in hidden:
+            mat = np.zeros((k + 2, k + 1))
+            mat[:k + 1, :k] = th
+            mat[1:, k] = rng.uniform(-0.01, 0.01, k + 1)
+            mat[k + 1, :k] = rng.uniform(-0.01, 0.01, k)
+            grown.append(mat)
+        hidden = grown
+        theta2 = np.vstack([theta2, rng.uniform(-0.01, 0.01, (1, 1))])
+    elif width == k - 1:
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            j = int(np.argmin(np.linalg.norm(block.theta1, axis=0)))
+        theta1 = np.delete(block.theta1, j, axis=1)
+        hidden = [np.delete(np.delete(th, 1 + j, axis=0), j, axis=1)
+                  for th in hidden]
+        theta2 = np.delete(block.theta2, 1 + j, axis=0)
+    else:
+        raise ValueError(f"can only resize by one unit, got {k} -> {width}")
+    meta = replace(block.meta, neurons=width)
+    return replace(block, theta1=theta1, theta2=theta2, hidden=hidden, meta=meta)

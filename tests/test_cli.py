@@ -709,6 +709,39 @@ class TestErrorContract:
         assert code == 3
         assert "appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "compare", "stats",
+                                         "search", "eval"])
+    def test_non_utf8_csv_is_runtime_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"iwp:a,dwp:b\n1,\xff\n")
+        source = ["--ner-train", str(path)] if command == "eval" else []
+        code = cli.main([command, *source, "--data", str(path), "--out-dir",
+                         str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000 + b"]" * 100000, b'{"seed": "\xff"}'],
+        ids=["nested", "not-utf8"])
+    @pytest.mark.parametrize("option, code", [
+        ("train --config", 2), ("search --space", 2), ("train --params", 2),
+        ("compare --params", 2), ("eval --model", 3)])
+    def test_unparsable_json_file_is_one_error_line(self, synth_csv, tmp_path,
+                                                    capsys, option, code,
+                                                    content):
+        """Too deeply nested for json.load, or not UTF-8."""
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        assert cli.main([*option.split(), str(path), "--data", str(synth_csv),
+                         "--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read" if code == 2 else
+                              "error: bad model file: not valid JSON:")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_out_of_memory_is_runtime_error(self, synth_csv, tmp_path,
                                             capsys, monkeypatch):
         def exhausted(x, y):
@@ -1004,11 +1037,17 @@ CELLS = (st.sampled_from(["", " ", "x", "nan", "inf", "-inf", "1e999", "0x1",
          | st.text(max_size=4))
 
 
+# Bytes that are no text: invalid UTF-8, NUL, an encoded surrogate, or any.
+RAW = (st.sampled_from([b"\xff", b"\x00", b"1\x00", b"\xc3", b"\xed\xa0\x80"])
+       | st.binary(max_size=4))
+
+
 class TestInputFileFuzz:
-    """One leaf of a --space file of search, or of a --params file of
-    train or compare, replaced by any JSON value, or one cell of the CSV
-    that train or compare reads replaced by any text: the run exits 0, or
-    2 or 3 with one error line, with no traceback and no warning."""
+    """One leaf of a --config file, of a --space file of search, or of a
+    --params file of train or compare, replaced by any JSON value, or one
+    cell of the CSV that a command reads replaced by any text or bytes: the
+    run exits 0, or 2 or 3 with one error line, with no traceback and no
+    warning.  The config and the CSV bytes run at 1 and 2 CPUs."""
 
     COMPARE = ["compare", "--methods", ",".join(cli.METHODS), "--seeds", "0,1"]
 
@@ -1024,14 +1063,22 @@ class TestInputFileFuzz:
         return out, data.target_names
 
     @staticmethod
-    def run_edited(doc, data, path, argv):
+    def run_edited(doc, data, path, argv, raw=False):
+        """One leaf of doc replaced by a drawn value, doc written to path
+        (with raw: and then drawn bytes put at a drawn place of the file),
+        and cli.main(argv) run with warnings as errors."""
         node = doc
         while isinstance(node, (dict, list)) and node:
             key = data.draw(st.sampled_from(
                 sorted(node) if isinstance(node, dict) else range(len(node))))
             parent, node = node, node[key]
         parent[key] = data.draw(JSON | LEAVES, label="value")
-        path.write_text(json.dumps(doc))
+        text = json.dumps(doc).encode()
+        if raw and data.draw(st.booleans(), label="raw"):
+            at = data.draw(st.integers(0, len(text)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            text = text[:at] + data.draw(RAW, label="bytes") + text[at + cut:]
+        path.write_bytes(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return cli.main(argv)
@@ -1044,6 +1091,26 @@ class TestInputFileFuzz:
             assert code in (2, 3)
             assert err.count("\n") == 1 and err.endswith("\n")
             assert err.startswith(("error:", "config error:"))
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_file(self, twelve_rows, cpus, capsys, monkeypatch, data):
+        out, names = twelve_rows
+        monkeypatch.chdir(out)  # a drawn data path is relative to it
+        config = out / "config.json"
+        doc = {"data": str(out / "data.csv"), "out_dir": "cfg",
+               "standardize": True, "dynamic_width": False, "use_tau": True,
+               "gamma_jitter": False, "seeds": [0], "methods": "nrn,ann",
+               "split_fraction": 0.25,
+               "metas": {name: dict(META) for name in names},
+               "search_space": copy.deepcopy(self.SPACE)}
+        argv = data.draw(st.sampled_from([
+            ["train"], ["compare"], ["search", "--folds", "2"]]), label="argv")
+        code = self.run_edited(doc, data, config, [
+            *argv, "--config", str(config), "--out-dir", str(out / "cfg")],
+            raw=True)
+        self.assert_clean_exit(code, capsys.readouterr().err)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1102,4 +1169,33 @@ class TestInputFileFuzz:
             warnings.simplefilter("error")
             code = cli.main([*argv, "--data", str(path),
                              "--out-dir", str(out / command)])
+        self.assert_clean_exit(code, capsys.readouterr().err)
+
+    READERS = {"search": ["search", "--folds", "2", "--space"],
+               "eval": ["eval", "--ner-train"], "stats": ["stats"]}
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_csv_cell_bytes(self, twelve_rows, cpus, capsys, command, data):
+        out, _ = twelve_rows
+        lines = (out / "data.csv").read_bytes().splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1), label="row")
+        cells = lines[row].split(b",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="column")] = \
+            data.draw(CELLS.map(str.encode) | RAW, label="cell")
+        lines[row] = b",".join(cells)
+        path = out / f"{command}_bytes.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        # 4 points x 2 folds of one shape per target: a group that
+        # run_blocks cuts across 2 CPUs
+        grid = out / "grid.json"
+        grid.write_text(json.dumps({**self.SPACE, "neurons": [2],
+                                    "alpha": [0.25, 0.5, 0.75, 1.0]}))
+        source = {"search": [str(grid)], "eval": [str(path)]}.get(command, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*self.READERS[command], *source, "--data",
+                             str(path), "--out-dir", str(out / command)])
         self.assert_clean_exit(code, capsys.readouterr().err)

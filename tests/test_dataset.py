@@ -117,6 +117,13 @@ class TestLoadCsv:
         with pytest.raises(IoError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_non_utf8_file_is_io_error_naming_it(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"iwp:a,dwp:b\n1,\xff\n")
+        with pytest.raises(IoError) as err:
+            load_csv(p)
+        assert str(err.value).startswith(f"cannot read {p}: 'utf-8' codec")
+
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "crlf.csv"
         p.write_bytes(b"iwp:v,dwp:p\r\n1,2\r\n")

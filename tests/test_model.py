@@ -4,14 +4,17 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weldnet import block, cli
+from oracles import resize_width
+from weldnet import block, cli, model as mdl
 from weldnet.block import (
     OUTPUT_ROWS,
     BlockMetaParams,
@@ -26,8 +29,9 @@ from weldnet.dataset import (
     standardize,
     synthesize_weld,
 )
-from weldnet.errors import DimensionMismatch, FormatError, IoError
+from weldnet.errors import DimensionMismatch, Diverged, FormatError, IoError
 from weldnet.model import (
+    RESIZE_MARGIN,
     AggregateModel,
     _candidate_widths,
     _resize_width,
@@ -106,6 +110,30 @@ class TestTrainAll:
         assert preds.shape == (weld_train.m, 2)
 
 
+# Probe costs around a current cost of 1.0: the margin's edge and the
+# float just below it, ties, NaN and inf.
+PROBE_COSTS = [0.25, 0.5, 1.0, 1.0 * (1.0 - RESIZE_MARGIN),
+               np.nextafter(1.0 * (1.0 - RESIZE_MARGIN), 0.0), 2.0, np.nan,
+               np.inf]
+
+
+def width_chosen_by_loop(probed, k, entry_cost):
+    """The width resize_hidden adopted when a loop over the widths chose
+    it: probed maps each width to (candidate or None, validation cost)."""
+    current_cost = probed[k][1]
+    best_w, best_cost = None, np.inf
+    for w in sorted(probed):
+        if w == k:
+            continue
+        if probed[w][1] < best_cost:
+            best_w, best_cost = w, probed[w][1]
+    if (best_w is not None and probed[best_w][0] is not None
+            and best_cost < current_cost * (1.0 - RESIZE_MARGIN)
+            and best_cost <= entry_cost):
+        return best_w
+    return k
+
+
 class TestResize:
     def test_candidate_widths_clamped(self):
         assert _candidate_widths(2) == [2, 3]
@@ -140,6 +168,29 @@ class TestResize:
                                       block.theta1[:, [0, 2]])
         np.testing.assert_array_equal(shrunk.theta2,
                                       block.theta2[[0, 1, 3]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(depth=st.integers(1, 4), d=st.integers(1, 7), k=st.integers(3, 12),
+           step=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1.0, 0.0, 1e200]))
+    def test_resize_equals_matrix_by_matrix(self, depth, d, k, step, seed,
+                                            scale):
+        """Every weight bit, the meta, tau, nu and the generator's state
+        afterwards equal the resize written matrix by matrix
+        (tests/oracles.py); a scale of 0 ties every column norm, and 1e200
+        makes them overflow to inf."""
+        block = init_block(quick_meta(neurons=k, depth=depth), d, seed)
+        block = replace(block, theta1=block.theta1 * scale, tau=0.25, nu=-0.5)
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = _resize_width(block, k + step, got_rng)
+        want = resize_width(block, k + step, want_rng)
+        assert got.meta == want.meta and got.width == k + step
+        assert len(got.matrices()) == len(want.matrices()) == depth + 1
+        for a, b in zip(got.matrices(), want.matrices()):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert (got.tau, got.nu) == (want.tau, want.nu)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_width_stays_in_bounds_and_val_cost_never_worse(self):
         from weldnet.block import cost
@@ -176,6 +227,45 @@ class TestResize:
             if block.width > 2:
                 grew += 1
         assert grew >= 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([2, 3, 50, 100]), data=st.data())
+    def test_width_choice_equals_the_loop(self, k, data):
+        """Probe costs drawn with NaN, inf, ties, both sides of the margin
+        and of the entry bound, and probes that diverge (None): the width
+        resize_hidden adopts is the one the loop below chose, and the entry
+        cost is computed only when the margin test has passed."""
+        block = init_block(quick_meta(neurons=k), 2, seed=0)
+        costs = {w: data.draw(st.sampled_from(PROBE_COSTS) | st.none(),
+                              label=f"cost of {w}")
+                 for w in _candidate_widths(k)}
+        entry = data.draw(st.sampled_from(PROBE_COSTS), label="entry cost")
+        entry_calls = []
+
+        def probe(cand, X, y, n, use_tau):
+            if costs[cand.width] is None:
+                raise Diverged(iteration=1)
+            return replace(cand), None
+
+        def val_cost(blk, X, y):
+            if blk is block:
+                entry_calls.append(blk)
+                return entry
+            return costs[blk.width]
+
+        rows = Dataset(np.zeros((3, 2)), np.zeros((3, 1)), ["a", "b"], ["p"])
+        with patch.object(mdl, "run_steps", probe), \
+                patch.object(mdl, "cost", val_cost):
+            got = resize_hidden(block, rows, rows, seed=0)
+        probed = {w: (None, np.inf) if c is None else (w, c)
+                  for w, c in costs.items()}
+        want = width_chosen_by_loop(probed, k, entry)
+        assert got.width == want
+        assert (got is block) == (want == k)
+        finite = [c for w, (_, c) in probed.items() if w != k and np.isfinite(c)]
+        margin_passed = bool(finite) and (
+            min(finite) < probed[k][1] * (1.0 - RESIZE_MARGIN))
+        assert len(entry_calls) == margin_passed
 
     def test_dynamic_width_trace_length_preserved(self, weld_train):
         meta = quick_meta(neurons=2)
@@ -373,6 +463,17 @@ class TestPersistence:
         p.write_text("{not json")
         with pytest.raises(FormatError):
             load(p)
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000 + b"]" * 100000, b'{"version": 1, "targets": ["\xff"]}',
+        b'{"version": 1' + b"0" * 5000 + b"}"],
+        ids=["nested", "not-utf8", "int-too-long"])
+    def test_unparsable_file_is_format_error(self, tmp_path, content):
+        p = tmp_path / "model.json"
+        p.write_bytes(content)
+        with pytest.raises(FormatError) as err:
+            load(p)
+        assert str(err.value).startswith("bad model file: not valid JSON: ")
 
 
 # Any JSON value: what json.load can give for one leaf of a model file.

@@ -45,13 +45,7 @@ from weldnet.block import (
     stack_blocks,
 )
 from weldnet.errors import Diverged, WeldnetError, WorkerDied
-
-
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
-def cpus(request, monkeypatch):
-    """The CPU count map_tasks sees: 1 runs tasks inline, 2 on workers."""
-    monkeypatch.setattr(workers, "usable_cpus", lambda: request.param)
-    return request.param
+from weldnet.rng import derive_seed
 
 
 # --- errors survive pickling ---
@@ -245,13 +239,17 @@ def three_targets():
 
 
 def targets_alone(metas, data, seed, use_tau, gamma_jitter):
-    """_train_dynamic of every target in this process, one after another:
-    (block, trace) or the Diverged it returned."""
+    """_train_dynamic of every target in this process, one after another,
+    each block and jitter generator derived here from (seed, target name)
+    as train_all documents it: (block, trace) or the Diverged it returned."""
     _, inputs = ds.prepare_features(data.features, [m.degree for m in metas],
                                     fit=True)
-    return [mdl._train_dynamic(meta, X, y, seed, tname, use_tau, gamma_jitter)
-            for meta, tname, X, y in zip(metas, data.target_names, inputs,
-                                         data.targets.T)]
+    return [mdl._train_dynamic(
+        init_block(meta, X.shape[1], derive_seed(seed, tname)), X, y, use_tau,
+        np.random.default_rng(derive_seed(seed, tname, "jitter"))
+        if gamma_jitter else None, seed, tname)
+        for meta, tname, X, y in zip(metas, data.target_names, inputs,
+                                     data.targets.T)]
 
 
 def test_dynamic_width_equals_targets_alone(three_targets, cpus):
