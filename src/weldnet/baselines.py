@@ -19,9 +19,8 @@ from .block import (
     BlockMetaParams,
     check_fields,
     init_block,
-    run_blocks,
+    run_steps,
     train,
-    trained_block,
 )
 from .dataset import Dataset, append_bias, expand_features
 from .errors import Diverged
@@ -134,9 +133,8 @@ def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
     update; gamma is fixed to 1 and the output shift stays off, so the
     comparison isolates the rule itself.  Returns (block, trace)."""
     block = init_block(replace(meta, gamma=1.0), np.asarray(X).shape[1], seed)
-    (outcome,) = run_blocks([block], [X], [y], use_tau=False, rule=OptimizerRule(
+    return run_steps(block, X, y, meta.iterations, use_tau=False, rule=OptimizerRule(
         OptimizerState(kind, eta, rho, momentum, eps)))
-    return trained_block(outcome)
 
 
 def normal_equation_fit(train_data: Dataset, degree: int) -> np.ndarray:

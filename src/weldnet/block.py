@@ -19,8 +19,9 @@ which chooses where they are taken (look_ahead) and the new weights
 (update).  The shift and the rule are per block: a stack's blocks that
 share a rule are consecutive, and the rule works on their rows.
 ReinforcedRule is the default; the plain ANN uses it with gamma = 1 and
-tau off, the optimizer baselines plug in their own rules.  A single block
-is a stack of one: run_steps and train are B = 1 calls of the same loop.
+tau off, the optimizer baselines plug in their own rules.  run_steps
+trains one block, as a stack of one (train runs it for meta.iterations),
+and run_blocks trains many; no other module builds a stack.
 run_blocks trains any list of blocks, each on its own data, grouping those
 of one shape into stacks whatever their rules, and cuts a group of at
 least 2 * PART_BLOCKS blocks into sub-stacks that train at the same time,
@@ -899,13 +900,8 @@ def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
 
 
 def train(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-          use_tau: bool = True, gamma_jitter: bool = False,
-          jitter_seed: int = 0):
-    """run_steps for meta.iterations steps; returns (block, TrainingTrace).
-
-    With gamma_jitter, each iteration adds seeded standard-normal noise to
-    gamma (experimental; off by default).  Raises Diverged with the partial
-    trace attached if any weight or cost turns non-finite.
-    """
-    rng = np.random.default_rng(jitter_seed) if gamma_jitter else None
-    return run_steps(block, X, y, block.meta.iterations, use_tau=use_tau, jitter_rng=rng)
+          use_tau: bool = True):
+    """run_steps for meta.iterations steps; returns (block, TrainingTrace),
+    or raises Diverged with the partial trace attached if any weight or
+    cost turns non-finite."""
+    return run_steps(block, X, y, block.meta.iterations, use_tau=use_tau)

@@ -373,6 +373,11 @@ def cmd_eval(args) -> int:
     else:
         from . import baselines
         fit_data = ds.combine([ds.load_csv(p) for p in args.ner_train.split(",")])
+        columns = fit_data.feature_names, fit_data.target_names
+        if columns != (test.feature_names, test.target_names):
+            raise ConfigError(
+                f"--ner-train columns {columns[0]} -> {columns[1]} do not match "
+                f"--data columns {test.feature_names} -> {test.target_names}")
         theta = baselines.normal_equation_fit(fit_data, args.degree)
         preds = baselines.linear_predict(theta, test.features, args.degree)
 

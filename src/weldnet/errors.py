@@ -97,10 +97,6 @@ class LengthMismatch(WeldnetError):
     """Paired vectors have different lengths."""
 
 
-class ShapeMismatch(WeldnetError):
-    """Optimizer state, weights, and gradient shapes disagree."""
-
-
 class Diverged(WeldnetError):
     """Training produced a non-finite weight or cost."""
 

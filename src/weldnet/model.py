@@ -21,9 +21,7 @@ from .block import (
     is_count,
     is_real,
     run_blocks,
-    run_stack,
     run_steps,
-    stack_blocks,
     trained_block,
     violation,
 )
@@ -157,25 +155,22 @@ def _train_dynamic(block, X, y, use_tau, jitter_rng, seed, tname):
     iteration before it."""
     if y.size < 3:
         return TooFewRows("dynamic width needs at least 3 training rows")
-    names = [f"x{j}" for j in range(X.shape[1])]
-    fit_ds, val_ds = ds.split(ds.Dataset(X, y[:, None], names, [tname]),
-                              VAL_FRACTION, derive_seed(seed, tname, "val"))
-    X_fit, y_fit = fit_ds.features[None], fit_ds.targets[:, 0][None]
-    meta = block.meta
+    data = ds.Dataset(X, y[:, None], [f"x{j}" for j in range(X.shape[1])], [tname])
+    fit, val = ds.split(data, VAL_FRACTION, derive_seed(seed, tname, "val"))
     trace = TrainingTrace(np.empty((6, 0)))
-    while len(trace) < meta.iterations:
-        n = min(RESIZE_PERIOD, meta.iterations - len(trace))
-        (out,) = run_stack(stack_blocks([block]), X_fit, y_fit, n,
-                           start_iteration=len(trace) + 1, use_tau=use_tau,
-                           jitter_rngs=None if jitter_rng is None else [jitter_rng])
-        if isinstance(out, Diverged):
-            return Diverged(iteration=out.iteration, trace=trace.then(out.trace))
-        block, trace = out[0], trace.then(out[1])
-        if len(trace) < meta.iterations:
-            block = resize_hidden(block, fit_ds, val_ds,
-                                  derive_seed(seed, tname, "resize", len(trace)),
-                                  use_tau=use_tau)
-    return block, trace
+    while True:
+        n = min(RESIZE_PERIOD, block.meta.iterations - len(trace))
+        try:
+            block, seg = run_steps(block, fit.features, fit.targets[:, 0], n,
+                                   len(trace) + 1, use_tau, jitter_rng)
+        except Diverged as exc:
+            return Diverged(iteration=exc.iteration, trace=trace.then(exc.trace))
+        trace = trace.then(seg)
+        if len(trace) == block.meta.iterations:
+            return block, trace
+        block = resize_hidden(block, fit, val,
+                              derive_seed(seed, tname, "resize", len(trace)),
+                              use_tau=use_tau)
 
 
 def _candidate_widths(k: int) -> list:

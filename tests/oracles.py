@@ -27,7 +27,6 @@ from weldnet.errors import (
     Diverged,
     LengthMismatch,
     ParseError,
-    ShapeMismatch,
 )
 
 
@@ -273,12 +272,12 @@ def optimizer_step(state, weights: np.ndarray, gradient: np.ndarray):
     weights = np.asarray(weights, dtype=np.float64)
     gradient = np.asarray(gradient, dtype=np.float64)
     if weights.shape != gradient.shape:
-        raise ShapeMismatch(f"weights {weights.shape} vs gradient {gradient.shape}")
+        raise ValueError(f"weights {weights.shape} vs gradient {gradient.shape}")
     acc = state.accum
     if acc is None:
         acc = np.zeros_like(weights)
     elif acc.shape != weights.shape:
-        raise ShapeMismatch(f"accumulator {acc.shape} vs weights {weights.shape}")
+        raise ValueError(f"accumulator {acc.shape} vs weights {weights.shape}")
 
     if state.kind == "plain":
         return state, weights - state.eta * gradient

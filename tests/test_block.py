@@ -509,12 +509,13 @@ class TestTrain:
 
     def test_gamma_jitter_seeded(self):
         X, y = make_data(seed=14, m=6)
-        a, _ = train(make_block(seed=25, alpha=0.1), X, y,
-                     gamma_jitter=True, jitter_seed=7)
-        b, _ = train(make_block(seed=25, alpha=0.1), X, y,
-                     gamma_jitter=True, jitter_seed=7)
-        c, _ = train(make_block(seed=25, alpha=0.1), X, y,
-                     gamma_jitter=True, jitter_seed=8)
+
+        def jittered(jitter_seed):
+            block = make_block(seed=25, alpha=0.1)
+            return run_steps(block, X, y, block.meta.iterations,
+                             jitter_rng=np.random.default_rng(jitter_seed))[0]
+
+        a, b, c = jittered(7), jittered(7), jittered(8)
         plain, _ = train(make_block(seed=25, alpha=0.1), X, y)
         for ta, tb in zip(a.matrices(), b.matrices()):
             np.testing.assert_array_equal(ta, tb)

@@ -158,6 +158,38 @@ class TestEval:
         rows = read_csv(tmp_path / "eval_report.csv")
         assert all(float(r["rmse"]) < 1e-8 for r in rows)
 
+    @pytest.mark.parametrize("change", [
+        "fewer features", "fewer targets", "renamed targets",
+        "reordered features", "same columns"])
+    def test_ner_train_columns_must_match_data(self, synth_csv, tmp_path,
+                                               change):
+        data = wn.load_csv(synth_csv)
+        X, Y = data.features, data.targets
+        fnames, tnames = data.feature_names, data.target_names
+        if change == "fewer features":
+            X, fnames = X[:, 1:], fnames[1:]
+        elif change == "fewer targets":
+            Y, tnames = Y[:, :1], tnames[:1]
+        elif change == "renamed targets":
+            tnames = tnames[::-1]
+        elif change == "reordered features":
+            X, fnames = X[:, ::-1], fnames[::-1]
+        fit_csv = tmp_path / "fit.csv"
+        wn.save_csv(wn.Dataset(X, Y, fnames, tnames), fit_csv)
+        out = tmp_path / "out"
+        proc = run_cli("eval", "--ner-train", fit_csv, "--data", synth_csv,
+                       "--out-dir", out)
+        if change == "same columns":
+            assert proc.returncode == 0, proc.stderr
+            assert [r["target"] for r in read_csv(out / "eval_report.csv")
+                    ] == data.target_names
+            return
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and proc.stderr.count("\n") == 1
+        assert "--ner-train columns" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(out.glob("eval_report.*"))
+
     def test_requires_exactly_one_source(self, synth_csv, tmp_path):
         proc = run_cli("eval", "--data", synth_csv, "--out-dir", tmp_path)
         assert proc.returncode == 2

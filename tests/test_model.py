@@ -26,6 +26,7 @@ from weldnet.dataset import (
     Dataset,
     ScalerParams,
     save_csv,
+    split,
     standardize,
     synthesize_weld,
 )
@@ -273,6 +274,56 @@ class TestResize:
                                   dynamic_width=True)
         assert all(len(t) == 1000 for t in traces)
         assert all(2 <= b.width <= 100 for b in model.blocks)
+
+    @pytest.mark.parametrize("use_tau", [True, False])
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (2.5, 2.0)],
+                             ids=["steady", "diverging"])
+    def test_segments_without_resizing_are_one_run(self, weld_train,
+                                                   monkeypatch, use_tau,
+                                                   jitter, alpha, gamma):
+        """With resize_hidden a no-op, the RESIZE_PERIOD segments of
+        _train_dynamic are one uninterrupted run_steps over the fit split,
+        bit for bit, also when the period does not divide the iterations;
+        a divergence after the first segment is numbered and traced from
+        iteration 1."""
+        resizes = []
+
+        def keep_width(block, train, val, seed, use_tau=True):
+            resizes.append(seed)
+            return block
+
+        monkeypatch.setattr(mdl, "resize_hidden", keep_width)
+        scaled, _ = standardize(weld_train)
+        X, y = scaled.features, scaled.targets[:, 0]
+        meta = quick_meta(neurons=3, depth=2, alpha=alpha, gamma=gamma,
+                          iterations=1100)
+        start = init_block(meta, X.shape[1], seed=4)
+
+        def rng():
+            return np.random.default_rng(9) if jitter else None
+
+        got = mdl._train_dynamic(start, X, y, use_tau, rng(), 5, "p")
+        fit, _ = split(Dataset(X, y[:, None], scaled.feature_names, ["p"]),
+                       mdl.VAL_FRACTION, derive_seed(5, "p", "val"))
+        try:
+            want = run_steps(start, fit.features, fit.targets[:, 0], 1100,
+                             use_tau=use_tau, jitter_rng=rng())
+        except Diverged as exc:
+            assert exc.iteration > mdl.RESIZE_PERIOD
+            assert isinstance(got, Diverged)
+            assert got.iteration == exc.iteration
+            assert got.trace == exc.trace
+            assert len(resizes) == (exc.iteration - 1) // mdl.RESIZE_PERIOD
+            return
+        assert alpha == 1.0
+        (got, got_trace), (want, want_trace) = got, want
+        assert len(resizes) == 1100 // mdl.RESIZE_PERIOD
+        for a, b in zip(got.matrices(), want.matrices(), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.float64(got.tau).tobytes() == np.float64(want.tau).tobytes()
+        assert np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
+        assert got_trace == want_trace and len(got_trace) == 1100
 
 
 class TestPredict:
