@@ -19,13 +19,13 @@ which chooses where they are taken (look_ahead) and the new weights
 (update).  The shift and the rule are per block: a stack's blocks that
 share a rule are consecutive, and the rule works on their rows.
 ReinforcedRule is the default; the plain ANN uses it with gamma = 1 and
-tau off, the optimizer baselines plug in their own rules.  run_steps
-trains one block, as a stack of one (train runs it for meta.iterations),
-and run_blocks trains many; no other module builds a stack.
-run_blocks trains any list of blocks, each on its own data, grouping those
-of one shape into stacks whatever their rules, and cuts a group of at
-least 2 * PART_BLOCKS blocks into sub-stacks that train at the same time,
-one per usable CPU, on forked workers (workers.map_tasks).
+tau off, the optimizer baselines plug in their own rules.  run_blocks
+trains any list of blocks for a step count, each on its own data,
+grouping those of one shape and step count into stacks whatever their
+rules, and cuts a group of at least 2 * PART_BLOCKS blocks into
+sub-stacks that train at the same time, one per usable CPU, on forked
+workers (workers.map_tasks).  run_steps is its one-block form (train runs
+it for meta.iterations); no other module builds a stack.
 stack_output (and blocks_output over any list of blocks) is the forward
 pass alone: tau-shifted outputs for any number of rows, through one buffer
 set per call, in OUTPUT_ROWS tiles with the bits of a single pass.
@@ -775,24 +775,24 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
 STACK_ELEMENTS = 1 << 22
 
 
-def _stack_groups(blocks, inputs, rules=None):
+def _stack_groups(blocks, inputs, steps, rules=None):
     """Index lists of the blocks that can share a stack: same matrix shapes,
-    input rows and iteration count, in first-seen order, each list ordered
-    by rules[i] (in the order the rules first appear, so that blocks of one
+    input rows and steps[i], in first-seen order, each list ordered by
+    rules[i] (in the order the rules first appear, so that blocks of one
     rule are consecutive) if rules are given, and cut into chunks under
     STACK_ELEMENTS."""
     groups = {}
-    for i, (blk, X) in enumerate(zip(blocks, inputs)):
+    for i, (blk, X, n) in enumerate(zip(blocks, inputs, steps)):
         shapes = tuple(th.shape for th in blk.matrices())
-        groups.setdefault((shapes, len(X), blk.meta.iterations), []).append(i)
-    for (shapes, m, iterations), idx in groups.items():
+        groups.setdefault((shapes, len(X), n), []).append(i)
+    for (shapes, m, n), idx in groups.items():
         if rules is not None:
             first = {}
             for i in idx:
                 first.setdefault(id(rules[i]), len(first))
             idx.sort(key=lambda i: first[id(rules[i])])
-        per_block = 4 * m * sum(rows for rows, _ in shapes) + 6 * iterations
-        size = max(1, STACK_ELEMENTS // per_block)
+        per_block = 4 * m * sum(rows for rows, _ in shapes) + 6 * n
+        size = max(1, STACK_ELEMENTS // max(per_block, 1))
         for start in range(0, len(idx), size):
             yield idx[start:start + size]
 
@@ -818,19 +818,21 @@ def per_block(value, n: int) -> list:
     return value if isinstance(value, list) else [value] * n
 
 
-def run_blocks(blocks, inputs, targets, use_tau=True, jitter_rngs=None,
-               rule=REINFORCED) -> list:
-    """Train every block for its meta.iterations, each on its own inputs
-    (m, d) and targets (m,), as few stacks as the shapes allow.
+def run_blocks(blocks, inputs, targets, steps, start=1, use_tau=True,
+               jitter_rngs=None, rule=REINFORCED) -> list:
+    """Train every block for steps iterations numbered from start, each on
+    its own inputs (m, d) and targets (m,), as few stacks as the shapes
+    allow.
 
-    Blocks with the same matrix shapes, rows and iteration count share a
-    stack, whatever their shift and update rule: use_tau is a bool or a
-    list of one per block, rule an update rule or a list of one per block
-    (blocks that share a rule object are put next to each other in their
-    stack, and each stack starts its own copy of it), and jitter_rngs, if
-    given, holds one generator or None per block.  Returns one run_stack
-    outcome per block, in input order; as a block's training does not
-    depend on its stack, each equals the block trained alone.
+    Blocks with the same matrix shapes, rows and step count share a stack,
+    whatever their shift and update rule: steps is a count or a list of
+    one per block, use_tau a bool or a list of one per block, rule an
+    update rule or a list of one per block (blocks that share a rule
+    object are put next to each other in their stack, and each stack
+    starts its own copy of it), and jitter_rngs, if given, holds one
+    generator or None per block.  Returns one run_stack outcome per block,
+    in input order; as a block's training does not depend on its stack,
+    each equals the block trained alone.
 
     A group of at least 2 * PART_BLOCKS blocks is cut into
     min(usable CPUs, len // PART_BLOCKS) near-equal sub-stacks, and then
@@ -842,25 +844,24 @@ def run_blocks(blocks, inputs, targets, use_tau=True, jitter_rngs=None,
     """
     rules = per_block(rule, len(blocks))
     use_tau = per_block(use_tau, len(blocks))
-    groups = list(_stack_groups(blocks, inputs, rules))
+    steps = per_block(steps, len(blocks))
+    groups = list(_stack_groups(blocks, inputs, steps, rules))
     cpus = workers.usable_cpus()
     parts = [part for idx in groups for part in _parts(idx, cpus)]
 
     def train_part(idx):
-        stack = stack_blocks(blocks[i] for i in idx)
-        return run_stack(stack, [inputs[i] for i in idx], [targets[i] for i in idx],
-                         stack.metas[0].iterations, use_tau=[use_tau[i] for i in idx],
-                         jitter_rngs=None if jitter_rngs is None
+        return run_stack(stack_blocks(blocks[i] for i in idx),
+                         [inputs[i] for i in idx], [targets[i] for i in idx],
+                         steps[idx[0]], start, [use_tau[i] for i in idx],
+                         None if jitter_rngs is None
                          else [jitter_rngs[i] for i in idx],
-                         rule=[rules[i] for i in idx])
+                         [rules[i] for i in idx])
 
     outs = (workers.map_tasks(train_part, [(idx,) for idx in parts])
             if len(parts) > len(groups) else [train_part(idx) for idx in parts])
-    outcomes = [None] * len(blocks)
-    for idx, part_outs in zip(parts, outs):
-        for i, out in zip(idx, part_outs):
-            outcomes[i] = out
-    return outcomes
+    by_index = {i: out for idx, part_outs in zip(parts, outs)
+                for i, out in zip(idx, part_outs)}
+    return [by_index[i] for i in range(len(blocks))]
 
 
 def trained_block(outcome, target=None):
@@ -878,7 +879,7 @@ def blocks_output(blocks, inputs) -> list:
     """Tau-shifted outputs (m,) of every block for its own rows (m, d), in
     input order, computed in as few stacked passes as the shapes allow."""
     out = [None] * len(blocks)
-    for idx in _stack_groups(blocks, inputs):
+    for idx in _stack_groups(blocks, inputs, [0] * len(blocks)):
         est = stack_output(stack_blocks(blocks[i] for i in idx),
                            [inputs[i] for i in idx])
         for i, e in zip(idx, est):
@@ -889,13 +890,10 @@ def blocks_output(blocks, inputs) -> list:
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
               n_steps: int, start_iteration: int = 1, use_tau: bool = True,
               jitter_rng=None, rule=REINFORCED):
-    """run_stack for one block; returns (block, TrainingTrace), or raises
+    """run_blocks for one block; returns (block, TrainingTrace), or raises
     Diverged carrying the trace of the iterations before it."""
-    (outcome,) = run_stack(
-        stack_blocks([block]), np.asarray(X, dtype=np.float64)[None],
-        np.asarray(y, dtype=np.float64)[None], n_steps,
-        start_iteration=start_iteration, use_tau=use_tau,
-        jitter_rngs=None if jitter_rng is None else [jitter_rng], rule=rule)
+    (outcome,) = run_blocks([block], [X], [y], n_steps, start_iteration, use_tau,
+                            None if jitter_rng is None else [jitter_rng], rule)
     return trained_block(outcome)
 
 

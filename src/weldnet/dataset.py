@@ -191,7 +191,9 @@ def write_csv(path, header, rows) -> None:
     repr, an int is written with str, None is an empty cell and a str is
     written as is (quoted only if it holds a comma, a quote, a line feed or
     a carriage return).  rows is an iterable of rows, or a 2-D float array,
-    which is written through one "%r" row template with the same bytes.
+    which is written with the same bytes through one "%r" template of 1024
+    rows at a time: one format call per block of rows, not one per row,
+    and a bounded string however many rows there are.
     """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -203,7 +205,8 @@ def write_csv(path, header, rows) -> None:
             out.writerow(header)
             if isinstance(rows, np.ndarray):
                 line = ",".join(["%r"] * rows.shape[1]) + "\n"
-                fh.writelines(line % tuple(row) for row in rows.tolist())
+                fh.writelines(line * len(part) % tuple(part.ravel().tolist())
+                              for part in np.split(rows, range(1024, len(rows), 1024)))
             else:
                 out.writerows(rows)
     except OSError as exc:

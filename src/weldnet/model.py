@@ -125,8 +125,9 @@ def train_models(runs, standardize: bool = True) -> list:
     fixed, dynamic = jobs
     _, rules, blocks, inputs, targets, use_tau, rngs, _, _ = map(
         list, zip(*fixed) if fixed else [()] * 9)
-    outcomes = run_blocks(blocks, inputs, targets, use_tau=use_tau, rule=rules,
-                          jitter_rngs=rngs if any(rngs) else None)
+    outcomes = run_blocks(blocks, inputs, targets,
+                          [blk.meta.iterations for blk in blocks], 1, use_tau,
+                          rngs if any(rngs) else None, rules)
     if dynamic:
         outcomes += map_tasks(_train_dynamic, [job[2:] for job in dynamic])
     by_run = [[] for _ in runs]
@@ -216,28 +217,26 @@ def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
     """Probe widths {k-1, k, k+1} and adopt a better one, else stay put.
 
     Every candidate (current width included) is probe-trained for
-    PROBE_ITERATIONS from the current weights.  The other width of least
-    finite validation cost (the smaller on a tie) is adopted only if that
-    cost beats the probed current width by RESIZE_MARGIN relative and does
-    not exceed the block's entry validation cost.  With no adoption the
-    original block is returned untouched.
+    PROBE_ITERATIONS from the current weights, all of them in one
+    run_blocks call.  The other width of least finite validation cost (the
+    smaller on a tie) is adopted only if that cost beats the probed current
+    width by RESIZE_MARGIN relative and does not exceed the block's entry
+    validation cost.  With no adoption the original block is returned
+    untouched.
     """
     if train.n_targets != 1 or val.n_targets != 1:
         raise DimensionMismatch("resize_hidden expects single-target datasets")
     if train.d != block.input_dim or val.d != block.input_dim:
         raise DimensionMismatch("dataset width does not match block input")
-    Xt, yt = train.features, train.targets[:, 0]
     Xv, yv = val.features, val.targets[:, 0]
-
-    probed = {}
-    for w in _candidate_widths(block.width):
-        rng = np.random.default_rng(derive_seed(seed, "width", w))
-        cand = _resize_width(block, w, rng)
-        try:
-            cand, _ = run_steps(cand, Xt, yt, PROBE_ITERATIONS, use_tau=use_tau)
-            probed[w] = (cand, cost(cand, Xv, yv))
-        except Diverged:
-            probed[w] = (None, np.inf)
+    widths = _candidate_widths(block.width)
+    cands = [_resize_width(block, w, np.random.default_rng(
+        derive_seed(seed, "width", w))) for w in widths]
+    outs = run_blocks(cands, [train.features] * len(cands),
+                      [train.targets[:, 0]] * len(cands), PROBE_ITERATIONS,
+                      use_tau=use_tau)
+    probed = {w: (None, np.inf) if isinstance(out, Diverged)
+              else (out[0], cost(out[0], Xv, yv)) for w, out in zip(widths, outs)}
 
     best_cost, best_w = min(((c, w) for w, (_, c) in probed.items()
                              if w != block.width and np.isfinite(c)),

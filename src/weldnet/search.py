@@ -115,7 +115,8 @@ def _score_points(points, data, target_indices, folds, seed, standardize):
     outcomes = run_blocks(
         [init_block(meta, X.shape[1], derive_seed(seed, "fold", f))
          for (_, meta, f), X in zip(jobs, train_X)],
-        train_X, [fold_data[f][1][:, t] for t, _, f in jobs])
+        train_X, [fold_data[f][1][:, t] for t, _, f in jobs],
+        [meta.iterations for _, meta, _ in jobs])
     done = [j for j, out in enumerate(outcomes) if not isinstance(out, Diverged)]
     est = blocks_output([outcomes[j][0] for j in done], [val_X[j] for j in done])
     scores = np.full(len(jobs), np.inf)

@@ -3,9 +3,10 @@
 Everything here recomputes quantities through a different route than the
 library (finite differences, explicit loops, naive summation, the
 allocating step maths the workspace step replaced, Kendall's tau over
-all pairs at once, CSV cells read and written one at a time, or a block
-resized matrix by matrix) so the tests do not just compare the
-implementation with itself.
+all pairs at once, CSV cells read and written one at a time, a block
+resized matrix by matrix, one block trained as a hand-built stack of one,
+or width probes trained one candidate at a time) so the tests do not just
+compare the implementation with itself.
 """
 
 import csv
@@ -15,11 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from weldnet.block import (
+    REINFORCED,
     TrainingTrace,
     Workspace,
     _forward_all,
     backprop_step,
+    cost,
+    run_stack,
     stack_blocks,
+    trained_block,
     unstack,
 )
 from weldnet.errors import (
@@ -28,6 +33,13 @@ from weldnet.errors import (
     LengthMismatch,
     ParseError,
 )
+from weldnet.model import (
+    PROBE_ITERATIONS,
+    RESIZE_MARGIN,
+    _candidate_widths,
+    _resize_width,
+)
+from weldnet.rng import derive_seed
 
 
 @dataclass
@@ -417,3 +429,42 @@ def resize_width(block, width: int, rng):
         raise ValueError(f"can only resize by one unit, got {k} -> {width}")
     meta = replace(block.meta, neurons=width)
     return replace(block, theta1=theta1, theta2=theta2, hidden=hidden, meta=meta)
+
+
+def run_steps_stacked(block, X, y, n_steps, start_iteration=1, use_tau=True,
+                      jitter_rng=None, rule=REINFORCED):
+    """block.run_steps as it was written before it went through run_blocks:
+    a stack of one built by hand and run by run_stack; returns (block,
+    TrainingTrace), or raises Diverged."""
+    (outcome,) = run_stack(
+        stack_blocks([block]), np.asarray(X, dtype=np.float64)[None],
+        np.asarray(y, dtype=np.float64)[None], n_steps,
+        start_iteration=start_iteration, use_tau=use_tau,
+        jitter_rngs=None if jitter_rng is None else [jitter_rng], rule=rule)
+    return trained_block(outcome)
+
+
+def resize_hidden_loop(block, train, val, seed, use_tau=True):
+    """model.resize_hidden as it was written before its candidates trained
+    in one call: each candidate width probe-trained alone (by
+    run_steps_stacked) and scored at once.  Returns (the block it chose,
+    {width: (probed candidate, or None if it diverged, validation cost)})."""
+    Xt, yt = train.features, train.targets[:, 0]
+    Xv, yv = val.features, val.targets[:, 0]
+    probed = {}
+    for w in _candidate_widths(block.width):
+        rng = np.random.default_rng(derive_seed(seed, "width", w))
+        cand = _resize_width(block, w, rng)
+        try:
+            cand, _ = run_steps_stacked(cand, Xt, yt, PROBE_ITERATIONS,
+                                        use_tau=use_tau)
+            probed[w] = (cand, cost(cand, Xv, yv))
+        except Diverged:
+            probed[w] = (None, np.inf)
+    best_cost, best_w = min(((c, w) for w, (_, c) in probed.items()
+                             if w != block.width and np.isfinite(c)),
+                            default=(np.inf, None))
+    if (best_cost < probed[block.width][1] * (1.0 - RESIZE_MARGIN)
+            and best_cost <= cost(block, Xv, yv)):
+        return probed[best_w][0], probed
+    return block, probed

@@ -242,6 +242,22 @@ class TestWriteCsv:
         write_csv(p, header, arr)
         assert p.read_bytes() == csv_writer_bytes(header, arr.tolist())
 
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2 * 1024 + 3])
+    def test_float_array_blocks_same_bytes_as_per_row_template(self, tmp_path, n):
+        """An array is formatted 1024 rows at a time: on either side of a
+        block's end and across several blocks, signed zeros, subnormals,
+        values near the float range's ends and integral floats write the
+        bytes of one "%r" template per row."""
+        edge = [0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 3.0, -12.0,
+                1e16]
+        rng = np.random.default_rng(n)
+        arr = rng.choice(edge + list(rng.normal(size=3)), size=(n, 4))
+        p = tmp_path / "t.csv"
+        write_csv(p, ["a", "b", "c", "d"], arr)
+        want = "a,b,c,d\n" + "".join("%r,%r,%r,%r\n" % tuple(row)
+                                     for row in arr.tolist())
+        assert p.read_bytes() == want.encode()
+
 
 class TestSaveCsvNames:
     @pytest.mark.parametrize("name", ["p\rq", "p\nq", "p,q", 'p"q', "p ",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import resize_width
+from oracles import resize_hidden_loop, resize_width
 from weldnet import block, cli, model as mdl
 from weldnet.block import (
     OUTPUT_ROWS,
@@ -135,6 +135,15 @@ def width_chosen_by_loop(probed, k, entry_cost):
     return k
 
 
+@pytest.fixture(scope="module")
+def resize_rows():
+    """(fit, val): 45 and 15 standardized rows of one target."""
+    scaled, _ = standardize(synthesize_weld(60, 0.05, seed=4))
+    names = scaled.feature_names
+    return (Dataset(scaled.features[:45], scaled.targets[:45, :1], names, ["p"]),
+            Dataset(scaled.features[45:], scaled.targets[45:, :1], names, ["p"]))
+
+
 class TestResize:
     def test_candidate_widths_clamped(self):
         assert _candidate_widths(2) == [2, 3]
@@ -243,10 +252,9 @@ class TestResize:
         entry = data.draw(st.sampled_from(PROBE_COSTS), label="entry cost")
         entry_calls = []
 
-        def probe(cand, X, y, n, use_tau):
-            if costs[cand.width] is None:
-                raise Diverged(iteration=1)
-            return replace(cand), None
+        def probe(cands, X, y, n, use_tau):
+            return [Diverged(iteration=1) if costs[cand.width] is None
+                    else (replace(cand), None) for cand in cands]
 
         def val_cost(blk, X, y):
             if blk is block:
@@ -255,7 +263,7 @@ class TestResize:
             return costs[blk.width]
 
         rows = Dataset(np.zeros((3, 2)), np.zeros((3, 1)), ["a", "b"], ["p"])
-        with patch.object(mdl, "run_steps", probe), \
+        with patch.object(mdl, "run_blocks", probe), \
                 patch.object(mdl, "cost", val_cost):
             got = resize_hidden(block, rows, rows, seed=0)
         probed = {w: (None, np.inf) if c is None else (w, c)
@@ -267,6 +275,40 @@ class TestResize:
         margin_passed = bool(finite) and (
             min(finite) < probed[k][1] * (1.0 - RESIZE_MARGIN))
         assert len(entry_calls) == margin_passed
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(k=st.sampled_from([2, 3, 50, 100]), depth=st.integers(1, 3),
+           use_tau=st.booleans(), poison=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_one_call_equals_the_probe_loop(self, resize_rows, k, depth,
+                                            use_tau, poison, seed):
+        """resize_hidden, which probe-trains its candidates in one
+        run_blocks call, returns the block the per-candidate loop of
+        tests/oracles.py returns, bit for bit.  poison gives unit j of the
+        started block a zero theta1 column (the least norm, so the shrunk
+        candidate drops it) and an output weight of 1e200, so every
+        candidate keeping it diverges: at width 100 one of two, at 2 both."""
+        fit, val = resize_rows
+        blk = init_block(quick_meta(neurons=k, depth=depth, lam=0.01),
+                         fit.d, seed)
+        blk, _ = run_steps(blk, fit.features, fit.targets[:, 0], 20,
+                           use_tau=use_tau)
+        if poison:
+            j = seed % k
+            blk.theta1[:, j] = 0.0
+            blk.theta2[1 + j] = 1e200
+        want, probed = resize_hidden_loop(blk, fit, val, seed, use_tau)
+        got = resize_hidden(blk, fit, val, seed, use_tau=use_tau)
+        if poison:
+            assert [w for w, (c, _) in probed.items() if c is None] == [
+                w for w in probed if w >= k]
+        assert (got is blk) == (want is blk)
+        assert got.meta == want.meta
+        for a, b in zip(got.matrices(), want.matrices(), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.float64(got.tau).tobytes() == np.float64(want.tau).tobytes()
+        assert np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
 
     def test_dynamic_width_trace_length_preserved(self, weld_train):
         meta = quick_meta(neurons=2)
@@ -372,7 +414,10 @@ class TestPredictTiles:
         BLAS gives other bits to a matmul of 16384 rows than to one of 10^5,
         and (21, 40) and (41, 1) in a block of width 40, whose output
         column takes other bits for a few rows when the output matrix is
-        applied tile by tile."""
+        applied tile by tile.  That last difference is threaded BLAS's: a
+        matrix-vector product's bits depend on how its threads split the
+        rows, so with one OpenBLAS thread the tiles give the bits of one
+        call, and with two they need not."""
         metas = [quick_meta(neurons=2, degree=4),
                  quick_meta(neurons=40, degree=5)]
         return train_all(metas, weld_train, seed=2)[0]

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import RefOptimizer, RefReinforced, forward_one, reference_run
+from oracles import (
+    RefOptimizer,
+    RefReinforced,
+    forward_one,
+    reference_run,
+    run_steps_stacked,
+)
 from weldnet import baselines, block, dataset as ds, metrics, model as mdl
 from weldnet.baselines import OptimizerRule, OptimizerState
 from weldnet.block import (
@@ -23,6 +29,7 @@ from weldnet.block import (
     Rows,
     Workspace,
     init_block,
+    run_blocks,
     run_stack,
     run_steps,
     stack_blocks,
@@ -324,6 +331,80 @@ def test_run_stack_matches_allocating_step(case, n_steps, use_tau, jitter):
     got = run_stack(stack_blocks(blocks), X, y, n_steps, use_tau=use_tau,
                     jitter_rngs=rngs())
     assert_same_as_reference(got, want)
+
+
+def outcome_of(train, *args, **kwargs):
+    """train's result, or the Diverged it raised."""
+    try:
+        return train(*args, **kwargs)
+    except Diverged as exc:
+        return exc
+
+
+@PROPERTY
+@given(case=reference_cases(), n_steps=st.integers(1, 30),
+       start=st.integers(1, 3000), use_tau=st.booleans(),
+       jitter=st.booleans())
+def test_run_steps_equals_a_stack_of_one(case, n_steps, start, use_tau, jitter):
+    """run_steps, the one-block form of run_blocks, gives what it gave as
+    a hand-built stack of one (tests/oracles.py): weights, tau, nu, the
+    trace numbered from start, a Diverged's iteration, and the jitter
+    generator advanced by the same draws."""
+    blocks, X, y = case
+    rngs = [np.random.default_rng(7) if jitter else None for _ in range(2)]
+    got, want = (outcome_of(train, blocks[-1], X[-1], y[-1], n_steps, start,
+                            use_tau, jitter_rng=rng)
+                 for train, rng in zip((run_steps, run_steps_stacked), rngs))
+    assert_same_outcome(got, want)
+    trace = got.trace if isinstance(got, Diverged) else got[1]
+    assert trace.start == start
+    if isinstance(got, Diverged):
+        assert got.iteration == start + len(trace) < start + n_steps
+    if jitter:
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_run_steps_diverges_numbered_from_start():
+    """A block blown up to diverge some steps into a run that starts at
+    iteration 101 names the same iteration, past 101, as the stack of one,
+    with the same trace from 101 on."""
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(10, 3)), rng.normal(size=10)
+    blk = init_block(weld_meta(depth=2, alpha=1e6, gamma=4.0, lam=0.0), 3, 0)
+    got, want = (outcome_of(train, blk, X, y, 30, 101)
+                 for train in (run_steps, run_steps_stacked))
+    assert isinstance(want, Diverged) and 101 < want.iteration < 131
+    assert_same_outcome(got, want)
+    assert got.trace.start == 101
+
+
+@PROPERTY
+@given(case=stacks(), steps=st.lists(st.integers(1, 12), min_size=6,
+                                     max_size=6),
+       start=st.integers(1, 500), use_tau=st.booleans())
+def test_mixed_step_counts_equal_separate_calls(case, steps, start, use_tau):
+    """One run_blocks call, every block with its own step count, trains a
+    stack per step count, and each outcome equals the block's own
+    run_blocks call, jitter generators and trace numbering included."""
+    blocks, X, y = case
+    steps = steps[:len(blocks)]
+
+    def rngs():
+        return [np.random.default_rng(100 + i) if i % 2 else None
+                for i in range(len(blocks))]
+
+    with patch.object(block, "run_stack", wraps=block.run_stack) as spy:
+        got = run_blocks(blocks, list(X), list(y), steps, start, use_tau,
+                         rngs())
+    assert spy.call_count == len(set(steps))
+    want = [run_blocks([blk], [X[i]], [y[i]], steps[i], start, use_tau,
+                       [rng])[0]
+            for i, (blk, rng) in enumerate(zip(blocks, rngs()))]
+    for g, w, n in zip(got, want, steps):
+        assert_same_outcome(g, w)
+        trace = g.trace if isinstance(g, Diverged) else g[1]
+        assert trace.start == start
+        assert isinstance(g, Diverged) or len(trace) == n
 
 
 @PROPERTY

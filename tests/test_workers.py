@@ -505,7 +505,7 @@ def test_run_blocks_equals_groups_whole(name, whole_outcomes, cpus,
     blocks, inputs, targets, rule, want = whole_outcomes[name]
     _, bad, jitter, _, cut = RUN_BLOCKS_CASES[name]
     calls = spy_map_tasks(monkeypatch)
-    got = run_blocks(blocks, inputs, targets,
+    got = run_blocks(blocks, inputs, targets, 1000,
                      jitter_rngs=jitter_rngs(len(blocks)) if jitter else None,
                      rule=rule)
     assert calls == (cut if cpus == 2 else [])
@@ -541,8 +541,8 @@ def test_run_blocks_mixes_rules_in_one_stack(cpus, monkeypatch):
             want.append(exc)
     assert isinstance(want[3], Diverged)
     calls = spy_map_tasks(monkeypatch)
-    got = run_blocks(blocks, inputs, targets, use_tau=taus, jitter_rngs=rngs(),
-                     rule=[rules[k] for k in kinds])
+    got = run_blocks(blocks, inputs, targets, 1000, use_tau=taus,
+                     jitter_rngs=rngs(), rule=[rules[k] for k in kinds])
     assert calls == ([2] if cpus == 2 else [])
     assert_same_outcomes(got, want)
 
@@ -551,7 +551,7 @@ def test_chunks_of_one_are_not_cut(whole_outcomes, cpus, monkeypatch):
     blocks, inputs, targets, _, want = whole_outcomes["diverging-member"]
     monkeypatch.setattr(block, "STACK_ELEMENTS", 1)
     calls = spy_map_tasks(monkeypatch)
-    assert_same_outcomes(run_blocks(blocks, inputs, targets), want)
+    assert_same_outcomes(run_blocks(blocks, inputs, targets, 1000), want)
     assert calls == []
 
 
@@ -561,7 +561,7 @@ def test_small_groups_train_here(monkeypatch):
     calls = spy_map_tasks(monkeypatch)
     counts = [2 * block.PART_BLOCKS - 1, 1]
     case = blocks_case([(counts[0], 3, 12), (counts[1], 4, 12)])
-    assert_same_outcomes(run_blocks(*case), groups_whole(case, counts))
+    assert_same_outcomes(run_blocks(*case, 1000), groups_whole(case, counts))
     assert calls == []
 
 
