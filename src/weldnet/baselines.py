@@ -23,7 +23,7 @@ from .block import (
     train,
 )
 from .dataset import Dataset, append_bias, expand_features
-from .errors import Diverged
+from .errors import Diverged, NonFiniteInput
 
 OPTIMIZER_KINDS = ("plain", "adagrad", "rmsprop", "nesterov")
 
@@ -63,36 +63,38 @@ def plain_ann_train(meta: BlockMetaParams, X: np.ndarray, y: np.ndarray,
 class OptimizerRule:
     """Update rule of one OptimizerState (its accumulator None) for a run
     of a stack's blocks (block.Rows), the accumulator like their params
-    and updated in place: gradients at the look-ahead weights, then the
-    optimizer's arithmetic on the cost gradient, written into the params.
+    and updated in place: the optimizer's arithmetic on the cost gradient
+    at rows.params, written into the params.
 
     plain:    w - eta * g
     adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
     rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
     nesterov: v = mu*v - eta*g;           w + v, with g taken at the
-              look-ahead weights w + mu*v (at w before the first step)
+              look-ahead weights w + mu*v (at w before the first step):
+              look_ahead saves w in tmp and writes w + mu*v into the
+              params, and update adds v to the saved w
     """
 
     def __init__(self, state: OptimizerState):
         self.state = state
-        self.tmp = None  # scratch like the params, for adagrad and rmsprop
+        # like the params: nesterov's saved weights, adagrad's and
+        # rmsprop's scratch
+        self.tmp = None
 
     def start(self):
         return OptimizerRule(replace(self.state, accum=None))
 
-    def look_ahead(self, rows) -> bool:
+    def look_ahead(self, rows) -> None:
         st = self.state
-        if st.kind != "nesterov" or st.accum is None:
-            return False
-        np.multiply(st.momentum, st.accum, out=rows.ahead)
-        np.add(rows.params, rows.ahead, out=rows.ahead)
-        return True
+        if st.kind == "nesterov" and st.accum is not None:
+            np.copyto(self.tmp, rows.params)
+            np.multiply(st.momentum, st.accum, out=rows.params)
+            np.add(self.tmp, rows.params, out=rows.params)
 
     def update(self, rows) -> None:
         st, w, g = self.state, rows.params, rows.step
-        at = rows.ahead if st.kind == "nesterov" and st.accum is not None else w
         # g = (-delta + lam * nobias) / m; decay's bias entries stay +0.0
-        np.multiply(rows.lam, at, out=rows.decay, where=rows.nonbias)
+        np.multiply(rows.lam, w, out=rows.decay, where=rows.nonbias)
         np.negative(rows.grad, out=g)
         np.add(g, rows.decay, out=g)
         np.divide(g, rows.m, out=g)
@@ -100,18 +102,16 @@ class OptimizerRule:
             np.multiply(st.eta, g, out=g)
             np.subtract(w, g, out=w)
             return
-        if st.accum is None:
+        if st.accum is None:  # the first step, taken at w itself
             self.state = st = replace(st, accum=np.zeros_like(w))
-        acc = st.accum
+            self.tmp = w.copy()
+        acc, tmp = st.accum, self.tmp
         if st.kind == "nesterov":
             np.multiply(st.momentum, acc, out=acc)
             np.multiply(st.eta, g, out=g)
             np.subtract(acc, g, out=acc)
-            np.add(w, acc, out=w)
+            np.add(tmp, acc, out=w)
             return
-        if self.tmp is None:
-            self.tmp = np.empty_like(w)
-        tmp = self.tmp
         if st.kind == "adagrad":
             np.multiply(g, g, out=tmp)
         else:  # rmsprop
@@ -140,8 +140,12 @@ def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
 def normal_equation_fit(train_data: Dataset, degree: int) -> np.ndarray:
     """Closed-form least squares on polynomial-expanded, bias-augmented
     features via SVD pseudoinverse (singular values below 1e-12 relative
-    are dropped).  Returns a (d'+1) x N weight matrix."""
+    are dropped).  Returns a (d'+1) x N weight matrix; NonFiniteInput if
+    an expanded feature is beyond the float range."""
     Xb = append_bias(expand_features(train_data.features, degree))
+    if not np.isfinite(Xb).all():
+        raise NonFiniteInput(f"a degree {degree} feature power is beyond "
+                             "the float range")
     return np.linalg.pinv(Xb, rcond=1e-12) @ train_data.targets
 
 

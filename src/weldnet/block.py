@@ -12,10 +12,12 @@ weights in one (B, P) buffer viewed as every weight matrix stacked on a
 leading axis, (B, rows, cols), and trains them on inputs (B, m, d) against
 targets (B, m).  run_stack is the one training
 loop, every step writing into one Workspace made for the stack's shape;
-each backprop_step picks every block's shift tau from {-nu, 0, +nu}
-(nu: that block's previous mean error), or 0 for a block with the shift
-off, and hands the gamma-scaled gradients to each block's update rule,
-which chooses where they are taken (look_ahead) and the new weights
+each backprop_step picks every block's shift tau from {0, -nu*f, +nu*f}
+(nu: that block's previous mean error; f: 1 with the shift on, 0 with it
+off, so an off block's candidates cost what 0 costs and never win), and
+hands the gamma-scaled gradients, always taken at stack.params, to each
+block's update rule.  A rule may first move its rows of stack.params to
+where it wants them taken (look_ahead) and then writes the new weights
 (update).  The shift and the rule are per block: a stack's blocks that
 share a rule are consecutive, and the rule works on their rows.
 ReinforcedRule is the default; the plain ANN uses it with gamma = 1 and
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -357,15 +359,14 @@ class Workspace:
     with the hidden activations); z and mask, the pre-activation and
     sigmoid scratch of one layer; acts, every hidden activation (B, m, k);
     raw, the unshifted outputs (B, m).  The rest is what a backprop_step
-    writes: shift candidates and their residuals and costs, the squared
-    weights and the regularizer, the shifted output, the backward deltas,
-    the gradients (grad, laid out like stack.params, and deltas, its views
-    aligned with stack.mats), the update rules' scratch (step, and decay,
-    whose bias entries stay zero), the look-ahead weights (ahead, laid out
-    like stack.params, and at, the stack over them), the finite mask, nu,
-    and row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
-    tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row of
-    params.
+    writes: the three shift candidates and their residuals and costs, the
+    squared weights and the regularizer, the shifted output, the backward
+    deltas, the gradients (grad, laid out like stack.params, and deltas,
+    its views aligned with stack.mats), the update rules' scratch (step,
+    and decay, whose bias entries stay zero), the finite mask, nu, and
+    row, the step's trace values (6, B): cost, grad1_norm, grad2_norm,
+    tau, nu, cost_tau_zero.  nonbias marks the non-bias entries of a row
+    of params.
     """
 
     def __init__(self, stack: BlockStack, X, y):
@@ -388,15 +389,14 @@ class Workspace:
         if y.shape != (B, m):
             raise DimensionMismatch(f"targets {y.shape} vs {(B, m)} blocks x samples")
         self.y = y
-        self.taus = np.zeros((B, 3))        # shifts 0, -nu, +nu
+        self.taus = np.zeros((B, 3))        # shifts 0, -nu*f, +nu*f
         resid, sq = np.empty((B, 3, m)), np.empty((B, 3, 1, 1))
         self.costs = np.empty((B, 3))
         self.lam_reg = np.empty(B)
-        self.shift_views = {n: (
-            resid[:, :n], self.raw[:, None, :], self.taus[:, :n, None],
-            y[:, None, :], resid[:, :n, None, :], resid[:, :n, :, None],
-            sq[:, :n], sq[:, :n, 0, 0], self.lam_reg[:, None],
-            self.costs[:, :n]) for n in (1, 3)}
+        self.shift_views = (
+            resid, self.raw[:, None, :], self.taus[:, :, None], y[:, None, :],
+            resid[:, :, None, :], resid[:, :, :, None], sq, sq[:, :, 0, 0],
+            self.lam_reg[:, None], self.costs)
         self.tau_cols, self.cost_cols = list(self.taus.T), list(self.costs.T)
         self.better = np.empty(B, dtype=bool)
         P = stack.params.shape[1]
@@ -410,21 +410,26 @@ class Workspace:
         self.shifted = np.empty((B, m))
         self.d_out = np.empty((B, m, 1))
         self.err = self.d_out[:, :, 0]
-        self.back = [np.empty((B, m, k)) for _ in range(min(2, len(shapes) - 1))]
+        back = [np.empty((B, m, k)) for _ in range(min(2, len(shapes) - 1))]
         self.grad = np.empty((B, P))
         self.deltas = param_views(self.grad, stack.mats)
         self.last_T = self.inputs[-1].swapaxes(1, 2)
+        # block_gradients' views for each matrix i below the output one, top
+        # first: acts[i], delta scratch, mats[i + 1]'s non-bias rows
+        # transposed (a vector for the output one), inputs[i].T, deltas[i]
+        L, mats = len(shapes), stack.mats
+        self.backward = [(self.acts[i], back[(L - 2 - i) % 2],
+                          mats[i + 1][:, 1:, 0] if i == L - 2
+                          else mats[i + 1][:, 1:].swapaxes(1, 2),
+                          self.inputs[i].swapaxes(1, 2), self.deltas[i])
+                         for i in range(L - 2, -1, -1)]
         norm_rows = [d.reshape(B, 1, -1) for d in (self.deltas[0], self.deltas[-1])]
         norm = np.empty((2, B, 1, 1))
         self.norm_parts = [(f, f.swapaxes(1, 2), out) for f, out in zip(norm_rows, norm)]
         self.norm_sq = norm[:, :, 0, 0]
         self.step = np.empty((B, P))
         self.decay = np.zeros((B, P))
-        self.ahead = np.empty((B, P))
-        self.at = replace(stack, params=self.ahead,
-                          mats=param_views(self.ahead, stack.mats))
         self.gamma_col = stack.gamma[:, None]
-        self.backward, self.at_backward = (self._backward(s.mats) for s in (stack, self.at))
         self.ok = np.empty((B, P), dtype=bool)
         self.ok_part = np.empty(B, dtype=bool)
         self.finite = np.empty(B, dtype=bool)
@@ -433,17 +438,6 @@ class Workspace:
         self.cost, self.norms, self.tau, self.nu_in, self.cost0 = (
             self.row[0], self.row[1:3], self.row[3], self.row[4], self.row[5])
         self.tau_col = self.tau[:, None]
-
-    def _backward(self, mats) -> list:
-        """block_gradients' views for each matrix i below the output one,
-        top first: acts[i], delta scratch, mats[i + 1]'s non-bias rows
-        transposed (a vector for the output one), inputs[i].T, deltas[i]."""
-        L = len(mats)
-        return [(self.acts[i], self.back[(L - 2 - i) % 2],
-                 mats[i + 1][:, 1:, 0] if i == L - 2
-                 else mats[i + 1][:, 1:].swapaxes(1, 2),
-                 self.inputs[i].swapaxes(1, 2), self.deltas[i])
-                for i in range(L - 2, -1, -1)]
 
 
 def _block_rows(stack: BlockStack, X) -> np.ndarray:
@@ -517,10 +511,10 @@ def _reg_sum(stack: BlockStack, ws: Workspace) -> np.ndarray:
     return ws.reg
 
 
-def _shift_costs(ws: Workspace, n: int) -> np.ndarray:
-    """Regularized cost (B, n) of the first n shifts of ws.taus: (1/2m)
+def _shift_costs(ws: Workspace) -> np.ndarray:
+    """Regularized cost (B, 3) of the three shifts of ws.taus: (1/2m)
     [sum of squared residuals against the shifted output + ws.lam_reg]."""
-    resid, raw, taus, y, left, right, sq, sq_sum, lam_reg, costs = ws.shift_views[n]
+    resid, raw, taus, y, left, right, sq, sq_sum, lam_reg, costs = ws.shift_views
     np.add(raw, taus, resid)
     np.subtract(y, resid, resid)
     np.matmul(left, right, sq)
@@ -530,30 +524,25 @@ def _shift_costs(ws: Workspace, n: int) -> np.ndarray:
 
 def _pick_tau(ws: Workspace, nu, lam_reg, use_tau) -> None:
     """Per block, the shift tau (ws.row[3]) that minimizes the regularized
-    cost over {0, -nu, +nu}, or 0 without use_tau, its cost (ws.row[0])
-    and the cost at 0 (ws.row[5]).  use_tau is a bool for every block, or
-    a (B,) bool mask of the blocks that shift.
+    cost over {0, -nu*f, +nu*f}, its cost (ws.row[0]) and the cost at 0
+    (ws.row[5]).  use_tau gives f: a (B,) vector of 1.0 where the shift is
+    on and 0.0 where it is off, or a bool for every block.
 
-    Ties prefer 0, then -nu (the least perturbation first); a NaN cost is
-    never picked, so a block the mask leaves out gets NaN candidates for
-    -nu and +nu.  Its cost at 0 is computed as for every block.
+    Ties prefer 0, then -nu (the least perturbation first), and a NaN cost
+    is never picked.  So a block with the shift off, whose candidates are
+    +-0 (NaN for a non-finite nu), keeps tau = +0.0 and the cost at 0.
     """
     taus, costs = ws.tau_cols, ws.cost_cols
-    mask = use_tau if isinstance(use_tau, np.ndarray) else None
-    shifts = 3 if mask is not None or use_tau else 1
-    if shifts == 3:
-        np.negative(nu, taus[1])
-        np.copyto(taus[2], nu)
-        if mask is not None:
-            ws.taus[~mask, 1:] = np.nan
+    np.multiply(nu, use_tau, taus[2])
+    np.negative(taus[2], taus[1])
     if lam_reg is not ws.lam_reg:
         np.copyto(ws.lam_reg, lam_reg)
-    _shift_costs(ws, shifts)
+    _shift_costs(ws)
     best, tau = ws.cost, ws.tau
     np.copyto(best, costs[0])
     np.copyto(ws.cost0, best)
     tau.fill(0.0)
-    for c in range(1, shifts):
+    for c in (1, 2):
         np.less(costs[c], best, ws.better)
         np.copyto(tau, taus[c], where=ws.better)
         np.copyto(best, costs[c], where=ws.better)
@@ -570,13 +559,14 @@ def cost(block: RegressionBlock, X: np.ndarray, y: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         _forward_all(stack, ws)
         np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
-        return float(_shift_costs(ws, 1)[0, 0])
+        return float(_shift_costs(ws)[0, 0])
 
 
 def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
     """Gamma-scaled gradient matrices into ws.deltas, (B, rows, cols) each,
     aligned with stack.mats (views of ws.grad); stack is the workspace's
-    stack or its look-ahead ws.at, gamma a (B, 1) column.
+    stack, at the weights the step takes its gradients at (a rule's
+    look-ahead point, if it moved them), gamma a (B, 1) column.
 
     Each delta equals -m * dJ_data/dtheta * gamma at the stack's weights,
     with J_data the squared-error half-mean against the output shifted by
@@ -586,7 +576,7 @@ def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
     np.subtract(ws.y, ws.shifted, ws.err)
     np.matmul(ws.last_T, ws.d_out, ws.deltas[-1])
     d, s = None, ws.z
-    for h, d_in, w, a_T, delta in ws.at_backward if stack is ws.at else ws.backward:
+    for h, d_in, w, a_T, delta in ws.backward:
         if d is None:
             # theta2 has one column, so each element of d @ w is the single
             # product 0 + d * w: einsum's outer product forms the same bits
@@ -607,13 +597,13 @@ def block_gradients(stack: BlockStack, ws: Workspace, gamma) -> list:
 class Rows:
     """Row views of the blocks lo..hi-1 of a stack, made once per run_stack
     for the update rule they share: the stack's params, alpha and lam (as
-    columns), and the workspace's look-ahead weights, gradients and update
-    scratch.  Row slices of a C-contiguous (B, P) buffer, so an elementwise
-    op on them gives every element the bits it gets on the whole buffer."""
+    columns), and the workspace's gradients and update scratch.  Row
+    slices of a C-contiguous (B, P) buffer, so an elementwise op on them
+    gives every element the bits it gets on the whole buffer."""
 
     def __init__(self, stack: BlockStack, ws: Workspace, lo: int, hi: int):
         rows = slice(lo, hi)
-        self.params, self.ahead = stack.params[rows], ws.ahead[rows]
+        self.params = stack.params[rows]
         self.grad, self.step, self.decay = ws.grad[rows], ws.step[rows], ws.decay[rows]
         self.alpha, self.lam = stack.alpha[rows, None], stack.lam[rows, None]
         self.nonbias, self.m = ws.nonbias, ws.m
@@ -624,16 +614,17 @@ class ReinforcedRule:
     theta <- theta + (alpha * delta - lam * theta_nobias) / m, in place.
 
     The rule protocol: start() gives the rule for one run of blocks (a
-    rule with state starts it afresh); look_ahead(rows) says whether the
-    gradients are taken elsewhere than at rows.params, having written that
-    point into rows.ahead if so, and is None on a rule that never looks
-    ahead; update(rows) writes the new weights into rows.params from the
+    rule with state starts it afresh); look_ahead(rows), before the forward
+    pass, may write into rows.params the point the step's gradients are
+    taken at, keeping what its update needs of the weights it replaced;
+    update(rows) writes the new weights into rows.params from the
     gradients in rows.grad."""
-
-    look_ahead = None
 
     def start(self):
         return self
+
+    def look_ahead(self, rows: Rows) -> None:
+        """Gradients at the current weights: nothing to move."""
 
     def update(self, rows: Rows) -> None:
         step, decay = rows.step, rows.decay
@@ -648,30 +639,30 @@ class ReinforcedRule:
 REINFORCED = ReinforcedRule()
 
 
-def start_rules(stack: BlockStack, ws: Workspace, rule=REINFORCED) -> tuple:
+def start_rules(stack: BlockStack, ws: Workspace, rule=REINFORCED) -> list:
     """(Rows, started rule) for every run of consecutive blocks that share
-    a rule object, and whether any of those rules may look ahead; rule is
-    one rule for every block or a list of one per block."""
+    a rule object; rule is one rule for every block or a list of one per
+    block."""
     each = per_block(rule, len(stack))
     runs, lo = [], 0
     for hi in range(1, len(stack) + 1):
         if hi == len(stack) or each[hi] is not each[lo]:
             runs.append((Rows(stack, ws, lo, hi), each[lo].start()))
             lo = hi
-    return runs, any(rule.look_ahead is not None for _, rule in runs)
+    return runs
 
 
 def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
                   gamma=None, rules=None) -> np.ndarray:
     """One full-batch iteration of every block in a stack, in place.
 
-    ws is the stack's Workspace (made with targets); use_tau is a bool or
-    a (B,) bool mask; gamma, if given, is a (B,) vector; rules are what
-    start_rules gives (default: the reinforced rule for every block).
-    Order: forward pass at the gradient point (the stack's weights, with
-    the rows of a rule that looks ahead replaced by its look-ahead point),
-    shift selection against that pre-update cost, gradients of every
-    matrix at the same weights, then each rule's update of its rows.  The
+    ws is the stack's Workspace (made with targets); use_tau is a (B,)
+    vector of 1.0 (shift on) or 0.0 (off), or a bool for every block;
+    gamma, if given, is a (B,) vector; rules are what start_rules gives
+    (default: the reinforced rule for every block).  Order: each rule's
+    look_ahead of its rows, the forward pass and the regularizer at
+    stack.params, shift selection against that pre-update cost, gradients
+    of every matrix at the same weights, then each rule's update.  The
     stack then holds the new weights, the selected shift, and the nu for
     the next iteration: the mean error of the shifted output emitted here.
     The step's trace values are in ws.row and its gradients in ws.deltas.
@@ -679,19 +670,17 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
     finite.  Overflow is divergence: run this under
     np.errstate(over="ignore", invalid="ignore").
     """
-    runs, looks = start_rules(stack, ws) if rules is None else rules
-    at = ws.at if looks else stack
-    for rows, rule in runs if looks else ():
-        if rule.look_ahead is None or not rule.look_ahead(rows):
-            np.copyto(rows.ahead, rows.params)
-    _forward_all(at, ws)
+    runs = start_rules(stack, ws) if rules is None else rules
+    for rows, rule in runs:
+        rule.look_ahead(rows)
+    _forward_all(stack, ws)
     if stack.nu is None:
         ws.nu_in[:] = np.mean(np.zeros_like(ws.y) - ws.y, axis=1)
     else:
         np.copyto(ws.nu_in, stack.nu)
-    np.multiply(at.lam, _reg_sum(at, ws), ws.lam_reg)
+    np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
     _pick_tau(ws, ws.nu_in, ws.lam_reg, use_tau)
-    block_gradients(at, ws, ws.gamma_col if gamma is None else gamma[:, None])
+    block_gradients(stack, ws, ws.gamma_col if gamma is None else gamma[:, None])
     for f, f_T, out in ws.norm_parts:
         np.matmul(f, f_T, out)
     np.sqrt(ws.norm_sq, ws.norms)
@@ -709,13 +698,6 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
     np.add.reduce(ws.shifted, 1, None, ws.nu)
     stack.nu = np.divide(ws.nu, ws.m, ws.nu)
     return finite
-
-
-def _tau_mask(use_tau, B: int):
-    """use_tau as _pick_tau takes it: a bool if it is the same for all B
-    blocks, else a (B,) bool mask."""
-    mask = np.broadcast_to(np.asarray(use_tau, dtype=bool), (B,))
-    return bool(mask[0]) if (mask == mask[0]).all() else mask.copy()
 
 
 def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
@@ -739,7 +721,8 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     """
     ws = Workspace(stack, X, y)
     rules = start_rules(stack, ws, rule)
-    use_tau = _tau_mask(use_tau, len(stack))
+    # f of _pick_tau: 1.0 where the shift is on, 0.0 where it is off
+    use_tau = np.broadcast_to(np.asarray(use_tau, dtype=np.float64), len(stack))
     outcomes = [None] * len(stack)
     alive = np.ones(len(stack), dtype=bool)
     # per step and block: cost, grad1_norm, grad2_norm, tau, nu, cost_tau_zero

@@ -254,14 +254,15 @@ def expand_features(mat: np.ndarray, degree: int) -> np.ndarray:
 
     Degree 0 returns the input unchanged.  No cross terms; column blocks
     are ordered by exponent: [x | x^2 block | ... | x^(degree+1) block].
+    A power beyond the float range is inf, without a warning.
     """
     if not (MIN_DEGREE <= degree <= MAX_DEGREE):
         raise DegreeOutOfRange(
             f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
     if degree == 0:
         return mat
-    blocks = [mat] + [mat ** e for e in range(2, degree + 2)]
-    return np.hstack(blocks)
+    with np.errstate(over="ignore"):
+        return np.hstack([mat] + [mat ** e for e in range(2, degree + 2)])
 
 
 def prepare_features(features: np.ndarray, degrees,

@@ -56,10 +56,9 @@ def pe(y, yhat):
         return float(np.mean(ratios) * 100.0), excluded
 
 
-def confidence_interval(samples, level: float = 0.95):
-    """Normal-approximation interval mean +- z * s / sqrt(n), sample std."""
-    if level != 0.95:
-        raise ValueError("only the 0.95 level is supported")
+def confidence_interval(samples):
+    """95% normal-approximation interval mean +- z * s / sqrt(n), sample
+    std."""
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size < 2:
         raise TooFewSamples("confidence interval needs n >= 2")

@@ -293,27 +293,38 @@ class TestSelectTau:
 
 
 def test_tau_mask_keeps_the_shift_zero_cost():
-    """A block the tau mask leaves out gets shift 0 and the cost at 0 it
-    gets with the shift off for every block, bit for bit, though a shift
-    would have won; the others get what they get with the shift on."""
-    rng = np.random.default_rng(4)
-    stack = stack_blocks([make_block(seed=s, lam=0.01) for s in range(3)])
-    X, y = rng.normal(size=(3, 8, 3)), rng.normal(size=(3, 8)) + 2.0
-    ws = Workspace(stack, X, y)
-    _forward_all(stack, ws)
-    nu = np.mean(np.zeros_like(y) - y, axis=1)
-    lam_reg = stack.lam * _reg_sum(stack, ws)
+    """A block with the shift off gets tau = +0.0 and, bit for bit, its
+    cost at 0 as its cost, as with the shift off for every block, whatever
+    nu is (its candidates are +-0, or NaN for a non-finite nu) and though
+    with random nu a shift would have won; the blocks with the shift on
+    get what they get with the shift on for every block."""
+    for m in (8, 160, 3000):
+        rng = np.random.default_rng(4)
+        stack = stack_blocks([make_block(seed=s, lam=0.01) for s in range(3)])
+        X, y = rng.normal(size=(3, m, 3)), rng.normal(size=(3, m)) + 2.0
+        ws = Workspace(stack, X, y)
+        _forward_all(stack, ws)
+        lam_reg = stack.lam * _reg_sum(stack, ws)
+        for value in (0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, None):
+            nu = (np.mean(np.zeros_like(y) - y, axis=1) if value is None
+                  else np.full(3, value))
 
-    def picked(use_tau):  # rows cost, tau, cost at 0
-        _pick_tau(ws, nu, lam_reg, use_tau)
-        return ws.row[[0, 3, 5]].copy()
+            def picked(use_tau):  # rows cost, tau, cost at 0
+                # as in backprop_step: inf * 0 is a NaN candidate, silently
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _pick_tau(ws, nu, lam_reg, use_tau)
+                return ws.row[[0, 3, 5]].copy()
 
-    on, off, mixed = map(picked, (True, False, np.array([True, False, True])))
-    assert np.all(on[1] != 0.0)  # a shift wins for every block
-    assert mixed[:, 1].tobytes() == off[:, 1].tobytes()
-    for b in (0, 2):
-        assert mixed[:, b].tobytes() == on[:, b].tobytes()
-    assert mixed[2].tobytes() == on[2].tobytes() == off[2].tobytes()
+            on, off = picked(True), picked(False)
+            mixed = picked(np.array([1.0, 0.0, 1.0]))
+            if value is None:
+                assert np.all(on[1] != 0.0)  # a shift wins for every block
+            assert np.float64(mixed[1, 1]).tobytes() == np.float64(0.0).tobytes()
+            assert mixed[0, 1].tobytes() == mixed[2, 1].tobytes()
+            assert mixed[:, 1].tobytes() == off[:, 1].tobytes()
+            for b in (0, 2):
+                assert mixed[:, b].tobytes() == on[:, b].tobytes()
+            assert mixed[2].tobytes() == on[2].tobytes() == off[2].tobytes()
 
 
 class TestCost:

@@ -788,6 +788,57 @@ class TestErrorContract:
         assert not (tmp_path / "stats.csv").exists()
 
 
+class TestFeaturePowerOverflow:
+    """Feature powers beyond the float range, in-process through cli.main:
+    a power that overflows is inf with no numpy warning on stderr, the
+    closed-form fit refuses it, and the trained methods diverge."""
+
+    @pytest.fixture
+    def big_csv(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("iwp:a,iwp:b,dwp:y\n1e60,1,2\n2e60,2,3\n3e60,3,5\n"
+                        "4e60,4,4\n")
+        return path
+
+    @pytest.fixture
+    def params_6(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"targets": {"y": {
+            "neurons": 4, "degree": 6, "alpha": 0.1, "gamma": 1.0,
+            "lambda": 0.0, "iterations": 1000}}}))
+        return path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--ner-train", "{data}", "--degree", "6"],
+         "error: a degree 6 feature power is beyond the float range"),
+        (["compare", "--methods", "ner", "--ner-degree", "6", "--split", "0.5"],
+         "error: a degree 6 feature power is beyond the float range"),
+        (["train", "--no-standardize", "--params", "{params}"],
+         "error: training diverged at iteration 1 in block 'y'"),
+        (["compare", "--methods", "mcr", "--mcr-degree", "6",
+          "--no-standardize", "--split", "0.5"],
+         "error: training diverged at iteration 1")],
+        ids=["eval-ner", "compare-ner", "train", "compare-mcr"])
+    def test_is_one_error_line(self, big_csv, params_6, tmp_path, capsys,
+                               argv, message):
+        out = tmp_path / "out"
+        argv = [a.format(data=big_csv, params=params_6) for a in argv]
+        assert cli.main([*argv, "--data", str(big_csv), "--out-dir",
+                         str(out)]) == 3
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_search_scores_inf(self, big_csv, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"degree": [6]}))
+        out = tmp_path / "out"
+        assert cli.main(["search", "--data", str(big_csv), "--no-standardize",
+                         "--space", str(space), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out / "leaderboard_y.csv")
+        assert rows and all(float(r["mean_cv_rmse"]) == np.inf for r in rows)
+
+
 class TestNonFiniteHyperparameters:
     """A float hyperparameter must be a finite number, not a bool or a
     string: anything else is a config error before any training (compare's

@@ -114,10 +114,6 @@ class TestConfidenceInterval:
         with pytest.raises(TooFewSamples):
             confidence_interval([1.0])
 
-    def test_unsupported_level(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], level=0.9)
-
 
 class TestCorrelations:
     def test_perfect_linear(self):
