@@ -25,7 +25,7 @@ from .block import (
 from .dataset import Dataset, append_bias, expand_features
 from .errors import Diverged, NonFiniteInput
 
-OPTIMIZER_KINDS = ("plain", "adagrad", "rmsprop", "nesterov")
+OPTIMIZER_KINDS = ("adagrad", "rmsprop", "nesterov")
 
 
 @dataclass
@@ -66,7 +66,6 @@ class OptimizerRule:
     and updated in place: the optimizer's arithmetic on the cost gradient
     at rows.params, written into the params.
 
-    plain:    w - eta * g
     adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
     rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
     nesterov: v = mu*v - eta*g;           w + v, with g taken at the
@@ -98,10 +97,6 @@ class OptimizerRule:
         np.negative(rows.grad, out=g)
         np.add(g, rows.decay, out=g)
         np.divide(g, rows.m, out=g)
-        if st.kind == "plain":
-            np.multiply(st.eta, g, out=g)
-            np.subtract(w, g, out=w)
-            return
         if st.accum is None:  # the first step, taken at w itself
             self.state = st = replace(st, accum=np.zeros_like(w))
             self.tmp = w.copy()
@@ -127,14 +122,14 @@ class OptimizerRule:
 
 
 def optimizer_train(kind: str, meta: BlockMetaParams, X: np.ndarray,
-                    y: np.ndarray, seed: int, eta: float, rho: float = 0.9,
-                    momentum: float = 0.9, eps: float = 1e-8):
+                    y: np.ndarray, seed: int, eta: float, **hyper):
     """Train a block with the named update rule instead of the reinforced
     update; gamma is fixed to 1 and the output shift stays off, so the
-    comparison isolates the rule itself.  Returns (block, trace)."""
+    comparison isolates the rule itself.  hyper holds any of rho, momentum
+    and eps, each defaulting as in OptimizerState.  Returns (block, trace)."""
     block = init_block(replace(meta, gamma=1.0), np.asarray(X).shape[1], seed)
     return run_steps(block, X, y, meta.iterations, use_tau=False, rule=OptimizerRule(
-        OptimizerState(kind, eta, rho, momentum, eps)))
+        OptimizerState(kind, eta, **hyper)))
 
 
 def normal_equation_fit(train_data: Dataset, degree: int) -> np.ndarray:

@@ -27,7 +27,9 @@ grouping those of one shape and step count into stacks whatever their
 rules, and cuts a group of at least 2 * PART_BLOCKS blocks into
 sub-stacks that train at the same time, one per usable CPU, on forked
 workers (workers.map_tasks).  run_steps is its one-block form (train runs
-it for meta.iterations); no other module builds a stack.
+it for meta.iterations); no other module builds a stack.  Every training
+call numbers its iterations from 1, in its traces and its Diverged; a
+caller that trains a block in segments renumbers them itself.
 stack_output (and blocks_output over any list of blocks) is the forward
 pass alone: tau-shifted outputs for any number of rows, through one buffer
 set per call, in OUTPUT_ROWS tiles with the bits of a single pass.
@@ -205,35 +207,32 @@ class TraceRecord:
 class TrainingTrace:
     """Per-iteration training log of one block: cols, a (6, n) array whose
     rows are the TraceRecord fields after the iteration (the columns
-    run_stack writes), for the iterations numbered from start.  Traces
-    compare by value: start, shape and the columns' bits."""
+    run_stack writes), for iterations 1..n.  Traces compare by value: shape
+    and the columns' bits."""
 
     cols: np.ndarray
-    start: int = 1
 
     def __len__(self):
         return self.cols.shape[1]
 
     def __eq__(self, other):
-        return (isinstance(other, TrainingTrace) and self.start == other.start
+        return (isinstance(other, TrainingTrace)
                 and self.cols.shape == other.cols.shape
                 and self.cols.tobytes() == other.cols.tobytes())
 
     @property
     def records(self) -> tuple:
         """One TraceRecord per iteration, built from the columns."""
-        return tuple(TraceRecord(self.start + i, *vals)
-                     for i, vals in enumerate(zip(*self.cols.tolist())))
+        return tuple(TraceRecord(i, *vals)
+                     for i, vals in enumerate(zip(*self.cols.tolist()), 1))
 
     def then(self, later: "TrainingTrace") -> "TrainingTrace":
         """This trace followed by the iterations of later."""
-        return TrainingTrace(np.concatenate([self.cols, later.cols], axis=1),
-                             self.start)
+        return TrainingTrace(np.concatenate([self.cols, later.cols], axis=1))
 
     def write_csv(self, path) -> None:
         write_csv(path, ["iter", "cost", "grad1_norm", "grad2_norm", "tau", "nu"],
-                  zip(range(self.start, self.start + len(self)),
-                      *self.cols[:5].tolist()))
+                  zip(range(1, len(self) + 1), *self.cols[:5].tolist()))
 
 
 @dataclass
@@ -700,8 +699,8 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
     return finite
 
 
-def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
-              use_tau=True, jitter_rngs=None, rule=REINFORCED) -> list:
+def run_stack(stack: BlockStack, X, y, n_steps: int, use_tau=True,
+              jitter_rngs=None, rule=REINFORCED) -> list:
     """Run n_steps backprop iterations of every block in the stack.
 
     This is the only loop that trains block weights; it trains the stack in
@@ -713,11 +712,11 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
     whose standard-normal draw is added to that block's gamma every
     iteration.
     Returns one outcome per block, in stack order: (block, TrainingTrace)
-    of its n_steps iterations numbered from start_iteration, or the
-    Diverged of a block whose cost or weights turned non-finite, carrying
-    its iteration and the trace of the iterations before it.  A diverged
-    block stays in the stack behind a mask, and the others carry on
-    unchanged; the call returns once every block has diverged.
+    of its n_steps iterations, numbered from 1, or the Diverged of a block
+    whose cost or weights turned non-finite, carrying its iteration and the
+    trace of the iterations before it.  A diverged block stays in the stack
+    behind a mask, and the others carry on unchanged; the call returns once
+    every block has diverged.
     """
     ws = Workspace(stack, X, y)
     rules = start_rules(stack, ws, rule)
@@ -740,15 +739,14 @@ def run_stack(stack: BlockStack, X, y, n_steps: int, start_iteration: int = 1,
             if finite.all():
                 continue
             for b in np.flatnonzero(alive & ~finite):
-                outcomes[b] = Diverged(
-                    iteration=start_iteration + i,
-                    trace=TrainingTrace(cols[:i, :, b].T, start_iteration))
+                outcomes[b] = Diverged(iteration=i + 1,
+                                       trace=TrainingTrace(cols[:i, :, b].T))
             alive &= finite
             if not alive.any():
                 return outcomes
     for b, blk in enumerate(unstack(stack)):
         if outcomes[b] is None:
-            outcomes[b] = (blk, TrainingTrace(cols[:, :, b].T, start_iteration))
+            outcomes[b] = (blk, TrainingTrace(cols[:, :, b].T))
     return outcomes
 
 
@@ -801,11 +799,10 @@ def per_block(value, n: int) -> list:
     return value if isinstance(value, list) else [value] * n
 
 
-def run_blocks(blocks, inputs, targets, steps, start=1, use_tau=True,
+def run_blocks(blocks, inputs, targets, steps, use_tau=True,
                jitter_rngs=None, rule=REINFORCED) -> list:
-    """Train every block for steps iterations numbered from start, each on
-    its own inputs (m, d) and targets (m,), as few stacks as the shapes
-    allow.
+    """Train every block for steps iterations, numbered from 1, each on its
+    own inputs (m, d) and targets (m,), as few stacks as the shapes allow.
 
     Blocks with the same matrix shapes, rows and step count share a stack,
     whatever their shift and update rule: steps is a count or a list of
@@ -835,7 +832,7 @@ def run_blocks(blocks, inputs, targets, steps, start=1, use_tau=True,
     def train_part(idx):
         return run_stack(stack_blocks(blocks[i] for i in idx),
                          [inputs[i] for i in idx], [targets[i] for i in idx],
-                         steps[idx[0]], start, [use_tau[i] for i in idx],
+                         steps[idx[0]], [use_tau[i] for i in idx],
                          None if jitter_rngs is None
                          else [jitter_rngs[i] for i in idx],
                          [rules[i] for i in idx])
@@ -871,11 +868,12 @@ def blocks_output(blocks, inputs) -> list:
 
 
 def run_steps(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
-              n_steps: int, start_iteration: int = 1, use_tau: bool = True,
-              jitter_rng=None, rule=REINFORCED):
-    """run_blocks for one block; returns (block, TrainingTrace), or raises
-    Diverged carrying the trace of the iterations before it."""
-    (outcome,) = run_blocks([block], [X], [y], n_steps, start_iteration, use_tau,
+              n_steps: int, use_tau: bool = True, jitter_rng=None,
+              rule=REINFORCED):
+    """run_blocks for one block; returns (block, TrainingTrace) of iterations
+    1..n_steps, or raises Diverged carrying the trace of the iterations
+    before it."""
+    (outcome,) = run_blocks([block], [X], [y], n_steps, use_tau,
                             None if jitter_rng is None else [jitter_rng], rule)
     return trained_block(outcome)
 

@@ -37,8 +37,11 @@ SUMMARY_COLUMNS = ("mean_rmse", "median_rmse", "mean_pe", "ci95_low",
 DEFAULT_META = {"neurons": 8, "depth": 1, "degree": 0, "alpha": 0.5,
                 "gamma": 1.0, "lambda": 0.0, "iterations": 1000}
 
-# Hyperparameters of the adagrad/rmsprop/nesterov baselines.
+# Hyperparameters of the adagrad/rmsprop/nesterov baselines, and of the mcr
+# baseline by McrParams field; written here, not read from baselines, so
+# that building the parser loads no training code.
 DEFAULT_OPT_HYPER = {"eta": 0.1, "rho": 0.9, "momentum": 0.9, "eps": 1e-8}
+DEFAULT_MCR = {"alpha": 0.3, "lam": 0.0, "degree": 0, "iterations": 1000}
 
 DEFAULT_SPACE = {"neurons": [4, 8], "alpha": [0.1, 0.3, 1.0],
                  "gamma": [0.5, 1.0, 2.0], "lambda": [0.0],
@@ -136,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_OPT_HYPER["momentum"])
     p.add_argument("--eps", type=float, default=DEFAULT_OPT_HYPER["eps"])
     p.add_argument("--ner-degree", type=int, default=0)
-    p.add_argument("--mcr-alpha", type=float, default=0.3)
-    p.add_argument("--mcr-lambda", type=float, default=0.0)
-    p.add_argument("--mcr-degree", type=int, default=0)
-    p.add_argument("--mcr-iterations", type=int, default=1000)
+    p.add_argument("--mcr-alpha", type=float, default=DEFAULT_MCR["alpha"])
+    p.add_argument("--mcr-lambda", type=float, default=DEFAULT_MCR["lam"])
+    p.add_argument("--mcr-degree", type=int, default=DEFAULT_MCR["degree"])
+    p.add_argument("--mcr-iterations", type=int, default=DEFAULT_MCR["iterations"])
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stats", parents=[common, data],
@@ -476,8 +479,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
     _check_degree(ner_degree, "--ner-degree")
     metas = list(metas)
     opt_hyper = {**DEFAULT_OPT_HYPER, **(opt_hyper or {})}
-    mcr_params = mcr_params or baselines.McrParams(
-        alpha=0.3, lam=0.0, degree=0, iterations=1000)
+    mcr_params = mcr_params or baselines.McrParams(**DEFAULT_MCR)
 
     splits = [ds.split(data, split_fraction, seed) for seed in seeds]
     # One model per (block method, seed): nrn keeps the metas' gamma and

@@ -300,22 +300,25 @@ def append_bias(mat: np.ndarray) -> np.ndarray:
     return np.hstack([ones, mat])
 
 
-def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle split into (train, test).
+def split_rows(m: int, test_fraction: float, seed: int) -> tuple:
+    """Seeded shuffle split of m rows into (train, test) row indices, each
+    in ascending order.
 
-    Test size is floor(m * test_fraction) clamped to [1, m - 1].  Row order
-    within each part follows the original dataset.
+    Test size is floor(m * test_fraction) clamped to [1, m - 1].
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
-    if data.m < 2:
+    if m < 2:
         raise TooFewRows("split needs at least 2 rows")
-    n_test = int(np.floor(data.m * test_fraction))
-    n_test = min(max(n_test, 1), data.m - 1)
-    perm = np.random.default_rng(seed).permutation(data.m)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    return data.take(train_idx), data.take(test_idx)
+    n_test = min(max(int(np.floor(m * test_fraction)), 1), m - 1)
+    perm = np.random.default_rng(seed).permutation(m)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle split into (train, test), by split_rows; row order
+    within each part follows the original dataset."""
+    return tuple(data.take(idx) for idx in split_rows(data.m, test_fraction, seed))
 
 
 def combine(datasets) -> Dataset:

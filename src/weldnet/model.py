@@ -126,7 +126,7 @@ def train_models(runs, standardize: bool = True) -> list:
     _, rules, blocks, inputs, targets, use_tau, rngs, _, _ = map(
         list, zip(*fixed) if fixed else [()] * 9)
     outcomes = run_blocks(blocks, inputs, targets,
-                          [blk.meta.iterations for blk in blocks], 1, use_tau,
+                          [blk.meta.iterations for blk in blocks], use_tau,
                           rngs if any(rngs) else None, rules)
     if dynamic:
         outcomes += map_tasks(_train_dynamic, [job[2:] for job in dynamic])
@@ -149,27 +149,30 @@ def train_models(runs, standardize: bool = True) -> list:
 
 def _train_dynamic(block, X, y, use_tau, jitter_rng, seed, tname):
     """One target's dynamic-width training of block, a map_tasks task:
-    RESIZE_PERIOD iterations at a time, with width probes on a held-out
-    validation slice between them; seed and tname seed the slice and the
-    probes.  Returns (block, TrainingTrace), or the error it ended in,
-    unraised: TooFewRows, or a Diverged carrying the trace of every
+    RESIZE_PERIOD iterations at a time on the rows of X and y that
+    ds.split_rows keeps for fitting, with width probes on the held-out
+    validation rows between them; seed and tname seed the split and the
+    probes.  Each segment's iterations, numbered from 1 by run_steps, are
+    renumbered to follow the segments before it.  Returns (block,
+    TrainingTrace), or the error it ended in, unraised: TooFewRows, or a
+    Diverged at its iteration of the whole run, carrying the trace of every
     iteration before it."""
     if y.size < 3:
         return TooFewRows("dynamic width needs at least 3 training rows")
-    data = ds.Dataset(X, y[:, None], [f"x{j}" for j in range(X.shape[1])], [tname])
-    fit, val = ds.split(data, VAL_FRACTION, derive_seed(seed, tname, "val"))
+    fit, val = ds.split_rows(y.size, VAL_FRACTION, derive_seed(seed, tname, "val"))
+    X, y, Xv, yv = X[fit], y[fit], X[val], y[val]
     trace = TrainingTrace(np.empty((6, 0)))
     while True:
         n = min(RESIZE_PERIOD, block.meta.iterations - len(trace))
         try:
-            block, seg = run_steps(block, fit.features, fit.targets[:, 0], n,
-                                   len(trace) + 1, use_tau, jitter_rng)
+            block, seg = run_steps(block, X, y, n, use_tau, jitter_rng)
         except Diverged as exc:
-            return Diverged(iteration=exc.iteration, trace=trace.then(exc.trace))
+            return Diverged(iteration=len(trace) + exc.iteration,
+                            trace=trace.then(exc.trace))
         trace = trace.then(seg)
         if len(trace) == block.meta.iterations:
             return block, trace
-        block = resize_hidden(block, fit, val,
+        block = resize_hidden(block, X, y, Xv, yv,
                               derive_seed(seed, tname, "resize", len(trace)),
                               use_tau=use_tau)
 
@@ -212,29 +215,28 @@ def _resize_width(block: RegressionBlock, width: int, rng) -> RegressionBlock:
                    meta=replace(block.meta, neurons=width))
 
 
-def resize_hidden(block: RegressionBlock, train: ds.Dataset, val: ds.Dataset,
-                  seed: int, use_tau: bool = True) -> RegressionBlock:
+def resize_hidden(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
+                  Xv: np.ndarray, yv: np.ndarray, seed: int,
+                  use_tau: bool = True) -> RegressionBlock:
     """Probe widths {k-1, k, k+1} and adopt a better one, else stay put.
 
     Every candidate (current width included) is probe-trained for
-    PROBE_ITERATIONS from the current weights, all of them in one
-    run_blocks call.  The other width of least finite validation cost (the
-    smaller on a tie) is adopted only if that cost beats the probed current
-    width by RESIZE_MARGIN relative and does not exceed the block's entry
-    validation cost.  With no adoption the original block is returned
-    untouched.
+    PROBE_ITERATIONS from the current weights on the fit rows X (m, d) and
+    targets y (m,), all of them in one run_blocks call, and scored on the
+    validation rows Xv and yv.  The other width of least finite validation
+    cost (the smaller on a tie) is adopted only if that cost beats the
+    probed current width by RESIZE_MARGIN relative and does not exceed the
+    block's entry validation cost.  With no adoption the original block is
+    returned untouched.  Rows whose width is not the block's input width,
+    or targets whose length is not their rows', raise DimensionMismatch
+    from the probe training, or from the scoring of a probe that did not
+    diverge.
     """
-    if train.n_targets != 1 or val.n_targets != 1:
-        raise DimensionMismatch("resize_hidden expects single-target datasets")
-    if train.d != block.input_dim or val.d != block.input_dim:
-        raise DimensionMismatch("dataset width does not match block input")
-    Xv, yv = val.features, val.targets[:, 0]
     widths = _candidate_widths(block.width)
     cands = [_resize_width(block, w, np.random.default_rng(
         derive_seed(seed, "width", w))) for w in widths]
-    outs = run_blocks(cands, [train.features] * len(cands),
-                      [train.targets[:, 0]] * len(cands), PROBE_ITERATIONS,
-                      use_tau=use_tau)
+    outs = run_blocks(cands, [X] * len(cands), [y] * len(cands),
+                      PROBE_ITERATIONS, use_tau=use_tau)
     probed = {w: (None, np.inf) if isinstance(out, Diverged)
               else (out[0], cost(out[0], Xv, yv)) for w, out in zip(widths, outs)}
 

@@ -4,8 +4,9 @@ map_tasks(fn, tasks) returns [fn(*task) for task in tasks], in task order.
 With n = min(tasks, CPUs in this process's affinity mask) above 1, it
 forks n workers; worker w runs tasks w, w + n, ... on what it inherits
 from the fork and pickles each result or exception back through its own
-pipe.  The caller reads every pipe to its end before it reaps the
-workers, so that none waits on a full pipe; a worker leaves through
+pipe once its tasks are done.  The caller reads the pipes to their ends,
+one after another, before it reaps the workers, so that none waits on a
+full pipe for longer than its turn; a worker leaves through
 os._exit alone, running none of the caller's cleanup.  With one task or
 one CPU, or without fork, the tasks run inline.  Results do not depend on
 where a task ran; a failing map raises the first failing task's exception
@@ -55,38 +56,31 @@ def map_tasks(fn, tasks) -> list:
     if n <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
 
-    import selectors
-    pids, chunks = [], {}
+    pids, reads, data = [], [], []
     try:
         for w in range(n):
             read, write = os.pipe()
-            chunks[read] = []
+            reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, tasks[w::n], write, chunks)
+                    _work(fn, tasks[w::n], write, reads)
                 pids.append(pid)
             finally:
                 os.close(write)
-        with selectors.DefaultSelector() as sel:
-            for fd in chunks:
-                sel.register(fd, selectors.EVENT_READ)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    data = os.read(key.fd, 1 << 20)
-                    chunks[key.fd].append(data)
-                    if not data:
-                        sel.unregister(key.fd)
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                data.append(pipe.read())
     finally:
-        for fd in chunks:
+        for fd in reads:
             os.close(fd)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     if any(statuses):
         raise WorkerDied(f"a worker process died before returning its "
                          f"result (exit code {os.waitstatus_to_exitcode(max(statuses))})")
     outs = [None] * len(tasks)
-    for w, data in enumerate(chunks.values()):
-        outs[w::n] = pickle.loads(b"".join(data))
+    for w, pickled in enumerate(data):
+        outs[w::n] = pickle.loads(pickled)
     for ok, value in outs:
         if not ok:
             raise value

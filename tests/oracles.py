@@ -275,7 +275,6 @@ def optimizer_step(state, weights: np.ndarray, gradient: np.ndarray):
     """Apply one update of a baselines.OptimizerState to one weight matrix,
     into new arrays; returns (new state, new weights).
 
-    plain:    w - eta * g
     adagrad:  acc += g^2;                w - eta * g / (sqrt(acc) + eps)
     rmsprop:  acc = rho*acc + (1-rho)g^2; w - eta * g / (sqrt(acc) + eps)
     nesterov: v = mu*v - eta*g;           w + v   (g evaluated by the caller
@@ -291,8 +290,6 @@ def optimizer_step(state, weights: np.ndarray, gradient: np.ndarray):
     elif acc.shape != weights.shape:
         raise ValueError(f"accumulator {acc.shape} vs weights {weights.shape}")
 
-    if state.kind == "plain":
-        return state, weights - state.eta * gradient
     if state.kind == "adagrad":
         acc = acc + gradient * gradient
         new_w = weights - state.eta * gradient / (np.sqrt(acc) + state.eps)
@@ -431,26 +428,23 @@ def resize_width(block, width: int, rng):
     return replace(block, theta1=theta1, theta2=theta2, hidden=hidden, meta=meta)
 
 
-def run_steps_stacked(block, X, y, n_steps, start_iteration=1, use_tau=True,
-                      jitter_rng=None, rule=REINFORCED):
+def run_steps_stacked(block, X, y, n_steps, use_tau=True, jitter_rng=None,
+                      rule=REINFORCED):
     """block.run_steps as it was written before it went through run_blocks:
     a stack of one built by hand and run by run_stack; returns (block,
     TrainingTrace), or raises Diverged."""
     (outcome,) = run_stack(
         stack_blocks([block]), np.asarray(X, dtype=np.float64)[None],
-        np.asarray(y, dtype=np.float64)[None], n_steps,
-        start_iteration=start_iteration, use_tau=use_tau,
+        np.asarray(y, dtype=np.float64)[None], n_steps, use_tau=use_tau,
         jitter_rngs=None if jitter_rng is None else [jitter_rng], rule=rule)
     return trained_block(outcome)
 
 
-def resize_hidden_loop(block, train, val, seed, use_tau=True):
+def resize_hidden_loop(block, Xt, yt, Xv, yv, seed, use_tau=True):
     """model.resize_hidden as it was written before its candidates trained
     in one call: each candidate width probe-trained alone (by
     run_steps_stacked) and scored at once.  Returns (the block it chose,
     {width: (probed candidate, or None if it diverged, validation cost)})."""
-    Xt, yt = train.features, train.targets[:, 0]
-    Xv, yv = val.features, val.targets[:, 0]
     probed = {}
     for w in _candidate_widths(block.width):
         rng = np.random.default_rng(derive_seed(seed, "width", w))

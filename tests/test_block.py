@@ -491,30 +491,29 @@ class TestTrain:
         assert err.value.trace is not None
         assert len(err.value.trace) == err.value.iteration - 1
 
-    def test_trace_equality_is_by_start_and_bits(self):
+    def test_trace_equality_is_by_bits(self):
         cols = np.array([[0.5, np.nan], [1.0, 2.0], [0.0, 3.0], [0.1, -0.1],
                          [-0.0, 0.2], [0.6, 0.7]])
-        trace = TrainingTrace(cols, start=3)
-        assert trace == TrainingTrace(cols.copy(), start=3)  # NaN equals itself
+        trace = TrainingTrace(cols)
+        assert trace == TrainingTrace(cols.copy())  # NaN equals itself
         assert trace == pickle.loads(pickle.dumps(trace))
-        assert trace != TrainingTrace(cols, start=4)
-        assert trace != TrainingTrace(cols[:, :1], start=3)
+        assert trace != TrainingTrace(cols[:, :1])
         positive_zero = cols.copy()
         positive_zero[4, 0] = 0.0
-        assert trace != TrainingTrace(positive_zero, start=3)
-        assert TrainingTrace(cols[:, :1], 3).then(TrainingTrace(cols[:, 1:], 4)) == trace
-        assert [(r.iteration, r.cost_tau_zero) for r in trace.records] == [(3, 0.6), (4, 0.7)]
+        assert trace != TrainingTrace(positive_zero)
+        assert TrainingTrace(cols[:, :1]).then(TrainingTrace(cols[:, 1:])) == trace
+        assert [(r.iteration, r.cost_tau_zero) for r in trace.records] == [(1, 0.6), (2, 0.7)]
 
     def test_chunked_run_steps_match_one_run(self):
         X, y = make_data(seed=15, m=9)
         block = make_block(seed=26)
         whole, trace = run_steps(block, X, y, 20)
         half, first = run_steps(block, X, y, 10)
-        half, second = run_steps(half, X, y, 10, start_iteration=11)
+        half, second = run_steps(half, X, y, 10)
         for a, b in zip(whole.matrices(), half.matrices()):
             np.testing.assert_array_equal(a, b)
         assert whole.nu == half.nu
-        assert (second.start, len(second)) == (11, 10)
+        assert len(second) == 10
         assert first.then(second) == trace
         assert [r.iteration for r in first.then(second).records] == list(range(1, 21))
 

@@ -791,13 +791,15 @@ class TestErrorContract:
 class TestFeaturePowerOverflow:
     """Feature powers beyond the float range, in-process through cli.main:
     a power that overflows is inf with no numpy warning on stderr, the
-    closed-form fit refuses it, and the trained methods diverge."""
+    closed-form fit refuses it, and the trained methods diverge, at dynamic
+    width too (6 rows leave compare's split the 3 training rows dynamic
+    width needs)."""
 
     @pytest.fixture
     def big_csv(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("iwp:a,iwp:b,dwp:y\n1e60,1,2\n2e60,2,3\n3e60,3,5\n"
-                        "4e60,4,4\n")
+                        "4e60,4,4\n5e60,5,6\n6e60,6,5\n")
         return path
 
     @pytest.fixture
@@ -817,8 +819,14 @@ class TestFeaturePowerOverflow:
          "error: training diverged at iteration 1 in block 'y'"),
         (["compare", "--methods", "mcr", "--mcr-degree", "6",
           "--no-standardize", "--split", "0.5"],
-         "error: training diverged at iteration 1")],
-        ids=["eval-ner", "compare-ner", "train", "compare-mcr"])
+         "error: training diverged at iteration 1"),
+        (["train", "--no-standardize", "--params", "{params}", "--dynamic-width"],
+         "error: training diverged at iteration 1 in block 'y'"),
+        (["compare", "--methods", "nrn", "--params", "{params}", "--dynamic-width",
+          "--no-standardize", "--split", "0.5"],
+         "error: training diverged at iteration 1 in block 'y'")],
+        ids=["eval-ner", "compare-ner", "train", "compare-mcr", "train-dynamic",
+             "compare-dynamic"])
     def test_is_one_error_line(self, big_csv, params_6, tmp_path, capsys,
                                argv, message):
         out = tmp_path / "out"

@@ -137,11 +137,11 @@ def width_chosen_by_loop(probed, k, entry_cost):
 
 @pytest.fixture(scope="module")
 def resize_rows():
-    """(fit, val): 45 and 15 standardized rows of one target."""
+    """(X, y, Xv, yv): 45 fit and 15 validation standardized rows of one
+    target."""
     scaled, _ = standardize(synthesize_weld(60, 0.05, seed=4))
-    names = scaled.feature_names
-    return (Dataset(scaled.features[:45], scaled.targets[:45, :1], names, ["p"]),
-            Dataset(scaled.features[45:], scaled.targets[45:, :1], names, ["p"]))
+    X, y = scaled.features, scaled.targets[:, 0]
+    return X[:45], y[:45], X[45:], y[45:]
 
 
 class TestResize:
@@ -202,20 +202,26 @@ class TestResize:
         assert (got.tau, got.nu) == (want.tau, want.nu)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_width_stays_in_bounds_and_val_cost_never_worse(self):
+    def test_width_stays_in_bounds_and_val_cost_never_worse(self, resize_rows):
         from weldnet.block import cost
-        data = synthesize_weld(60, 0.05, seed=4)
-        scaled, _ = standardize(data)
-        names = scaled.feature_names
-        fit = Dataset(scaled.features[:45], scaled.targets[:45, :1], names, ["p"])
-        val = Dataset(scaled.features[45:], scaled.targets[45:, :1], names, ["p"])
+        X, y, Xv, yv = resize_rows
         block = init_block(quick_meta(neurons=2), 3, seed=4)
-        block, _ = run_steps(block, fit.features, fit.targets[:, 0], 200)
-        before = cost(block, val.features, val.targets[:, 0])
-        resized = resize_hidden(block, fit, val, seed=4)
+        block, _ = run_steps(block, X, y, 200)
+        before = cost(block, Xv, yv)
+        resized = resize_hidden(block, X, y, Xv, yv, seed=4)
         assert 2 <= resized.width <= 100
-        after = cost(resized, val.features, val.targets[:, 0])
-        assert after <= before
+        assert cost(resized, Xv, yv) <= before
+
+    @pytest.mark.parametrize("bad", ["X", "y", "Xv", "yv"])
+    def test_rows_of_the_wrong_shape_are_rejected(self, resize_rows, bad):
+        """Fit or validation rows one column too wide, or targets one row
+        short, against a block of 3 inputs."""
+        rows = dict(zip(["X", "y", "Xv", "yv"], resize_rows))
+        rows[bad] = (np.hstack([rows[bad], rows[bad][:, :1]]) if bad[0] == "X"
+                     else rows[bad][:-1])
+        block = init_block(quick_meta(neurons=3), 3, seed=4)
+        with pytest.raises(DimensionMismatch):
+            resize_hidden(block, *rows.values(), seed=4)
 
     def test_underfit_escape_majority_grows(self):
         data = synthesize_weld(200, 0.02, seed=1)
@@ -224,16 +230,13 @@ class TestResize:
             scaled, _ = standardize(data)
             perm = np.random.default_rng(seed).permutation(data.m)
             vi, fi = np.sort(perm[:40]), np.sort(perm[40:])
-            names = scaled.feature_names
-            fit = Dataset(scaled.features[fi], scaled.targets[fi, :1],
-                          names, ["p"])
-            val = Dataset(scaled.features[vi], scaled.targets[vi, :1],
-                          names, ["p"])
+            X, y = scaled.features[fi], scaled.targets[fi, 0]
+            Xv, yv = scaled.features[vi], scaled.targets[vi, 0]
             block = init_block(quick_meta(neurons=2), 3, seed)
-            block, _ = run_steps(block, fit.features, fit.targets[:, 0], 300)
+            block, _ = run_steps(block, X, y, 300)
             for round_ in range(6):
-                block = resize_hidden(block, fit, val, seed * 100 + round_)
-                block, _ = run_steps(block, fit.features, fit.targets[:, 0], 150)
+                block = resize_hidden(block, X, y, Xv, yv, seed * 100 + round_)
+                block, _ = run_steps(block, X, y, 150)
             if block.width > 2:
                 grew += 1
         assert grew >= 6
@@ -262,10 +265,10 @@ class TestResize:
                 return entry
             return costs[blk.width]
 
-        rows = Dataset(np.zeros((3, 2)), np.zeros((3, 1)), ["a", "b"], ["p"])
+        X, y = np.zeros((3, 2)), np.zeros(3)
         with patch.object(mdl, "run_blocks", probe), \
                 patch.object(mdl, "cost", val_cost):
-            got = resize_hidden(block, rows, rows, seed=0)
+            got = resize_hidden(block, X, y, X, y, seed=0)
         probed = {w: (None, np.inf) if c is None else (w, c)
                   for w, c in costs.items()}
         want = width_chosen_by_loop(probed, k, entry)
@@ -289,17 +292,16 @@ class TestResize:
         started block a zero theta1 column (the least norm, so the shrunk
         candidate drops it) and an output weight of 1e200, so every
         candidate keeping it diverges: at width 100 one of two, at 2 both."""
-        fit, val = resize_rows
+        X, y, Xv, yv = resize_rows
         blk = init_block(quick_meta(neurons=k, depth=depth, lam=0.01),
-                         fit.d, seed)
-        blk, _ = run_steps(blk, fit.features, fit.targets[:, 0], 20,
-                           use_tau=use_tau)
+                         X.shape[1], seed)
+        blk, _ = run_steps(blk, X, y, 20, use_tau=use_tau)
         if poison:
             j = seed % k
             blk.theta1[:, j] = 0.0
             blk.theta2[1 + j] = 1e200
-        want, probed = resize_hidden_loop(blk, fit, val, seed, use_tau)
-        got = resize_hidden(blk, fit, val, seed, use_tau=use_tau)
+        want, probed = resize_hidden_loop(blk, X, y, Xv, yv, seed, use_tau)
+        got = resize_hidden(blk, X, y, Xv, yv, seed, use_tau=use_tau)
         if poison:
             assert [w for w, (c, _) in probed.items() if c is None] == [
                 w for w in probed if w >= k]
@@ -331,7 +333,7 @@ class TestResize:
         iteration 1."""
         resizes = []
 
-        def keep_width(block, train, val, seed, use_tau=True):
+        def keep_width(block, X, y, Xv, yv, seed, use_tau=True):
             resizes.append(seed)
             return block
 

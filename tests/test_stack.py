@@ -58,7 +58,7 @@ def assert_same_block(a, b):
 
 def assert_same_outcome(got, want):
     """got: a run_stack outcome; want: the same block's run_steps result.
-    Traces are equal when their start and their columns' bits are."""
+    Traces are equal when their columns' bits are."""
     if isinstance(want, Diverged):
         assert isinstance(got, Diverged)
         assert got.iteration == want.iteration
@@ -130,7 +130,7 @@ def test_stack_equals_blocks_alone(case, n_steps, use_tau, jitter):
 
 @PROPERTY
 @given(case=stacks(), n_steps=st.integers(1, 15),
-       kind=st.sampled_from(["plain", "adagrad", "rmsprop", "nesterov"]))
+       kind=st.sampled_from(["adagrad", "rmsprop", "nesterov"]))
 def test_optimizer_rule_stack_equals_blocks_alone(case, n_steps, kind):
     blocks, X, y = case
 
@@ -143,13 +143,12 @@ def test_optimizer_rule_stack_equals_blocks_alone(case, n_steps, kind):
         assert_same_outcome(g, w)
 
 
-RULE_KINDS = [None, "plain", "adagrad", "rmsprop", "nesterov"]
+RULE_KINDS = [None, "adagrad", "rmsprop", "nesterov"]
 
 # Gammas that make a blown-up member diverge within 40 steps under each
 # rule (None: the reinforced one); see reference_cases for why.
-BLOWUP_GAMMAS = {None: [1e6, 1e12, 1e308], "plain": [1e12, 1e308],
-                 "nesterov": [1e12, 1e308], "adagrad": [1e308],
-                 "rmsprop": [1e308]}
+BLOWUP_GAMMAS = {None: [1e6, 1e12, 1e308], "nesterov": [1e12, 1e308],
+                 "adagrad": [1e308], "rmsprop": [1e308]}
 
 
 @PROPERTY
@@ -292,8 +291,8 @@ def reference_cases(draw):
     block is blown up to diverge within the run while the others carry on.
 
     The blown-up block's gamma is drawn from three scales.  1e6 makes the
-    reinforced update overflow some steps in, 1e12 the plain and Nesterov
-    ones too.  Adagrad and rmsprop take steps of at most ~eta whatever the
+    reinforced update overflow some steps in, 1e12 the Nesterov one
+    too.  Adagrad and rmsprop take steps of at most ~eta whatever the
     gradient's scale, so only a gradient that overflows at once (1e308)
     makes them diverge, in the first step."""
     b = draw(st.integers(1, 5))
@@ -346,49 +345,32 @@ def outcome_of(train, *args, **kwargs):
 
 @PROPERTY
 @given(case=reference_cases(), n_steps=st.integers(1, 30),
-       start=st.integers(1, 3000), use_tau=st.booleans(),
-       jitter=st.booleans())
-def test_run_steps_equals_a_stack_of_one(case, n_steps, start, use_tau, jitter):
+       use_tau=st.booleans(), jitter=st.booleans())
+def test_run_steps_equals_a_stack_of_one(case, n_steps, use_tau, jitter):
     """run_steps, the one-block form of run_blocks, gives what it gave as
     a hand-built stack of one (tests/oracles.py): weights, tau, nu, the
-    trace numbered from start, a Diverged's iteration, and the jitter
-    generator advanced by the same draws."""
+    trace, a Diverged's iteration, and the jitter generator advanced by
+    the same draws."""
     blocks, X, y = case
     rngs = [np.random.default_rng(7) if jitter else None for _ in range(2)]
-    got, want = (outcome_of(train, blocks[-1], X[-1], y[-1], n_steps, start,
+    got, want = (outcome_of(train, blocks[-1], X[-1], y[-1], n_steps,
                             use_tau, jitter_rng=rng)
                  for train, rng in zip((run_steps, run_steps_stacked), rngs))
     assert_same_outcome(got, want)
-    trace = got.trace if isinstance(got, Diverged) else got[1]
-    assert trace.start == start
     if isinstance(got, Diverged):
-        assert got.iteration == start + len(trace) < start + n_steps
+        assert got.iteration == 1 + len(got.trace) < 1 + n_steps
     if jitter:
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-
-
-def test_run_steps_diverges_numbered_from_start():
-    """A block blown up to diverge some steps into a run that starts at
-    iteration 101 names the same iteration, past 101, as the stack of one,
-    with the same trace from 101 on."""
-    rng = np.random.default_rng(0)
-    X, y = rng.normal(size=(10, 3)), rng.normal(size=10)
-    blk = init_block(weld_meta(depth=2, alpha=1e6, gamma=4.0, lam=0.0), 3, 0)
-    got, want = (outcome_of(train, blk, X, y, 30, 101)
-                 for train in (run_steps, run_steps_stacked))
-    assert isinstance(want, Diverged) and 101 < want.iteration < 131
-    assert_same_outcome(got, want)
-    assert got.trace.start == 101
 
 
 @PROPERTY
 @given(case=stacks(), steps=st.lists(st.integers(1, 12), min_size=6,
                                      max_size=6),
-       start=st.integers(1, 500), use_tau=st.booleans())
-def test_mixed_step_counts_equal_separate_calls(case, steps, start, use_tau):
+       use_tau=st.booleans())
+def test_mixed_step_counts_equal_separate_calls(case, steps, use_tau):
     """One run_blocks call, every block with its own step count, trains a
     stack per step count, and each outcome equals the block's own
-    run_blocks call, jitter generators and trace numbering included."""
+    run_blocks call, jitter generators included."""
     blocks, X, y = case
     steps = steps[:len(blocks)]
 
@@ -397,22 +379,18 @@ def test_mixed_step_counts_equal_separate_calls(case, steps, start, use_tau):
                 for i in range(len(blocks))]
 
     with patch.object(block, "run_stack", wraps=block.run_stack) as spy:
-        got = run_blocks(blocks, list(X), list(y), steps, start, use_tau,
-                         rngs())
+        got = run_blocks(blocks, list(X), list(y), steps, use_tau, rngs())
     assert spy.call_count == len(set(steps))
-    want = [run_blocks([blk], [X[i]], [y[i]], steps[i], start, use_tau,
-                       [rng])[0]
+    want = [run_blocks([blk], [X[i]], [y[i]], steps[i], use_tau, [rng])[0]
             for i, (blk, rng) in enumerate(zip(blocks, rngs()))]
     for g, w, n in zip(got, want, steps):
         assert_same_outcome(g, w)
-        trace = g.trace if isinstance(g, Diverged) else g[1]
-        assert trace.start == start
-        assert isinstance(g, Diverged) or len(trace) == n
+        assert isinstance(g, Diverged) or len(g[1]) == n
 
 
 @PROPERTY
 @given(case=reference_cases(), n_steps=st.integers(1, 20),
-       kind=st.sampled_from(["plain", "adagrad", "rmsprop", "nesterov"]))
+       kind=st.sampled_from(["adagrad", "rmsprop", "nesterov"]))
 def test_optimizer_run_stack_matches_allocating_step(case, n_steps, kind):
     blocks, X, y = case
     n_mats = len(blocks[0].matrices())
@@ -461,7 +439,7 @@ def test_take_path_matches_allocating_step(kind):
 
 
 # not nesterov: w + v with v = +0.0 turns -0.0 into +0.0 in the reference too
-@pytest.mark.parametrize("kind", RULE_KINDS[:4], ids=lambda k: k or "reinforced")
+@pytest.mark.parametrize("kind", RULE_KINDS[:3], ids=lambda k: k or "reinforced")
 def test_negative_zero_bias_keeps_its_bits(kind):
     """With lambda > 0, a bias entry holding -0.0 whose update is zero stays
     -0.0, as in the per-matrix reference: its decay term is +0.0, never
