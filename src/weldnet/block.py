@@ -521,21 +521,20 @@ def _shift_costs(ws: Workspace) -> np.ndarray:
     return np.multiply(0.5 / ws.m, costs, costs)
 
 
-def _pick_tau(ws: Workspace, nu, lam_reg, use_tau) -> None:
+def _pick_tau(ws: Workspace, use_tau) -> None:
     """Per block, the shift tau (ws.row[3]) that minimizes the regularized
-    cost over {0, -nu*f, +nu*f}, its cost (ws.row[0]) and the cost at 0
-    (ws.row[5]).  use_tau gives f: a (B,) vector of 1.0 where the shift is
-    on and 0.0 where it is off, or a bool for every block.
+    cost over {0, -nu*f, +nu*f}, nu being ws.nu_in and the penalty
+    ws.lam_reg, its cost (ws.row[0]) and the cost at 0 (ws.row[5]).
+    use_tau gives f: a (B,) vector of 1.0 where the shift is on and 0.0
+    where it is off, or a bool for every block.
 
     Ties prefer 0, then -nu (the least perturbation first), and a NaN cost
     is never picked.  So a block with the shift off, whose candidates are
     +-0 (NaN for a non-finite nu), keeps tau = +0.0 and the cost at 0.
     """
     taus, costs = ws.tau_cols, ws.cost_cols
-    np.multiply(nu, use_tau, taus[2])
+    np.multiply(ws.nu_in, use_tau, taus[2])
     np.negative(taus[2], taus[1])
-    if lam_reg is not ws.lam_reg:
-        np.copyto(ws.lam_reg, lam_reg)
     _shift_costs(ws)
     best, tau = ws.cost, ws.tau
     np.copyto(best, costs[0])
@@ -678,7 +677,7 @@ def backprop_step(stack: BlockStack, ws: Workspace, use_tau=True,
     else:
         np.copyto(ws.nu_in, stack.nu)
     np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
-    _pick_tau(ws, ws.nu_in, ws.lam_reg, use_tau)
+    _pick_tau(ws, use_tau)
     block_gradients(stack, ws, ws.gamma_col if gamma is None else gamma[:, None])
     for f, f_T, out in ws.norm_parts:
         np.matmul(f, f_T, out)

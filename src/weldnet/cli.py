@@ -452,16 +452,21 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                    mcr_params=None):
     """Train every method over every seed; returns (records, summary).
 
+    The block methods train together through model.train_models; ner and
+    mcr fit on each training split as its records are made, mcr on the
+    split's standardized features (unless standardize is off).
     records: one dict per (seed, method, target) with test rmse/pe, keyed
     by RAW_COLUMNS.
-    summary: per (method, target) mean/median rmse, mean pe, optional 95%
-    CI over seeds, and a per-target z-score across methods, with its values
-    in SUMMARY_COLUMNS order.
+    summary: per (method, target), in first-seen order, the mean/median
+    rmse, mean pe and optional 95% CI over that key's records, and a
+    per-target z-score across methods as listed, with its values in
+    SUMMARY_COLUMNS order.
     opt_hyper: eta, rho, momentum and eps of the optimizer methods; a key
     left out takes its DEFAULT_OPT_HYPER value, as on the command line.
     """
     from . import baselines, metrics, model as mdl
     from .block import REINFORCED
+    from .rng import derive_seed
     methods = list(methods)
     if not methods:
         raise ConfigError("at least one method is required")
@@ -496,7 +501,7 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
           dynamic_width and m in ("nrn", "ann"), rules[m]) for m, i in keys],
         standardize)))
 
-    records = []
+    records, by_key = [], {}
     for i, (seed, (tr, te)) in enumerate(zip(seeds, splits)):
         for method in methods:
             if standardize and method != "ner" and tr.m < 2:
@@ -507,28 +512,29 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                 if isinstance(model, WeldnetError):
                     raise model
                 preds = mdl.predict(model[0], te.features)
-            else:
-                preds = _fit_predict(method, tr, te, seed, standardize,
-                                     ner_degree, mcr_params)
+            elif method == "ner":
+                theta = baselines.normal_equation_fit(tr, ner_degree)
+                preds = baselines.linear_predict(theta, te.features, ner_degree)
+            else:  # mcr, on features scaled by the training split
+                fit, scaler = ds.standardize(tr) if standardize else (tr, None)
+                theta = baselines.mcr_fit(mcr_params, fit, derive_seed(seed, "mcr"))
+                te_features = scaler.apply(te.features) if standardize else te.features
+                preds = baselines.linear_predict(theta, te_features, mcr_params.degree)
             for k, tname in enumerate(data.target_names):
                 records.append(dict(zip(RAW_COLUMNS, (
                     seed, method, tname,
                     *_scores(te.targets[:, k], preds[:, k])))))
+                by_key.setdefault((method, tname), []).append(records[-1])
 
     summary = {}
-    for method in methods:
-        for tname in data.target_names:
-            scores = [r["rmse"] for r in records
-                      if r["method"] == method and r["target"] == tname]
-            pes = [r["pe_percent"] for r in records
-                   if r["method"] == method and r["target"] == tname]
-            ci = (metrics.confidence_interval(scores)
-                  if len(scores) >= 2 else (None, None))
-            summary[(method, tname)] = {
-                "mean_rmse": float(np.mean(scores)),
-                "median_rmse": float(np.median(scores)),
-                "mean_pe": float(np.mean(pes)),
-                "ci_low": ci[0], "ci_high": ci[1], "zscore": None}
+    for key, group in by_key.items():
+        scores = [r["rmse"] for r in group]
+        ci = metrics.confidence_interval(scores) if len(scores) >= 2 else (None, None)
+        summary[key] = {
+            "mean_rmse": float(np.mean(scores)),
+            "median_rmse": float(np.median(scores)),
+            "mean_pe": float(np.mean([r["pe_percent"] for r in group])),
+            "ci_low": ci[0], "ci_high": ci[1], "zscore": None}
     if len(methods) >= 2:
         for tname in data.target_names:
             means = [summary[(m, tname)]["mean_rmse"] for m in methods]
@@ -536,22 +542,6 @@ def run_comparison(data: ds.Dataset, methods, metas, seeds, split_fraction,
                 for m, z in zip(methods, metrics.zscore(means)):
                     summary[(m, tname)]["zscore"] = float(z)
     return records, summary
-
-
-def _fit_predict(method, tr, te, seed, standardize, ner_degree, mcr_params):
-    """Test estimates of a method that trains no blocks: ner or mcr."""
-    from . import baselines
-    from .rng import derive_seed
-    if method == "ner":
-        theta = baselines.normal_equation_fit(tr, ner_degree)
-        return baselines.linear_predict(theta, te.features, ner_degree)
-    if method == "mcr":
-        scaler, (feats,) = ds.prepare_features(tr.features, [0], fit=standardize)
-        _, (te_feats,) = ds.prepare_features(te.features, [0], scaler)
-        fit_data = ds.Dataset(feats, tr.targets, tr.feature_names, tr.target_names)
-        theta = baselines.mcr_fit(mcr_params, fit_data, derive_seed(seed, "mcr"))
-        return baselines.linear_predict(theta, te_feats, mcr_params.degree)
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def cmd_compare(args) -> int:

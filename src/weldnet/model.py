@@ -228,10 +228,12 @@ def resize_hidden(block: RegressionBlock, X: np.ndarray, y: np.ndarray,
     probed current width by RESIZE_MARGIN relative and does not exceed the
     block's entry validation cost.  With no adoption the original block is
     returned untouched.  Rows whose width is not the block's input width,
-    or targets whose length is not their rows', raise DimensionMismatch
-    from the probe training, or from the scoring of a probe that did not
-    diverge.
+    or targets whose length is not their rows', raise DimensionMismatch:
+    the validation rows' up front, the fit rows' from the probe training.
     """
+    if np.ndim(yv) != 1 or np.shape(Xv) != (len(yv), block.input_dim):
+        raise DimensionMismatch(f"validation rows {np.shape(Xv)} and targets "
+                                f"{np.shape(yv)} for {block.input_dim} inputs")
     widths = _candidate_widths(block.width)
     cands = [_resize_width(block, w, np.random.default_rng(
         derive_seed(seed, "width", w))) for w in widths]

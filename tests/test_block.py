@@ -259,7 +259,9 @@ def select_tau(block, X, y, nu):
     stack = stack_blocks([block])
     ws = Workspace(stack, X[None], y[None])
     _forward_all(stack, ws)
-    _pick_tau(ws, np.array([nu]), stack.lam * _reg_sum(stack, ws), True)
+    ws.nu_in[:] = nu
+    np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
+    _pick_tau(ws, True)
     return ws.row[3, 0]
 
 
@@ -304,15 +306,15 @@ def test_tau_mask_keeps_the_shift_zero_cost():
         X, y = rng.normal(size=(3, m, 3)), rng.normal(size=(3, m)) + 2.0
         ws = Workspace(stack, X, y)
         _forward_all(stack, ws)
-        lam_reg = stack.lam * _reg_sum(stack, ws)
+        np.multiply(stack.lam, _reg_sum(stack, ws), ws.lam_reg)
         for value in (0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, None):
-            nu = (np.mean(np.zeros_like(y) - y, axis=1) if value is None
-                  else np.full(3, value))
+            ws.nu_in[:] = (np.mean(np.zeros_like(y) - y, axis=1) if value is None
+                           else np.full(3, value))
 
             def picked(use_tau):  # rows cost, tau, cost at 0
                 # as in backprop_step: inf * 0 is a NaN candidate, silently
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _pick_tau(ws, nu, lam_reg, use_tau)
+                    _pick_tau(ws, use_tau)
                 return ws.row[[0, 3, 5]].copy()
 
             on, off = picked(True), picked(False)

@@ -685,6 +685,52 @@ class TestRunComparison:
                                  opt_hyper=flags)
         assert got == want
 
+    def test_repeated_and_interleaved_methods(self):
+        """mcr listed twice, around block methods of three update rules:
+        each summary entry is taken over its (method, target) records, the
+        keys come in first-seen order, the z-scores are taken over the
+        methods as listed, and mcr fits the standardized training split."""
+        from weldnet.rng import derive_seed
+        data = wn.synthesize_weld(60, 0.02, seed=5)
+        meta = wn.BlockMetaParams(neurons=4, alpha=1.0, gamma=1.0, lam=0.0,
+                                  iterations=1000)
+        methods = ["mcr", "nrn", "adagrad", "ann", "ner", "mcr"]
+        seeds = [3, 1, 4]
+        records, summary = run_comparison(data, methods, [meta, meta], seeds, 0.2)
+        names = data.target_names
+        assert [(r["seed"], r["method"], r["target"]) for r in records] == [
+            (s, m, t) for s in seeds for m in methods for t in names]
+        assert list(summary) == [(m, t) for m in dict.fromkeys(methods)
+                                 for t in names]
+        for (method, tname), entry in summary.items():
+            group = [r for r in records
+                     if (r["method"], r["target"]) == (method, tname)]
+            assert len(group) == len(seeds) * methods.count(method)
+            scores = [r["rmse"] for r in group]
+            assert entry["mean_rmse"] == float(np.mean(scores))
+            assert entry["median_rmse"] == float(np.median(scores))
+            assert entry["mean_pe"] == float(np.mean([r["pe_percent"]
+                                                      for r in group]))
+            assert (entry["ci_low"], entry["ci_high"]) == \
+                metrics.confidence_interval(scores)
+        for tname in names:
+            means = [summary[(m, tname)]["mean_rmse"] for m in methods]
+            assert [summary[(m, tname)]["zscore"] for m in methods] == \
+                [float(z) for z in metrics.zscore(means)]
+
+        params = wn.McrParams(alpha=0.3, lam=0.0, degree=0, iterations=1000)
+        for seed in seeds:
+            tr, te = wn.split(data, 0.2, seed)
+            scaled, scaler = wn.standardize(tr)
+            theta = wn.mcr_fit(params, scaled, derive_seed(seed, "mcr"))
+            preds = wn.linear_predict(theta, scaler.apply(te.features), 0)
+            want = [(wn.rmse(te.targets[:, k], preds[:, k]),
+                     *metrics.pe(te.targets[:, k], preds[:, k]))
+                    for k in range(len(names))]
+            got = [(r["rmse"], r["pe_percent"], r["pe_excluded"])
+                   for r in records if (r["seed"], r["method"]) == (seed, "mcr")]
+            assert got == want * 2
+
     def test_validation(self):
         data = wn.synthesize_weld(20, 0.02, seed=5)
         meta = wn.BlockMetaParams(neurons=4, alpha=1.0, gamma=1.0, lam=0.0,

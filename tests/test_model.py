@@ -212,14 +212,21 @@ class TestResize:
         assert 2 <= resized.width <= 100
         assert cost(resized, Xv, yv) <= before
 
-    @pytest.mark.parametrize("bad", ["X", "y", "Xv", "yv"])
+    @pytest.mark.parametrize("bad", ["X", "y", "Xv", "yv", "Xv-all-diverge"])
     def test_rows_of_the_wrong_shape_are_rejected(self, resize_rows, bad):
         """Fit or validation rows one column too wide, or targets one row
-        short, against a block of 3 inputs."""
+        short, against a block of 3 inputs; and validation rows of 7
+        columns where every probe diverges, so none is scored on them."""
         rows = dict(zip(["X", "y", "Xv", "yv"], resize_rows))
-        rows[bad] = (np.hstack([rows[bad], rows[bad][:, :1]]) if bad[0] == "X"
-                     else rows[bad][:-1])
-        block = init_block(quick_meta(neurons=3), 3, seed=4)
+        meta = quick_meta(neurons=3)
+        if bad == "Xv-all-diverge":
+            meta = quick_meta(neurons=3, alpha=1e6, gamma=1e308)
+            rows.update(X=rows["X"][:20] * 50.0, y=rows["y"][:20] * 1e3,
+                        Xv=np.zeros((5, 7)), yv=rows["yv"][:5])
+        else:
+            rows[bad] = (np.hstack([rows[bad], rows[bad][:, :1]])
+                         if bad[0] == "X" else rows[bad][:-1])
+        block = init_block(meta, 3, seed=4)
         with pytest.raises(DimensionMismatch):
             resize_hidden(block, *rows.values(), seed=4)
 
